@@ -9,6 +9,7 @@ characterizations never depend on floating point.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -474,6 +475,31 @@ def check_line_zagreb_lower(g: Graph) -> list[CheckReport]:
 # -- alpha-parameterized bounds ---------------------------------------------
 
 
+def _alpha_reason(alpha: float | Rational) -> str | None:
+    """Why ``alpha`` cannot be used as an exponent, or None if it can."""
+    try:
+        af = float(alpha)
+    except OverflowError:
+        return f"alpha={alpha} is too large for a float"
+    if not math.isfinite(af):
+        return f"alpha={alpha} is not finite"
+    if af <= 0:
+        return f"needs alpha > 0, got {alpha}"
+    return None
+
+
+def _float_alpha_report(
+    check_id: str, alpha: float | Rational, evaluate, notes: str
+) -> CheckReport:
+    """Float verdict, skipped when ``alpha`` drives a side out of float range."""
+    try:
+        return float_report(check_id, ">=", evaluate, notes=notes)
+    except ArithmeticError as exc:
+        return skipped_report(
+            check_id, ">=", f"alpha={alpha} is out of range: {exc}"
+        )
+
+
 def _exact_alpha(alpha: float | Rational) -> Fraction | None:
     """Snap to 1/2 or 1 (the exponents whose bound stays in the radical span)."""
     if isinstance(alpha, (int, Fraction)):
@@ -492,9 +518,7 @@ def check_variable_zagreb_bound(
     """GA1 >= 2^(1/(2a)) * d^(1/2) * m^((2a+1)/(2a)) / (D * (sum du^(1-a))^(1/(2a))),
     for a > 0; tight exactly for regular graphs."""
     check_id = "variable_zagreb_bound"
-    if float(alpha) <= 0:
-        return [skipped_report(check_id, ">=", f"needs alpha > 0, got {alpha}")]
-    reason = _edge_ready(g)
+    reason = _alpha_reason(alpha) or _edge_ready(g)
     if reason:
         return [skipped_report(check_id, ">=", reason)]
     ga = _ga(g)
@@ -527,25 +551,22 @@ def check_variable_zagreb_bound(
             return lhs, rhs
 
         return [
-            float_report(
+            _float_alpha_report(
                 check_id,
-                ">=",
+                alpha,
                 evaluate,
                 notes=f"alpha={alpha}; float mode, tight exactly for regular "
                 "graphs at every alpha",
             )
         ]
-    cmp = compare(ga * multiplier, rhs_cmp)
     return [
         exact_report(
             check_id,
             ">=",
             ga,
-            RadicalNumber(0),
+            rhs_cmp,
             predicted_equality=is_regular(g),
-            cmp_override=cmp,
-            display_lhs=IndexValue.of_exact(ga),
-            display_rhs=IndexValue.of_float(rhs_cmp.to_float() / multiplier.to_float()),
+            rhs_den=multiplier,
             notes=f"alpha={alpha}; decided exactly by cross-multiplication",
         )
     ]
@@ -576,9 +597,7 @@ def check_line_variable_zagreb_bound(
     ((d-1)/d)^(1-a), and the bound is then tight for regular graphs at every a.
     """
     check_id = "line_variable_zagreb_bound"
-    if float(alpha) <= 0:
-        return [skipped_report(check_id, ">=", f"needs alpha > 0, got {alpha}")]
-    reason = _nontrivial_ready(g)
+    reason = _alpha_reason(alpha) or _nontrivial_ready(g)
     if reason:
         return [skipped_report(check_id, ">=", reason)]
     lg = line_graph(g).graph
@@ -641,18 +660,17 @@ def check_line_variable_zagreb_bound(
             return lhs, rhs
 
         return [
-            float_report(check_id, ">=", evaluate, notes=f"alpha={alpha}; float mode")
+            _float_alpha_report(
+                check_id, alpha, evaluate, notes=f"alpha={alpha}; float mode"
+            )
         ]
-    cmp = compare(gl * multiplier, rhs_cmp)
     return [
         exact_report(
             check_id,
             ">=",
             gl,
-            RadicalNumber(0),
-            cmp_override=cmp,
-            display_lhs=IndexValue.of_exact(gl),
-            display_rhs=IndexValue.of_float(rhs_cmp.to_float() / multiplier.to_float()),
+            rhs_cmp,
+            rhs_den=multiplier,
             notes=f"alpha={alpha}; decided exactly by cross-multiplication",
         )
     ]
@@ -667,19 +685,15 @@ def check_three_half_zagreb_bound(g: Graph) -> list[CheckReport]:
     ga = _ga(g)
     var = m1_alpha(g, Fraction(3, 2)).exact
     assert var is not None
-    lhs_cmp = ga * var
     rhs_cmp = RadicalNumber.sqrt_int(g.min_degree) * (2 * g.m * g.m)
-    cmp = compare(lhs_cmp, rhs_cmp)
     return [
         exact_report(
             check_id,
             ">=",
             ga,
-            RadicalNumber(0),
+            rhs_cmp,
             predicted_equality=is_regular(g),
-            cmp_override=cmp,
-            display_lhs=IndexValue.of_exact(ga),
-            display_rhs=IndexValue.of_float(rhs_cmp.to_float() / var.to_float()),
+            rhs_den=var,
             notes="decided exactly by cross-multiplication",
         )
     ]
@@ -714,16 +728,13 @@ def check_line_three_half_zagreb_bound(g: Graph) -> list[CheckReport]:
         * RadicalNumber.sqrt_int(big)
         * (growth * growth)
     )
-    cmp = compare(gl * multiplier, rhs_cmp)
     return [
         exact_report(
             check_id,
             ">=",
             gl,
-            RadicalNumber(0),
-            cmp_override=cmp,
-            display_lhs=IndexValue.of_exact(gl),
-            display_rhs=IndexValue.of_float(rhs_cmp.to_float() / multiplier.to_float()),
+            rhs_cmp,
+            rhs_den=multiplier,
             notes="decided exactly by cross-multiplication",
         )
     ]

@@ -1,7 +1,8 @@
 """Command-line surface: compute indices, build line graphs, run checks and sweeps.
 
-Exit codes: 0 all good, 1 a checked statement was violated, 2 usage or parse
-error.  Output is deterministic for a fixed configuration (including seeds).
+Exit codes: 0 all good, 1 a checked statement was violated, 2 a usage, parse
+or internal error; 141 (as for SIGPIPE) when the reader of stdout goes away
+early.  Output is deterministic for a fixed configuration (including seeds).
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ from .indices import all_indices, chi_alpha, m1_alpha, m2_alpha
 from .linegraph import line_graph, line_zagreb_identity, verify_degree_identity
 from .sweeps import exhaustive_sweep, random_sweep
 
+# Display floats are float64, so 53 bits is also the most a value can carry.
 DEFAULT_PRECISION = 53
+MIN_PRECISION = 32
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 PRECISION_ENV = "GAINDEX_PRECISION"
 
 
@@ -70,14 +74,21 @@ def _add_io_arguments(sub: argparse.ArgumentParser) -> None:
 
 def _resolve_precision(args: argparse.Namespace) -> int:
     if args.precision is not None:
-        return args.precision
-    env = os.environ.get(PRECISION_ENV)
-    if env:
+        source, bits = "--precision", args.precision
+    else:
+        env = os.environ.get(PRECISION_ENV)
+        if not env:
+            return DEFAULT_PRECISION
         try:
-            return int(env)
+            source, bits = PRECISION_ENV, int(env)
         except ValueError as exc:
             raise UsageError(f"bad {PRECISION_ENV}={env!r}: {exc}") from exc
-    return DEFAULT_PRECISION
+    if not MIN_PRECISION <= bits <= DEFAULT_PRECISION:
+        raise UsageError(
+            f"{source} must be between {MIN_PRECISION} and {DEFAULT_PRECISION} "
+            f"bits, got {bits}"
+        )
+    return bits
 
 
 def _load_graphs(args: argparse.Namespace) -> list[Graph]:
@@ -106,9 +117,7 @@ def _value_cell(value, precision: int) -> dict:
     exact = value.exact
     return {
         "exact": None if exact is None else str(exact),
-        "approx": exact.to_float(max(32, min(precision, 53)))
-        if exact is not None
-        else value.approx,
+        "approx": value.approx if exact is None else exact.to_float(precision),
         "precision_bits": precision,
     }
 
@@ -367,12 +376,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except (UsageError, Graph6Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (Graph6Error, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # The reader closed the pipe (``gaindex ... | head``).  Point stdout
+        # at devnull so that the flush at interpreter exit cannot fail again.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass  # not backed by a file descriptor
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    except Exception as exc:
+        # Exit 1 means "a statement was violated"; a crash must not read so.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -10,9 +10,10 @@ exact path.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Callable
 
 from .graphs import Graph
 from .radicals import RadicalNumber, radical_sqrt
@@ -34,24 +35,52 @@ __all__ = [
 ]
 
 _SNAP = 1e-12
+_FLOAT_REL_ERROR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexValue:
-    """An index value: exact radical form when available, float always."""
+    """An index value: exact radical form when available, float always.
+
+    ``approx`` and its absolute ``error`` only serve display, since verdicts
+    are decided on ``exact``; ``estimate`` computes them on first read.
+    """
 
     exact: RadicalNumber | None
-    approx: float
-    error: float
+    estimate: Callable[[], tuple[float, float]] = field(repr=False)
 
     @classmethod
     def of_exact(cls, value: RadicalNumber) -> "IndexValue":
-        approx, err = value.float_with_error()
-        return cls(exact=value, approx=approx, error=err)
+        return cls(value, value.float_with_error)
 
     @classmethod
-    def of_float(cls, value: float, rel_error: float = 1e-12) -> "IndexValue":
-        return cls(exact=None, approx=value, error=abs(value) * rel_error)
+    def of_float(
+        cls, value: float, rel_error: float = _FLOAT_REL_ERROR
+    ) -> "IndexValue":
+        return cls(None, lambda: (value, abs(value) * rel_error))
+
+    @classmethod
+    def of_quotient(cls, num: RadicalNumber, den: RadicalNumber) -> "IndexValue":
+        """Float display of ``num / den``, for a bound decided exactly by
+        cross-multiplying with ``den``."""
+
+        def estimate() -> tuple[float, float]:
+            value = num.to_float() / den.to_float()
+            return value, abs(value) * _FLOAT_REL_ERROR
+
+        return cls(None, estimate)
+
+    @cached_property
+    def _display(self) -> tuple[float, float]:
+        return self.estimate()
+
+    @property
+    def approx(self) -> float:
+        return self._display[0]
+
+    @property
+    def error(self) -> float:
+        return self._display[1]
 
     def __str__(self) -> str:
         if self.exact is not None:

@@ -12,9 +12,8 @@ are distinct real numbers.
 from __future__ import annotations
 
 import re
-from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 __all__ = [
     "RadicalNumber",
@@ -55,22 +54,6 @@ def radical_sqrt(k: int) -> tuple[int, int]:
                 q *= d
         d += 1 if d == 2 else 2
     return s, q * rem
-
-
-_sqrt_bound_cache: dict[tuple[int, int], tuple[int, int]] = {}
-
-
-def _sqrt_bounds(q: int, bits: int) -> tuple[int, int]:
-    """Integers ``(lo, hi)`` with ``lo/2^bits <= sqrt(q) <= hi/2^bits``."""
-    key = (q, bits)
-    cached = _sqrt_bound_cache.get(key)
-    if cached is None:
-        scaled = q << (2 * bits)
-        lo = isqrt(scaled)
-        hi = lo if lo * lo == scaled else lo + 1
-        cached = (lo, hi)
-        _sqrt_bound_cache[key] = cached
-    return cached
 
 
 def _as_fraction(value: Rational) -> Fraction:
@@ -240,24 +223,32 @@ class RadicalNumber:
     def __hash__(self) -> int:
         return hash(tuple(sorted(self._terms.items())))
 
-    def _interval(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Exact rational bounds ``lo <= value <= hi`` at the given precision."""
-        scale = 1 << bits
-        lo_acc = Fraction(0)
-        hi_acc = Fraction(0)
-        for q, c in self._terms.items():
+    def _interval(self, bits: int) -> tuple[int, int, int]:
+        """Integers ``(lo, hi, den)`` with ``lo/den <= value <= hi/den``.
+
+        ``den`` is the lcm of the coefficient denominators shifted left by
+        ``bits``, so each term is an integer numerator times a fixed-point
+        bound of its square root; no rational is normalized on the way.
+        """
+        terms = self._terms
+        common = lcm(*(c.denominator for c in terms.values()))
+        lo = hi = 0
+        for q, c in terms.items():
+            k = c.numerator * (common // c.denominator)
             if q == 1:
-                lo_acc += c
-                hi_acc += c
+                lo += k << bits
+                hi += k << bits
                 continue
-            lo_s, hi_s = _sqrt_bounds(q, bits)
-            if c > 0:
-                lo_acc += c * Fraction(lo_s, scale)
-                hi_acc += c * Fraction(hi_s, scale)
+            # q is squarefree and above 1, so sqrt(q) * 2^bits is irrational
+            # and lies strictly between root and root + 1.
+            root = isqrt(q << (2 * bits))
+            if k > 0:
+                lo += k * root
+                hi += k * (root + 1)
             else:
-                lo_acc += c * Fraction(hi_s, scale)
-                hi_acc += c * Fraction(lo_s, scale)
-        return lo_acc, hi_acc
+                lo += k * (root + 1)
+                hi += k * root
+        return lo, hi, common << bits
 
     def sign(self) -> int:
         """-1, 0 or 1; exact."""
@@ -268,7 +259,7 @@ class RadicalNumber:
             return 1 if c > 0 else -1
         bits = _START_BITS
         while bits <= _MAX_BITS:
-            lo, hi = self._interval(bits)
+            lo, hi, _ = self._interval(bits)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -315,11 +306,12 @@ class RadicalNumber:
             return 0.0, 0.0
         work = bits + 16
         while True:
-            lo, hi = self._interval(work)
-            mid = (lo + hi) / 2
-            width = hi - lo
-            if mid and width * (1 << bits) <= 2 * abs(mid):
-                return float(mid), float(width / 2) + abs(float(mid)) * 2.0**-52
+            lo, hi, den = self._interval(work)
+            total = lo + hi
+            if total and (hi - lo) << bits <= abs(total):
+                # int / int rounds correctly, as Fraction.__float__ does.
+                mid = total / (2 * den)
+                return mid, (hi - lo) / (2 * den) + abs(mid) * 2.0**-52
             if work > _MAX_BITS:
                 raise AssertionError("precision escalation did not converge")
             work *= 2
@@ -328,13 +320,6 @@ class RadicalNumber:
         return self.float_with_error(bits)[0]
 
     __float__ = to_float
-
-    def to_decimal(self, digits: int) -> Decimal:
-        """Decimal approximation good to roughly ``digits`` significant digits."""
-        bits = int(digits * 3.33) + 32
-        lo, hi = self._interval(bits)
-        mid = (lo + hi) / 2
-        return Decimal(mid.numerator) / Decimal(mid.denominator)
 
     # -- display ----------------------------------------------------------
 

@@ -36,7 +36,6 @@ class CheckReport:
     equality: bool
     predicted_equality: bool | None
     characterization_consistent: bool | None
-    slack: float
     preconditions_met: bool
     mode: str
     notes: str = ""
@@ -44,6 +43,11 @@ class CheckReport:
     @property
     def violated(self) -> bool:
         return self.preconditions_met and not self.holds
+
+    @property
+    def slack(self) -> float:
+        """``lhs - rhs`` in display floats; NaN when skipped."""
+        return self.lhs.approx - self.rhs.approx
 
     def to_dict(self) -> dict:
         def side(v: IndexValue) -> dict:
@@ -91,20 +95,23 @@ def exact_report(
     rhs: RadicalNumber,
     predicted_equality: bool | None = None,
     notes: str = "",
-    cmp_override: int | None = None,
-    display_lhs: IndexValue | None = None,
-    display_rhs: IndexValue | None = None,
+    rhs_den: RadicalNumber | None = None,
 ) -> CheckReport:
-    """Exact verdict.
+    """Exact verdict on ``lhs relation rhs``.
 
-    ``cmp_override`` lets a caller decide the comparison on a transformed but
-    equivalent pair (for quotient bounds compared by cross-multiplication)
-    while still displaying the original sides.
+    With a positive ``rhs_den`` the right side is the quotient
+    ``rhs / rhs_den``.  Radicals divide only by rationals, so the quotient is
+    decided by cross-multiplication, ``lhs * rhs_den`` against ``rhs``, and
+    displayed as a float only.
     """
-    cmp = compare(lhs, rhs) if cmp_override is None else cmp_override
+    if rhs_den is None:
+        cmp = compare(lhs, rhs)
+        rhs_val = IndexValue.of_exact(rhs)
+    else:
+        cmp = compare(lhs * rhs_den, rhs)
+        rhs_val = IndexValue.of_quotient(rhs, rhs_den)
     holds, equality = _relation_outcome(relation, cmp)
-    lhs_val = display_lhs if display_lhs is not None else IndexValue.of_exact(lhs)
-    rhs_val = display_rhs if display_rhs is not None else IndexValue.of_exact(rhs)
+    lhs_val = IndexValue.of_exact(lhs)
     consistent = None if predicted_equality is None else equality == predicted_equality
     return CheckReport(
         check_id=check_id,
@@ -115,7 +122,6 @@ def exact_report(
         equality=equality,
         predicted_equality=predicted_equality,
         characterization_consistent=consistent,
-        slack=lhs_val.approx - rhs_val.approx,
         preconditions_met=True,
         mode="exact",
         notes=notes,
@@ -166,7 +172,6 @@ def float_report(
         equality=equality,
         predicted_equality=predicted_equality,
         characterization_consistent=consistent,
-        slack=diff,
         preconditions_met=True,
         mode="float",
         notes=note,
@@ -193,7 +198,6 @@ def skipped_report(check_id: str, relation: str, reason: str) -> CheckReport:
         equality=False,
         predicted_equality=None,
         characterization_consistent=None,
-        slack=math.nan,
         preconditions_met=False,
         mode="skipped",
         notes=reason,

@@ -536,3 +536,65 @@ class TestRefinementAndRegistry:
         reports = run_checks(cycle_graph(5))
         seen = {r.check_id.split(".")[0] for r in reports}
         assert set(CHECK_IDS) <= seen
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return from_edge_list(10, outer + spokes + inner)
+
+
+class TestDisplayFloatsOnRead:
+    def test_verdict_path_computes_no_display_float(self, monkeypatch):
+        from gaindex.sweeps import SweepResult
+
+        calls = []
+        original = RadicalNumber.float_with_error
+
+        def counting(self, bits=53):
+            calls.append(bits)
+            return original(self, bits)
+
+        monkeypatch.setattr(RadicalNumber, "float_with_error", counting)
+        result = SweepResult()
+        reports = []
+        for g in (petersen_graph(), complete_graph(4)):
+            graph_reports = run_checks(g)
+            result.absorb("g", graph_reports)
+            reports.extend(graph_reports)
+        assert calls == []
+        assert sum(r.mode == "exact" for r in reports) > 20
+        for report in reports:
+            payload = report.to_dict()
+            for key in ("lhs", "rhs"):
+                side = getattr(report, key)
+                if side.exact is not None:
+                    approx, error = side.exact.float_with_error()
+                    assert payload[key]["approx"] == approx
+                    assert payload[key]["error"] == error
+        assert calls
+
+
+class TestOutOfRangeAlpha:
+    @pytest.mark.parametrize("alpha", [1e300, float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "checker", [check_variable_zagreb_bound, check_line_variable_zagreb_bound]
+    )
+    def test_skipped_with_alpha_named(self, checker, alpha):
+        for g in (cycle_graph(4), complete_graph(4), petersen_graph()):
+            (report,) = checker(g, alpha)
+            assert report.mode == "skipped" and not report.preconditions_met
+            assert not report.violated
+            assert "alpha=" in report.notes
+
+    def test_fraction_too_large_for_a_float(self):
+        (report,) = check_variable_zagreb_bound(cycle_graph(4), Fraction(10**400))
+        assert report.mode == "skipped" and "alpha=" in report.notes
+
+    def test_run_checks_keeps_in_range_alphas(self):
+        reports = run_checks(
+            cycle_graph(4), ids=["variable_zagreb_bound"], alphas=(1, 1e300)
+        )
+        assert [r.mode for r in reports] == ["exact", "skipped"]
+        assert reports[0].holds and reports[0].equality

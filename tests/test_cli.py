@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import gaindex
 from gaindex.cli import main
 from gaindex.formats import parse_graph6
 
@@ -219,3 +225,81 @@ class TestPrecisionConfig:
         monkeypatch.setenv("GAINDEX_PRECISION", "lots")
         code, _, err = run_cli(capsys, "compute", "C4")
         assert code == 2 and "GAINDEX_PRECISION" in err
+
+    def test_out_of_range_rejected(self, capsys, monkeypatch):
+        for bits in ("200", "16"):
+            code, out, err = run_cli(capsys, "compute", "P3", "--precision", bits)
+            assert code == 2 and out == ""
+            assert "--precision" in err and "32 and 53" in err
+            monkeypatch.setenv("GAINDEX_PRECISION", bits)
+            code, out, err = run_cli(capsys, "compute", "P3")
+            assert code == 2 and out == ""
+            assert "GAINDEX_PRECISION" in err and "32 and 53" in err
+            monkeypatch.delenv("GAINDEX_PRECISION")
+
+    def test_range_ends_accepted(self, capsys):
+        for bits in ("32", "53"):
+            code, out, _ = run_cli(
+                capsys, "compute", "P3", "--precision", bits, "--format", "json"
+            )
+            (row,) = json.loads(out)
+            assert code == 0 and row["GA1"]["precision_bits"] == int(bits)
+
+
+class TestAlphaRange:
+    def test_huge_alpha_becomes_skipped_reports(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", "C4", "--alpha", "1e300", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        rows = [r for r in json.loads(out) if "variable_zagreb" in r["check_id"]]
+        assert len(rows) == 2
+        assert all(r["mode"] == "skipped" and "alpha=" in r["notes"] for r in rows)
+
+    def test_non_finite_alpha_is_usage_error(self, capsys):
+        for alpha in ("inf", "nan"):
+            try:
+                code = main(["check", "C4", "--alpha", alpha])
+            except SystemExit as exc:
+                code = exc.code
+            assert code == 2
+            assert "alpha" in capsys.readouterr().err
+
+
+class _FailingStdout(io.StringIO):
+    def __init__(self, exc: Exception):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+class TestExitCodeContract:
+    def test_broken_pipe_is_quiet_and_not_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(BrokenPipeError()))
+        code = main(["check", "K5", "--format", "json"])
+        assert code not in (0, 1, 2)
+        assert capsys.readouterr().err == ""
+
+    def test_other_exception_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(OSError("disk full")))
+        code = main(["check", "K5", "--format", "json"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "disk full" in err
+
+    def test_closed_pipe_in_a_real_process(self):
+        src = Path(gaindex.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gaindex.cli", "check", "K5", "K6"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode not in (0, 1)
+        assert b"Traceback" not in err and b"Exception ignored" not in err

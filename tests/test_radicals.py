@@ -6,6 +6,7 @@ import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,133 @@ class TestFloatConversion:
     def test_precision_floor(self):
         with pytest.raises(ValueError):
             RadicalNumber(1).float_with_error(bits=16)
+
+
+# -- differential test of the fixed-point interval kernel ---------------------
+#
+# The reference below is the rational-arithmetic kernel that the integer one
+# replaced: the same bounds, built as normalized Fractions term by term.  The
+# integer kernel must give the same signs and bit-identical floats.
+
+
+def reference_interval(x: RadicalNumber, bits: int) -> tuple[Fraction, Fraction]:
+    scale = 1 << bits
+    lo_acc = Fraction(0)
+    hi_acc = Fraction(0)
+    for q, c in x.terms.items():
+        if q == 1:
+            lo_acc += c
+            hi_acc += c
+            continue
+        scaled = q << (2 * bits)
+        lo_s = isqrt(scaled)
+        hi_s = lo_s if lo_s * lo_s == scaled else lo_s + 1
+        if c > 0:
+            lo_acc += c * Fraction(lo_s, scale)
+            hi_acc += c * Fraction(hi_s, scale)
+        else:
+            lo_acc += c * Fraction(hi_s, scale)
+            hi_acc += c * Fraction(lo_s, scale)
+    return lo_acc, hi_acc
+
+
+def reference_sign(x: RadicalNumber) -> int:
+    terms = x.terms
+    if not terms:
+        return 0
+    if len(terms) == 1:
+        return 1 if next(iter(terms.values())) > 0 else -1
+    bits = 64
+    while True:
+        lo, hi = reference_interval(x, bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+
+
+def reference_float_with_error(x: RadicalNumber, bits: int) -> tuple[float, float]:
+    if not x.terms:
+        return 0.0, 0.0
+    work = bits + 16
+    while True:
+        lo, hi = reference_interval(x, bits=work)
+        mid = (lo + hi) / 2
+        width = hi - lo
+        if mid and width * (1 << bits) <= 2 * abs(mid):
+            return float(mid), float(width / 2) + abs(float(mid)) * 2.0**-52
+        work *= 2
+
+
+wide_rationals = st.fractions(
+    min_value=Fraction(-(10**6)), max_value=Fraction(10**6), max_denominator=10**12
+)
+any_radicands = st.integers(min_value=1, max_value=10**4)
+irrational_radicands = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 15, 30, 105, 9982])
+
+
+@st.composite
+def near_cancelling(draw):
+    """``c*sqrt(q) - p/r`` or ``(a + b*sqrt(q)) - (a' + b'*sqrt(q'))`` with the
+    rational part a best approximation, so the value is tiny but nonzero."""
+    q = draw(irrational_radicands)
+    b = draw(wide_rationals.filter(bool))
+    digits = draw(st.integers(min_value=1, max_value=12))
+    if draw(st.booleans()):
+        root = RadicalNumber({q: b})
+        return root - Fraction(root.to_float()).limit_denominator(10**digits)
+    q2 = draw(irrational_radicands)
+    b2 = draw(wide_rationals)
+    a = draw(wide_rationals)
+    gap = RadicalNumber({q: b}) - RadicalNumber({q2: b2})
+    a2 = a + Fraction(gap.to_float()).limit_denominator(10**digits)
+    return (a + RadicalNumber({q: b})) - (a2 + RadicalNumber({q2: b2}))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Radicals with 1 to 8 terms and large denominators, or sums of one or
+    two near-cancelling values, which stay tiny but nonzero."""
+    if draw(st.booleans()):
+        n_terms = draw(st.integers(min_value=1, max_value=8))
+        return RadicalNumber(
+            {draw(any_radicands): draw(wide_rationals) for _ in range(n_terms)}
+        )
+    value = draw(near_cancelling())
+    if draw(st.booleans()):
+        value = value + draw(near_cancelling())
+    return value
+
+
+class TestIntervalKernel:
+    def test_example_cancellation(self):
+        value = Fraction(577, 408) - RadicalNumber.sqrt_int(2)
+        assert value.sign() == reference_sign(value) == 1
+        for bits in (32, 53):
+            assert value.float_with_error(bits) == reference_float_with_error(
+                value, bits
+            )
+
+    @given(kernel_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rational_reference(self, value):
+        assert value.sign() == reference_sign(value)
+        for bits in (32, 53):
+            assert value.float_with_error(bits) == reference_float_with_error(
+                value, bits
+            )
+
+    @given(kernel_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_relative_error_bound(self, value):
+        true = decimal_value(value, digits=200)
+        for bits in (32, 53):
+            approx, err = value.float_with_error(bits)
+            miss = abs(Decimal(approx) - true)
+            assert miss <= Decimal(err)
+            # 2^(1-bits), plus float64's own rounding of that bound.
+            assert miss <= abs(true) * Decimal(2.0 ** (1 - bits) * (1 + 2.0**-50))
 
 
 class TestDisplayFormat:
