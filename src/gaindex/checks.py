@@ -1,8 +1,10 @@
 """One checker per inequality/identity, each returning verdict reports.
 
 Checkers validate their own hypotheses (reported as ``preconditions_met``
-rather than raised), decide exactly whenever both sides live in the radical
-span, and never mutate or share state: each builds its own line graph.
+rather than raised) and decide exactly whenever both sides live in the
+radical span.  Each reads its graph through a :class:`GraphFacts`; a plain
+``Graph`` is accepted too, and ``run_checks`` builds one ``GraphFacts`` per
+graph so that every checker shares its components, indices and line graph.
 Quotient bounds are decided exactly by cross-multiplication, so equality
 characterizations never depend on floating point.
 """
@@ -11,24 +13,23 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .graphs import (
     Graph,
-    components,
     delete_edge,
     is_biregular,
     is_minimal_edge,
-    is_nontrivial,
     is_path,
     is_regular,
     is_star,
     strip_isolated,
 )
-from .indices import IndexValue, chi_alpha, ga1, m1, m1_alpha, m2
+from .indices import _snap_exponent, chi_alpha, m1_alpha
 from .linegraph import (
-    line_graph,
+    GraphFacts,
     line_regularity_characterization,
     line_tree_characterization,
     line_zagreb_identity,
@@ -95,47 +96,19 @@ def _sqrt_scaled(radicand: int, coeff: Fraction) -> RadicalNumber:
     return RadicalNumber.sqrt_int(radicand) * coeff
 
 
-def _edge_ready(g: Graph) -> str | None:
-    if g.n == 0 or g.m == 0:
-        return "graph has no edges"
-    if g.isolated_vertices:
-        return "every component must contain an edge (isolated vertices present)"
-    return None
-
-
-def _nontrivial_ready(g: Graph) -> str | None:
-    reason = _edge_ready(g)
-    if reason:
-        return reason
-    if not is_nontrivial(g):
-        return "every component must have at least two edges"
-    return None
-
-
-def _ga(g: Graph) -> RadicalNumber:
-    value = ga1(g).exact
-    assert value is not None
-    return value
-
-
-def _int_index(value: IndexValue) -> Fraction:
-    assert value.exact is not None
-    return value.exact.as_fraction()
-
-
 # -- checkers over the base graph ------------------------------------------
 
 
-def check_extreme_degree_bounds(g: Graph) -> list[CheckReport]:
+def check_extreme_degree_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
     """2m*sqrt(Dd)/(D+d) <= GA1 <= m; lower tight iff regular or biregular,
     upper tight iff regular."""
-    reason = _edge_ready(g)
-    if reason:
+    f = GraphFacts.of(g)
+    if f.edge_reason:
         return [
-            skipped_report("extreme_degree_bounds.lower", "<=", reason),
-            skipped_report("extreme_degree_bounds.upper", "<=", reason),
+            skipped_report("extreme_degree_bounds.lower", "<=", f.edge_reason),
+            skipped_report("extreme_degree_bounds.upper", "<=", f.edge_reason),
         ]
-    ga = _ga(g)
+    g = f.graph
     big, small = g.max_degree, g.min_degree
     lower = _sqrt_scaled(big * small, Fraction(2 * g.m, big + small))
     return [
@@ -143,22 +116,24 @@ def check_extreme_degree_bounds(g: Graph) -> list[CheckReport]:
             "extreme_degree_bounds.lower",
             "<=",
             lower,
-            ga,
-            predicted_equality=is_regular(g) or is_biregular(g),
+            f.ga1,
+            predicted_equality=f.regular or f.biregular,
         ),
         exact_report(
             "extreme_degree_bounds.upper",
             "<=",
-            ga,
+            f.ga1,
             RadicalNumber(g.m),
-            predicted_equality=is_regular(g),
+            predicted_equality=f.regular,
         ),
     ]
 
 
-def check_order_size_bounds(g: Graph) -> list[CheckReport]:
+def check_order_size_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
     """GA1 >= 2(n-1)^(3/2)/n and GA1 >= 2m/n, for connected graphs."""
-    reason = _edge_ready(g)
+    f = GraphFacts.of(g)
+    g = f.graph
+    reason = f.edge_reason
     if reason is None and not g.is_connected:
         reason = "requires a connected graph"
     if reason:
@@ -166,42 +141,43 @@ def check_order_size_bounds(g: Graph) -> list[CheckReport]:
             skipped_report("order_size_bounds.order", ">=", reason),
             skipped_report("order_size_bounds.size", ">=", reason),
         ]
-    ga = _ga(g)
     n = g.n
     return [
         exact_report(
             "order_size_bounds.order",
             ">=",
-            ga,
+            f.ga1,
             _sqrt_scaled(n - 1, Fraction(2 * (n - 1), n)),
         ),
         exact_report(
             "order_size_bounds.size",
             ">=",
-            ga,
+            f.ga1,
             RadicalNumber(Fraction(2 * g.m, n)),
         ),
     ]
 
 
-def check_star_lower_bound(g: Graph) -> list[CheckReport]:
+def check_star_lower_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     """GA1 >= 2m*sqrt(n-1)/n, tight exactly for stars."""
-    reason = _edge_ready(g)
-    if reason:
-        return [skipped_report("star_lower_bound", ">=", reason)]
-    ga = _ga(g)
+    f = GraphFacts.of(g)
+    if f.edge_reason:
+        return [skipped_report("star_lower_bound", ">=", f.edge_reason)]
+    g = f.graph
     bound = _sqrt_scaled(g.n - 1, Fraction(2 * g.m, g.n))
     return [
         exact_report(
-            "star_lower_bound", ">=", ga, bound, predicted_equality=is_star(g)
+            "star_lower_bound", ">=", f.ga1, bound, predicted_equality=is_star(g)
         )
     ]
 
 
-def check_no_universal_vertex_bound(g: Graph) -> list[CheckReport]:
+def check_no_universal_vertex_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     """With max degree <= n-2: GA1 > 2m*sqrt(n-2)/(n-1), and that bound is
     itself >= 2*sqrt(n-2) once m >= n-1."""
-    reason = _edge_ready(g)
+    f = GraphFacts.of(g)
+    g = f.graph
+    reason = f.edge_reason
     if reason is None and g.max_degree > g.n - 2:
         reason = f"needs max degree <= n-2 (have {g.max_degree} on n={g.n})"
     if reason:
@@ -209,9 +185,8 @@ def check_no_universal_vertex_bound(g: Graph) -> list[CheckReport]:
             skipped_report("no_universal_vertex_bound.strict", ">", reason),
             skipped_report("no_universal_vertex_bound.tail", ">=", reason),
         ]
-    ga = _ga(g)
     bound = _sqrt_scaled(g.n - 2, Fraction(2 * g.m, g.n - 1))
-    out = [exact_report("no_universal_vertex_bound.strict", ">", ga, bound)]
+    out = [exact_report("no_universal_vertex_bound.strict", ">", f.ga1, bound)]
     if g.m >= g.n - 1:
         out.append(
             exact_report(
@@ -232,42 +207,23 @@ def check_no_universal_vertex_bound(g: Graph) -> list[CheckReport]:
     return out
 
 
-def check_edge_deletion_drop(g: Graph) -> list[CheckReport]:
+def check_edge_deletion_drop(g: Graph | GraphFacts) -> list[CheckReport]:
     """Deleting a minimal edge drops GA1 by strictly more than the edge's term.
 
     A minimal edge that is its own component is excluded: deletion then
     removes exactly its term and the strict drop fails, so the statement
     implicitly needs a surviving edge next to the deleted one.
     """
-    reason = _edge_ready(g)
-    if reason:
-        return [skipped_report("edge_deletion_drop", "<", reason)]
-    # Edge count of each vertex's component, to spot single-edge components.
-    comp_m_of_vertex = [0] * g.n
-    seen = [False] * g.n
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        verts = [start]
-        while stack:
-            for w in g.adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    verts.append(w)
-                    stack.append(w)
-        vset = set(verts)
-        m_comp = sum(1 for u, v in g.edges if u in vset and v in vset)
-        for v in verts:
-            comp_m_of_vertex[v] = m_comp
-    ga = _ga(g)
+    f = GraphFacts.of(g)
+    if f.edge_reason:
+        return [skipped_report("edge_deletion_drop", "<", f.edge_reason)]
+    g = f.graph
     out: list[CheckReport] = []
     for e in g.edges:
         if not is_minimal_edge(g, e):
             continue
         u, v = e
-        if comp_m_of_vertex[u] < 2:
+        if g.deg[u] == g.deg[v] == 1:
             out.append(
                 skipped_report(
                     "edge_deletion_drop",
@@ -283,8 +239,8 @@ def check_edge_deletion_drop(g: Graph) -> list[CheckReport]:
             exact_report(
                 "edge_deletion_drop",
                 "<",
-                _ga(remaining),
-                ga - term,
+                GraphFacts(remaining).ga1,
+                f.ga1 - term,
                 notes=f"deleted minimal edge ({u},{v})",
             )
         )
@@ -293,16 +249,14 @@ def check_edge_deletion_drop(g: Graph) -> list[CheckReport]:
     return out
 
 
-def check_rationality(g: Graph) -> list[CheckReport]:
+def check_rationality(g: Graph | GraphFacts) -> list[CheckReport]:
     """GA1 is rational exactly when every edge's degree product is a square."""
-    reason = _edge_ready(g)
-    if reason:
-        return [skipped_report("rationality", "==", reason)]
-    ga = _ga(g)
+    f = GraphFacts.of(g)
+    if f.edge_reason:
+        return [skipped_report("rationality", "==", f.edge_reason)]
+    ga = f.ga1
     value_rational = ga.is_rational
-    all_square = all(
-        radical_sqrt(g.deg[u] * g.deg[v])[1] == 1 for u, v in g.edges
-    )
+    all_square = all(radical_sqrt(a * b)[1] == 1 for a, b in f.degree_pairs)
     report = exact_report(
         "rationality",
         "==",
@@ -313,161 +267,148 @@ def check_rationality(g: Graph) -> list[CheckReport]:
         f"every degree product a perfect square: {all_square}",
     )
     # The statement under test is the equivalence itself.
-    report.holds = report.characterization_consistent is True
-    return [report]
+    return [replace(report, holds=report.characterization_consistent is True)]
 
 
 # -- checkers involving the line graph --------------------------------------
 
 
-def check_line_ga_bounds(g: Graph) -> list[CheckReport]:
+def check_line_ga_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
     """(M1-2m)*sqrt((D-1)(d-1))/(D+d-2) <= GA1(L(G)) <= M1/2 - m."""
-    reason = _nontrivial_ready(g)
-    if reason:
+    f = GraphFacts.of(g)
+    if f.nontrivial_reason:
         return [
-            skipped_report("line_ga_bounds.lower", "<=", reason),
-            skipped_report("line_ga_bounds.upper", "<=", reason),
+            skipped_report("line_ga_bounds.lower", "<=", f.nontrivial_reason),
+            skipped_report("line_ga_bounds.upper", "<=", f.nontrivial_reason),
         ]
-    lg = line_graph(g).graph
-    gl = _ga(lg)
-    m1g = _int_index(m1(g))
+    g = f.graph
     big, small = g.max_degree, g.min_degree
     radicand = (big - 1) * (small - 1)
-    lower = _sqrt_scaled(radicand, Fraction(int(m1g) - 2 * g.m, big + small - 2))
+    lower = _sqrt_scaled(radicand, Fraction(f.m1 - 2 * g.m, big + small - 2))
     notes_lower = "vacuous: bound is zero (min degree 1)" if radicand == 0 else ""
     return [
         exact_report(
             "line_ga_bounds.lower",
             "<=",
             lower,
-            gl,
-            predicted_equality=is_regular(g),
+            f.line.ga1,
+            predicted_equality=f.regular,
             notes=notes_lower,
         ),
         exact_report(
             "line_ga_bounds.upper",
             "<=",
-            gl,
-            RadicalNumber(m1g / 2 - g.m),
-            predicted_equality=regular_line_condition(g),
+            f.line.ga1,
+            RadicalNumber(Fraction(f.m1, 2) - g.m),
+            predicted_equality=regular_line_condition(f),
             notes="upper bound tight exactly when the line graph is regular",
         ),
     ]
 
 
-def check_nordhaus_gaddum(g: Graph) -> list[CheckReport]:
+def check_nordhaus_gaddum(g: Graph | GraphFacts) -> list[CheckReport]:
     """M1*sqrt((D-1)(d-1))/(D+d-2) <= GA1(G)+GA1(L(G)) <= M1/2; tight iff regular."""
-    reason = _nontrivial_ready(g)
-    if reason:
+    f = GraphFacts.of(g)
+    if f.nontrivial_reason:
         return [
-            skipped_report("nordhaus_gaddum.lower", "<=", reason),
-            skipped_report("nordhaus_gaddum.upper", "<=", reason),
+            skipped_report("nordhaus_gaddum.lower", "<=", f.nontrivial_reason),
+            skipped_report("nordhaus_gaddum.upper", "<=", f.nontrivial_reason),
         ]
-    lg = line_graph(g).graph
-    total = _ga(g) + _ga(lg)
-    m1g = _int_index(m1(g))
-    big, small = g.max_degree, g.min_degree
-    lower = _sqrt_scaled((big - 1) * (small - 1), m1g / (big + small - 2))
-    regular = is_regular(g)
+    total = f.ga1 + f.line.ga1
+    big, small = f.graph.max_degree, f.graph.min_degree
+    lower = _sqrt_scaled((big - 1) * (small - 1), Fraction(f.m1, big + small - 2))
     return [
         exact_report(
-            "nordhaus_gaddum.lower", "<=", lower, total, predicted_equality=regular
+            "nordhaus_gaddum.lower", "<=", lower, total, predicted_equality=f.regular
         ),
         exact_report(
             "nordhaus_gaddum.upper",
             "<=",
             total,
-            RadicalNumber(m1g / 2),
-            predicted_equality=regular,
+            RadicalNumber(Fraction(f.m1, 2)),
+            predicted_equality=f.regular,
         ),
     ]
 
 
-def check_line_ga_ratio_bound(g: Graph) -> list[CheckReport]:
+def check_line_ga_ratio_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     """GA1(L(G)) >= min(3/(4*sqrt(2)), term(2D-2, max(2d-2,1))) * GA1(G)."""
-    reason = _nontrivial_ready(g)
-    if reason:
-        return [skipped_report("line_ga_ratio_bound", ">=", reason)]
-    lg = line_graph(g).graph
+    f = GraphFacts.of(g)
+    if f.nontrivial_reason:
+        return [skipped_report("line_ga_ratio_bound", ">=", f.nontrivial_reason)]
+    g = f.graph
     hi = 2 * g.max_degree - 2
     lo = max(2 * g.min_degree - 2, 1)
     candidate = _sqrt_scaled(hi * lo, Fraction(2, hi + lo))
     path_factor = RadicalNumber({2: Fraction(3, 8)})  # 3/(4*sqrt(2))
     factor = path_factor if compare(path_factor, candidate) <= 0 else candidate
-    rhs = factor * _ga(g)
+    rhs = factor * f.ga1
     return [
         exact_report(
             "line_ga_ratio_bound",
             ">=",
-            _ga(lg),
+            f.line.ga1,
             rhs,
             notes="tight for the 3-vertex path",
         )
     ]
 
 
-def check_line_vs_graph_regular(g: Graph) -> list[CheckReport]:
+def check_line_vs_graph_regular(g: Graph | GraphFacts) -> list[CheckReport]:
     """GA1(L(G)) >= GA1(G) when every component is regular or biregular and
     none is the 3-vertex path."""
-    reason = _nontrivial_ready(g)
+    f = GraphFacts.of(g)
+    reason = f.nontrivial_reason
     if reason is None:
-        comps = components(g)
-        if any(c.n == 3 and is_path(c) for c in comps):
+        if any(c.n == 3 and is_path(c) for c in f.components):
             reason = "a component is the 3-vertex path"
-        elif not all(is_regular(c) or is_biregular(c) for c in comps):
+        elif not all(is_regular(c) or is_biregular(c) for c in f.components):
             reason = "every component must be regular or biregular"
     if reason:
         return [skipped_report("line_vs_graph_regular", ">=", reason)]
-    lg = line_graph(g).graph
     return [
         exact_report(
             "line_vs_graph_regular",
             ">=",
-            _ga(lg),
-            _ga(g),
+            f.line.ga1,
+            f.ga1,
             notes="tight for disjoint unions of cycles",
         )
     ]
 
 
-def check_line_order_bound(g: Graph) -> list[CheckReport]:
+def check_line_order_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     """GA1(L(G)) >= 2(m-1)^(3/2)/m."""
-    reason = _nontrivial_ready(g)
-    if reason:
-        return [skipped_report("line_order_bound", ">=", reason)]
-    lg = line_graph(g).graph
-    bound = _sqrt_scaled(g.m - 1, Fraction(2 * (g.m - 1), g.m))
-    return [exact_report("line_order_bound", ">=", _ga(lg), bound)]
+    f = GraphFacts.of(g)
+    if f.nontrivial_reason:
+        return [skipped_report("line_order_bound", ">=", f.nontrivial_reason)]
+    m = f.graph.m
+    bound = _sqrt_scaled(m - 1, Fraction(2 * (m - 1), m))
+    return [exact_report("line_order_bound", ">=", f.line.ga1, bound)]
 
 
-def check_line_sqrt_bound(g: Graph) -> list[CheckReport]:
+def check_line_sqrt_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     """GA1(L(G)) >= 2*sqrt(m-1) when no component is a path on <= 6 vertices."""
-    reason = _nontrivial_ready(g)
-    if reason is None and any(
-        is_path(c) and c.n <= 6 for c in components(g)
-    ):
+    f = GraphFacts.of(g)
+    reason = f.nontrivial_reason
+    if reason is None and any(is_path(c) and c.n <= 6 for c in f.components):
         reason = "a component is a path on at most 6 vertices"
     if reason:
         return [skipped_report("line_sqrt_bound", ">=", reason)]
-    lg = line_graph(g).graph
-    return [
-        exact_report(
-            "line_sqrt_bound", ">=", _ga(lg), _sqrt_scaled(g.m - 1, Fraction(2))
-        )
-    ]
+    bound = _sqrt_scaled(f.graph.m - 1, Fraction(2))
+    return [exact_report("line_sqrt_bound", ">=", f.line.ga1, bound)]
 
 
-def check_line_zagreb_lower(g: Graph) -> list[CheckReport]:
+def check_line_zagreb_lower(g: Graph | GraphFacts) -> list[CheckReport]:
     """M1(L(G)) >= 4m + (d-4)*M1(G) + 2*M2(G), in exact integers."""
-    reason = _nontrivial_ready(g)
-    if reason:
-        return [skipped_report("line_zagreb_lower", ">=", reason)]
-    lg = line_graph(g).graph
-    lhs = _int_index(m1(lg))
-    rhs = 4 * g.m + (g.min_degree - 4) * _int_index(m1(g)) + 2 * _int_index(m2(g))
+    f = GraphFacts.of(g)
+    if f.nontrivial_reason:
+        return [skipped_report("line_zagreb_lower", ">=", f.nontrivial_reason)]
+    g = f.graph
+    rhs = 4 * g.m + (g.min_degree - 4) * f.m1 + 2 * f.m2
     return [
         exact_report(
-            "line_zagreb_lower", ">=", RadicalNumber(lhs), RadicalNumber(rhs)
+            "line_zagreb_lower", ">=", RadicalNumber(f.line.m1), RadicalNumber(rhs)
         )
     ]
 
@@ -500,31 +441,20 @@ def _float_alpha_report(
         )
 
 
-def _exact_alpha(alpha: float | Rational) -> Fraction | None:
-    """Snap to 1/2 or 1 (the exponents whose bound stays in the radical span)."""
-    if isinstance(alpha, (int, Fraction)):
-        frac = Fraction(alpha)
-    else:
-        doubled = round(2 * alpha)
-        if abs(2 * alpha - doubled) > 1e-12:
-            return None
-        frac = Fraction(doubled, 2)
-    return frac if frac in (Fraction(1, 2), Fraction(1)) else None
-
-
 def check_variable_zagreb_bound(
-    g: Graph, alpha: float | Rational = 1
+    g: Graph | GraphFacts, alpha: float | Rational = 1
 ) -> list[CheckReport]:
     """GA1 >= 2^(1/(2a)) * d^(1/2) * m^((2a+1)/(2a)) / (D * (sum du^(1-a))^(1/(2a))),
     for a > 0; tight exactly for regular graphs."""
     check_id = "variable_zagreb_bound"
-    reason = _alpha_reason(alpha) or _edge_ready(g)
+    f = GraphFacts.of(g)
+    reason = _alpha_reason(alpha) or f.edge_reason
     if reason:
         return [skipped_report(check_id, ">=", reason)]
-    ga = _ga(g)
+    g = f.graph
     big, small, m = g.max_degree, g.min_degree, g.m
-    snapped = _exact_alpha(alpha)
-    if snapped == Fraction(1):
+    snapped = _snap_exponent(alpha)
+    if snapped == 1:
         # Cross-multiplied: GA1 * D * sqrt(n) >= sqrt(2*d) * m * sqrt(m)
         multiplier = big * RadicalNumber.sqrt_int(g.n)
         rhs_cmp = RadicalNumber.sqrt_int(2 * small) * RadicalNumber.sqrt_int(m) * m
@@ -535,52 +465,48 @@ def check_variable_zagreb_bound(
         multiplier = big * half_zagreb
         rhs_cmp = RadicalNumber.sqrt_int(small) * (2 * m * m)
     else:
-        degs = Counter(g.deg)
-        pairs = _degree_pair_counts(g)
-        af = float(alpha)
-
-        def evaluate(power):
-            lhs = _ga_by_power(pairs, power)
-            var_zagreb = sum(cnt * power(d, 1 - af) for d, cnt in degs.items())
-            rhs = (
-                power(2, 1 / (2 * af))
-                * power(small, 0.5)
-                * power(m, (2 * af + 1) / (2 * af))
-                / (big * power(var_zagreb, 1 / (2 * af)))
-            )
-            return lhs, rhs
-
-        return [
-            _float_alpha_report(
-                check_id,
-                alpha,
-                evaluate,
-                notes=f"alpha={alpha}; float mode, tight exactly for regular "
-                "graphs at every alpha",
-            )
-        ]
+        return [_variable_zagreb_float(f, alpha)]
     return [
         exact_report(
             check_id,
             ">=",
-            ga,
+            f.ga1,
             rhs_cmp,
-            predicted_equality=is_regular(g),
+            predicted_equality=f.regular,
             rhs_den=multiplier,
             notes=f"alpha={alpha}; decided exactly by cross-multiplication",
         )
     ]
 
 
-def _degree_pair_counts(g: Graph) -> dict[tuple[int, int], int]:
-    pairs: Counter[tuple[int, int]] = Counter()
-    for u, v in g.edges:
-        a, b = g.deg[u], g.deg[v]
-        pairs[(a, b) if a <= b else (b, a)] += 1
-    return dict(pairs)
+def _variable_zagreb_float(f: GraphFacts, alpha: float | Rational) -> CheckReport:
+    """``variable_zagreb_bound`` evaluated in float mode, at any alpha > 0."""
+    g = f.graph
+    big, small, m = g.max_degree, g.min_degree, g.m
+    degs = Counter(g.deg)
+    af = float(alpha)
+
+    def evaluate(power):
+        lhs = _ga_by_power(f.degree_pairs, power)
+        var_zagreb = sum(cnt * power(d, 1 - af) for d, cnt in degs.items())
+        rhs = (
+            power(2, 1 / (2 * af))
+            * power(small, 0.5)
+            * power(m, (2 * af + 1) / (2 * af))
+            / (big * power(var_zagreb, 1 / (2 * af)))
+        )
+        return lhs, rhs
+
+    return _float_alpha_report(
+        "variable_zagreb_bound",
+        alpha,
+        evaluate,
+        notes=f"alpha={alpha}; float mode, tight exactly for regular "
+        "graphs at every alpha",
+    )
 
 
-def _ga_by_power(pairs: dict[tuple[int, int], int], power) -> object:
+def _ga_by_power(pairs: Counter[tuple[int, int]], power) -> object:
     total = 0
     for (a, b), cnt in pairs.items():
         total += cnt * 2 * power(a * b, 0.5) / (a + b)
@@ -588,7 +514,7 @@ def _ga_by_power(pairs: dict[tuple[int, int], int], power) -> object:
 
 
 def check_line_variable_zagreb_bound(
-    g: Graph, alpha: float | Rational = 1
+    g: Graph | GraphFacts, alpha: float | Rational = 1
 ) -> list[CheckReport]:
     """Line-graph lower bound with exponent a > 0, two branches (a <= 1, a > 1).
 
@@ -597,26 +523,25 @@ def check_line_variable_zagreb_bound(
     ((d-1)/d)^(1-a), and the bound is then tight for regular graphs at every a.
     """
     check_id = "line_variable_zagreb_bound"
-    reason = _alpha_reason(alpha) or _nontrivial_ready(g)
+    f = GraphFacts.of(g)
+    reason = _alpha_reason(alpha) or f.nontrivial_reason
     if reason:
         return [skipped_report(check_id, ">=", reason)]
-    lg = line_graph(g).graph
-    gl = _ga(lg)
+    g = f.graph
     big, small, m = g.max_degree, g.min_degree, g.m
-    m1g = int(_int_index(m1(g)))
-    growth = m1g - 2 * m  # = 2 * edge count of the line graph
+    growth = f.m1 - 2 * m  # = 2 * edge count of the line graph
     if small == 1:
         return [
             exact_report(
                 check_id,
                 ">=",
-                gl,
+                f.line.ga1,
                 RadicalNumber(0),
                 notes=f"alpha={alpha}; vacuous: bound is zero (min degree 1)",
             )
         ]
-    snapped = _exact_alpha(alpha)
-    if snapped == Fraction(1):
+    snapped = _snap_exponent(alpha)
+    if snapped == 1:
         # GA1(L)*4*(D-1)*sqrt(m) >= sqrt(2d-2) * (M1-2m)^(3/2)
         multiplier = (4 * (big - 1)) * RadicalNumber.sqrt_int(m)
         rhs_cmp = (
@@ -635,40 +560,12 @@ def check_line_variable_zagreb_bound(
             * (growth * growth)
         )
     else:
-        af = float(alpha)
-        pair_counts = _degree_pair_counts(lg)
-        base_pairs = _degree_pair_counts(g)
-
-        def evaluate(power):
-            lhs = _ga_by_power(pair_counts, power)
-            chi = sum(cnt * power(a + b, 1 - af) for (a, b), cnt in base_pairs.items())
-            if af <= 1:
-                rhs = (
-                    power(2 * small - 2, 0.5)
-                    * power(big, (1 - af) / (2 * af))
-                    * power(growth, (2 * af + 1) / (2 * af))
-                    / (4 * power(big - 1, (1 + af) / (2 * af)) * power(chi, 1 / (2 * af)))
-                )
-            else:
-                rhs = (
-                    power(2, 0.5)
-                    * power(small - 1, (2 * af - 1) / (2 * af))
-                    * power(small, (1 - af) / (2 * af))
-                    * power(growth, (2 * af + 1) / (2 * af))
-                    / (4 * (big - 1) * power(chi, 1 / (2 * af)))
-                )
-            return lhs, rhs
-
-        return [
-            _float_alpha_report(
-                check_id, alpha, evaluate, notes=f"alpha={alpha}; float mode"
-            )
-        ]
+        return [_line_variable_zagreb_float(f, alpha)]
     return [
         exact_report(
             check_id,
             ">=",
-            gl,
+            f.line.ga1,
             rhs_cmp,
             rhs_den=multiplier,
             notes=f"alpha={alpha}; decided exactly by cross-multiplication",
@@ -676,13 +573,50 @@ def check_line_variable_zagreb_bound(
     ]
 
 
-def check_three_half_zagreb_bound(g: Graph) -> list[CheckReport]:
+def _line_variable_zagreb_float(
+    f: GraphFacts, alpha: float | Rational
+) -> CheckReport:
+    """``line_variable_zagreb_bound`` evaluated in float mode, at any alpha > 0."""
+    g = f.graph
+    big, small = g.max_degree, g.min_degree
+    growth = f.m1 - 2 * g.m
+    af = float(alpha)
+
+    def evaluate(power):
+        lhs = _ga_by_power(f.line.degree_pairs, power)
+        chi = sum(cnt * power(a + b, 1 - af) for (a, b), cnt in f.degree_pairs.items())
+        if af <= 1:
+            rhs = (
+                power(2 * small - 2, 0.5)
+                * power(big, (1 - af) / (2 * af))
+                * power(growth, (2 * af + 1) / (2 * af))
+                / (4 * power(big - 1, (1 + af) / (2 * af)) * power(chi, 1 / (2 * af)))
+            )
+        else:
+            rhs = (
+                power(2, 0.5)
+                * power(small - 1, (2 * af - 1) / (2 * af))
+                * power(small, (1 - af) / (2 * af))
+                * power(growth, (2 * af + 1) / (2 * af))
+                / (4 * (big - 1) * power(chi, 1 / (2 * af)))
+            )
+        return lhs, rhs
+
+    return _float_alpha_report(
+        "line_variable_zagreb_bound",
+        alpha,
+        evaluate,
+        notes=f"alpha={alpha}; float mode",
+    )
+
+
+def check_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     """GA1 >= 2*sqrt(d)*m^2 / sum(du^(3/2)); tight exactly for regular graphs."""
     check_id = "three_half_zagreb_bound"
-    reason = _edge_ready(g)
-    if reason:
-        return [skipped_report(check_id, ">=", reason)]
-    ga = _ga(g)
+    f = GraphFacts.of(g)
+    if f.edge_reason:
+        return [skipped_report(check_id, ">=", f.edge_reason)]
+    g = f.graph
     var = m1_alpha(g, Fraction(3, 2)).exact
     assert var is not None
     rhs_cmp = RadicalNumber.sqrt_int(g.min_degree) * (2 * g.m * g.m)
@@ -690,35 +624,34 @@ def check_three_half_zagreb_bound(g: Graph) -> list[CheckReport]:
         exact_report(
             check_id,
             ">=",
-            ga,
+            f.ga1,
             rhs_cmp,
-            predicted_equality=is_regular(g),
+            predicted_equality=f.regular,
             rhs_den=var,
             notes="decided exactly by cross-multiplication",
         )
     ]
 
 
-def check_line_three_half_zagreb_bound(g: Graph) -> list[CheckReport]:
+def check_line_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     """GA1(L(G)) >= (2d-2)^(1/2)*D^(3/2)*(M1-2m)^2 / (2*(D-1)^(3/2)*chi_(3/2))."""
     check_id = "line_three_half_zagreb_bound"
-    reason = _nontrivial_ready(g)
-    if reason:
-        return [skipped_report(check_id, ">=", reason)]
-    lg = line_graph(g).graph
-    gl = _ga(lg)
+    f = GraphFacts.of(g)
+    if f.nontrivial_reason:
+        return [skipped_report(check_id, ">=", f.nontrivial_reason)]
+    g = f.graph
     big, small = g.max_degree, g.min_degree
     if small == 1:
         return [
             exact_report(
                 check_id,
                 ">=",
-                gl,
+                f.line.ga1,
                 RadicalNumber(0),
                 notes="vacuous: bound is zero (min degree 1)",
             )
         ]
-    growth = int(_int_index(m1(g))) - 2 * g.m
+    growth = f.m1 - 2 * g.m
     chi = chi_alpha(g, Fraction(3, 2)).exact
     assert chi is not None
     multiplier = 2 * (big - 1) * RadicalNumber.sqrt_int(big - 1) * chi
@@ -732,7 +665,7 @@ def check_line_three_half_zagreb_bound(g: Graph) -> list[CheckReport]:
         exact_report(
             check_id,
             ">=",
-            gl,
+            f.line.ga1,
             rhs_cmp,
             rhs_den=multiplier,
             notes="decided exactly by cross-multiplication",
@@ -777,30 +710,28 @@ def check_sqrt_shift_superadditivity(xs: Sequence[Rational]) -> CheckReport:
 # -- registry ----------------------------------------------------------------
 
 
-def _wrap_line_zagreb_identity(g: Graph) -> list[CheckReport]:
-    reason = _nontrivial_ready(g)
-    if reason:
-        return [skipped_report("line_zagreb_identity", "==", reason)]
-    return [line_zagreb_identity(g)]
+def _wrap_line_zagreb_identity(f: GraphFacts) -> list[CheckReport]:
+    if f.nontrivial_reason:
+        return [skipped_report("line_zagreb_identity", "==", f.nontrivial_reason)]
+    return [line_zagreb_identity(f)]
 
 
-def _wrap_line_regular_iff(g: Graph) -> list[CheckReport]:
-    reason = _nontrivial_ready(g)
-    if reason:
-        return [skipped_report("line_regular_iff", "==", reason)]
-    return [line_regularity_characterization(g)]
+def _wrap_line_regular_iff(f: GraphFacts) -> list[CheckReport]:
+    if f.nontrivial_reason:
+        return [skipped_report("line_regular_iff", "==", f.nontrivial_reason)]
+    return [line_regularity_characterization(f)]
 
 
-def _wrap_line_tree_iff(g: Graph) -> list[CheckReport]:
-    reason = _nontrivial_ready(g)
-    if reason is None and not g.is_connected:
+def _wrap_line_tree_iff(f: GraphFacts) -> list[CheckReport]:
+    reason = f.nontrivial_reason
+    if reason is None and not f.graph.is_connected:
         reason = "requires a connected graph"
     if reason:
         return [skipped_report("line_tree_iff", "==", reason)]
-    return line_tree_characterization(g)
+    return line_tree_characterization(f)
 
 
-_PLAIN_CHECKS: dict[str, Callable[[Graph], list[CheckReport]]] = {
+_PLAIN_CHECKS: dict[str, Callable[[GraphFacts], list[CheckReport]]] = {
     "extreme_degree_bounds": check_extreme_degree_bounds,
     "order_size_bounds": check_order_size_bounds,
     "star_lower_bound": check_star_lower_bound,
@@ -821,7 +752,7 @@ _PLAIN_CHECKS: dict[str, Callable[[Graph], list[CheckReport]]] = {
     "line_tree_iff": _wrap_line_tree_iff,
 }
 
-_ALPHA_CHECKS: dict[str, Callable[[Graph, float | Rational], list[CheckReport]]] = {
+_ALPHA_CHECKS: dict[str, Callable[..., list[CheckReport]]] = {
     "variable_zagreb_bound": check_variable_zagreb_bound,
     "line_variable_zagreb_bound": check_line_variable_zagreb_bound,
 }
@@ -830,19 +761,20 @@ CHECK_IDS: tuple[str, ...] = tuple(list(_PLAIN_CHECKS) + list(_ALPHA_CHECKS))
 
 
 def run_checks(
-    g: Graph,
+    g: Graph | GraphFacts,
     ids: Iterable[str] | None = None,
     alphas: Sequence[float | Rational] = DEFAULT_ALPHAS,
 ) -> list[CheckReport]:
-    """Run the selected checkers (default: all) on one graph."""
+    """Run the selected checkers (default: all) on one graph's shared facts."""
+    f = GraphFacts.of(g)
     selected = list(ids) if ids is not None else list(CHECK_IDS)
     out: list[CheckReport] = []
     for check_id in selected:
         if check_id in _PLAIN_CHECKS:
-            out.extend(_PLAIN_CHECKS[check_id](g))
+            out.extend(_PLAIN_CHECKS[check_id](f))
         elif check_id in _ALPHA_CHECKS:
             for alpha in alphas:
-                out.extend(_ALPHA_CHECKS[check_id](g, alpha))
+                out.extend(_ALPHA_CHECKS[check_id](f, alpha))
         else:
             raise KeyError(
                 f"unknown check id {check_id!r}; available: {', '.join(CHECK_IDS)}"

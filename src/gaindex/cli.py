@@ -63,13 +63,6 @@ def _add_io_arguments(sub: argparse.ArgumentParser) -> None:
         default="text",
         help="output format (default text)",
     )
-    sub.add_argument(
-        "--precision",
-        type=int,
-        default=None,
-        help=f"float display precision in bits (default {DEFAULT_PRECISION}; "
-        f"env {PRECISION_ENV} overrides the default)",
-    )
 
 
 def _resolve_precision(args: argparse.Namespace) -> int:
@@ -234,17 +227,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     alphas = tuple(args.alpha) if args.alpha else DEFAULT_ALPHAS
     result = exhaustive_sweep(args.nmax, alphas=alphas)
     if args.trials:
-        random_part = random_sweep(
-            args.trials, seed=args.seed, n_high=args.random_nmax, alphas=alphas
+        result.merge(
+            random_sweep(
+                args.trials, seed=args.seed, n_high=args.random_nmax, alphas=alphas
+            )
         )
-        for check_id, agg in random_part.aggregates.items():
-            mine = result.aggregates.setdefault(check_id, agg.__class__(check_id))
-            mine.tested += agg.tested
-            mine.skipped += agg.skipped
-            mine.violations += agg.violations
-            mine.equalities += agg.equalities
-            mine.mismatches += agg.mismatches
-        result.failures.extend(random_part.failures)
     rows = [
         {
             "check_id": agg.check_id,
@@ -319,6 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=_fraction_arg,
         action="append",
         help="extra exponent for the variable indices (repeatable)",
+    )
+    sub.add_argument(
+        "--precision",
+        type=int,
+        default=None,
+        help=f"float display precision in bits (default {DEFAULT_PRECISION}; "
+        f"env {PRECISION_ENV} overrides the default)",
     )
     sub.set_defaults(func=cmd_compute)
 

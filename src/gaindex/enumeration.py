@@ -10,7 +10,7 @@ reaches everything).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -26,6 +26,7 @@ from .graphs import (
     cycle_graph,
     double_star_graph,
     from_edge_list,
+    graph_from_key,
     graph_name,
     is_biregular,
     is_nontrivial,
@@ -64,22 +65,18 @@ __all__ = [
 ENUMERATION_MAX_N = 8
 
 
-def _graph_from_key(n: int, key: tuple[int, ...]) -> Graph:
-    pairs = []
-    for k, col in enumerate(key, start=1):
-        for j in range(k):
-            if (col >> (k - 1 - j)) & 1:
-                pairs.append((j, k))
-    return from_edge_list(n, pairs)
+def enumerate_trees(n: int) -> tuple[Graph, ...]:
+    """One representative per isomorphism class of trees on n vertices."""
+    return tuple(tree for _, tree in _tree_classes(n))
 
 
 @lru_cache(maxsize=None)
-def enumerate_trees(n: int) -> tuple[Graph, ...]:
-    """One representative per isomorphism class of trees on n vertices."""
+def _tree_classes(n: int) -> tuple[tuple[tuple[int, ...], Graph], ...]:
+    """(canonical key, representative) per tree class on n vertices, by key."""
     if n < 1:
         raise ValueError("need at least one vertex")
     if n == 1:
-        return (from_edge_list(1, []),)
+        return (((), from_edge_list(1, [])),)
     out: dict[tuple[int, ...], None] = {}
     for tree in enumerate_trees(n - 1):
         for v in range(n - 1):
@@ -87,7 +84,7 @@ def enumerate_trees(n: int) -> tuple[Graph, ...]:
                 from_edge_list(n, tree.edges), v, n - 1
             )
             out.setdefault(canonical_key(grown), None)
-    return tuple(_graph_from_key(n, key) for key in sorted(out))
+    return tuple((key, graph_from_key(n, key)) for key in sorted(out))
 
 
 def enumerate_connected(n: int, max_n: int = 7) -> tuple[Graph, ...]:
@@ -115,27 +112,25 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
             g = from_edge_list(n, pairs)
             if g.is_connected:
                 found.setdefault(canonical_key(g), None)
-        reps = [_graph_from_key(n, key) for key in sorted(found)]
-        return tuple(sorted(reps, key=lambda g: (g.m, canonical_key(g))))
-
-    level: dict[tuple[int, ...], Graph] = {}
-    for tree in enumerate_trees(n):
-        level[canonical_key(tree)] = tree
-    collected: list[Graph] = list(level.values())
-    while level:
-        nxt: dict[tuple[int, ...], Graph] = {}
-        for g in level.values():
-            present = set(g.edges)
-            for u, v in combinations(range(n), 2):
-                if (u, v) in present:
-                    continue
-                grown = add_edge(g, u, v)
-                key = canonical_key(grown)
-                if key not in nxt:
-                    nxt[key] = _graph_from_key(n, key)
-        collected.extend(nxt.values())
-        level = nxt
-    return tuple(sorted(collected, key=lambda g: (g.m, canonical_key(g))))
+        collected = {key: graph_from_key(n, key) for key in found}
+    else:
+        level = dict(_tree_classes(n))
+        collected = dict(level)
+        while level:
+            nxt: dict[tuple[int, ...], Graph] = {}
+            for g in level.values():
+                present = set(g.edges)
+                for u, v in combinations(range(n), 2):
+                    if (u, v) in present:
+                        continue
+                    key = canonical_key(add_edge(g, u, v))
+                    if key not in nxt:
+                        nxt[key] = graph_from_key(n, key)
+            collected.update(nxt)
+            level = nxt
+    # A representative decoded from its key has that key as its canonical key.
+    ordered = sorted(collected.items(), key=lambda item: (item[1].m, item[0]))
+    return tuple(g for _, g in ordered)
 
 
 def connected_with_edges(n_max: int) -> list[Graph]:
@@ -323,12 +318,8 @@ def check_double_star_rational(n1: int, n2: int) -> CheckReport:
         + ("; degenerate: a center has no leaves (graph is a star)" if degenerate else "")
     )
     report = exact_report(check_id, "==", value, closed, notes=notes)
-    report.holds = (
-        report.equality and value.is_rational and (degenerate or not is_biregular(g))
-    )
-    if degenerate:
-        report.preconditions_met = False
-    return report
+    holds = report.equality and value.is_rational and (degenerate or not is_biregular(g))
+    return replace(report, holds=holds, preconditions_met=not degenerate)
 
 
 def check_complete_bipartite_integer(k: int, size_guard: int = 40) -> CheckReport:
@@ -348,13 +339,13 @@ def check_complete_bipartite_integer(k: int, size_guard: int = 40) -> CheckRepor
         f"regular: {is_regular(g)}"
     )
     report = exact_report(check_id, "==", value, RadicalNumber(80 * k * k), notes=notes)
-    report.holds = (
+    holds = (
         report.equality
         and value.is_integer
         and kind is GraphKind.COMPLETE_BIPARTITE
         and not is_regular(g)
     )
-    return report
+    return replace(report, holds=holds)
 
 
 # -- extremal search -------------------------------------------------------------

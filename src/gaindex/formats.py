@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from .graphs import (
     Graph,
@@ -28,6 +29,10 @@ __all__ = [
 ]
 
 _HEADER = ">>graph6<<"
+# Inputs from outside are checked against these before any graph is built,
+# so an oversized spec or header fails at once instead of exhausting memory.
+MAX_VERTICES = 10_000
+MAX_EDGES = 100_000
 
 
 class Graph6Error(ValueError):
@@ -140,6 +145,15 @@ def looks_like_edge_list(text: str) -> bool:
     return False
 
 
+def _check_size(n: int, m: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"{n} vertices exceed the input limit MAX_VERTICES = {MAX_VERTICES}"
+        )
+    if m > MAX_EDGES:
+        raise ValueError(f"{m} edges exceed the input limit MAX_EDGES = {MAX_EDGES}")
+
+
 def read_edge_list(text: str) -> Graph:
     """Parse the plain format: first line ``n m``, then m lines ``u v``."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -149,6 +163,7 @@ def read_edge_list(text: str) -> Graph:
     if len(head) != 2 or not all(tok.isdigit() for tok in head):
         raise ValueError(f"edge-list header must be 'n m', got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
+    _check_size(n, m)
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     pairs = []
@@ -166,28 +181,38 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SPEC_RES: list[tuple[re.Pattern[str], object]] = [
-    (re.compile(r"^P(\d+)$"), lambda m: path_graph(int(m.group(1)))),
-    (re.compile(r"^C(\d+)$"), lambda m: cycle_graph(int(m.group(1)))),
-    (re.compile(r"^S(\d+)$"), lambda m: star_graph(int(m.group(1)))),
+# (pattern, (vertex count, edge count) from the parameters, builder); the
+# builders look their functions up when called, after the size check.
+_SPECS: list[tuple[re.Pattern[str], Callable[..., tuple[int, int]], Callable]] = [
+    (re.compile(r"^P(\d+)$"), lambda n: (n, n - 1), lambda n: path_graph(n)),
+    (re.compile(r"^C(\d+)$"), lambda n: (n, n), lambda n: cycle_graph(n)),
+    (re.compile(r"^S(\d+)$"), lambda n: (n, n - 1), lambda n: star_graph(n)),
     (
         re.compile(r"^K(\d+),(\d+)$"),
-        lambda m: complete_bipartite_graph(int(m.group(1)), int(m.group(2))),
+        lambda p, q: (p + q, p * q),
+        lambda p, q: complete_bipartite_graph(p, q),
     ),
-    (re.compile(r"^K(\d+)$"), lambda m: complete_graph(int(m.group(1)))),
+    (
+        re.compile(r"^K(\d+)$"),
+        lambda n: (n, n * (n - 1) // 2),
+        lambda n: complete_graph(n),
+    ),
     (
         re.compile(r"^DS(\d+),(\d+)$"),
-        lambda m: double_star_graph(int(m.group(1)), int(m.group(2))),
+        lambda a, b: (a + b + 2, a + b + 1),
+        lambda a, b: double_star_graph(a, b),
     ),
-    (re.compile(r"^paw$"), lambda m: paw_graph()),
+    (re.compile(r"^paw$"), lambda: (4, 4), lambda: paw_graph()),
 ]
 
 
 def parse_graph_spec(spec: str) -> Graph:
     """Parse a named family (P5, C4, S5, K5,20, K4, DS1,2, paw) or graph6."""
     s = spec.strip()
-    for pattern, build in _SPEC_RES:
+    for pattern, size, build in _SPECS:
         m = pattern.match(s)
         if m:
-            return build(m)  # type: ignore[operator]
+            params = [int(group) for group in m.groups()]
+            _check_size(*size(*params))
+            return build(*params)
     return parse_graph6(s)

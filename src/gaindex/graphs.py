@@ -28,6 +28,7 @@ __all__ = [
     "canonical_key",
     "canonical_form",
     "canonical_graph",
+    "graph_from_key",
     "is_isomorphic",
     "path_graph",
     "cycle_graph",
@@ -68,10 +69,6 @@ class Graph:
     @property
     def isolated_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.deg[v] == 0)
-
-    @property
-    def degree_counts(self) -> dict[int, int]:
-        return dict(Counter(self.deg))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
@@ -170,8 +167,9 @@ def strip_isolated(g: Graph) -> Graph:
 
 
 def is_nontrivial(g: Graph) -> bool:
-    """True when every connected component has at least two edges."""
-    return all(c.m >= 2 for c in components(g))
+    """True when every connected component has at least two edges: no vertex
+    is isolated and no edge is alone, with both endpoints of degree 1."""
+    return 0 not in g.deg and all(g.deg[u] + g.deg[v] > 2 for u, v in g.edges)
 
 
 def _norm_edge(e: Edge) -> Edge:
@@ -434,13 +432,17 @@ def canonical_form(g: Graph, max_n: int = CANONICAL_MAX_N) -> str:
 
 def canonical_graph(g: Graph, max_n: int = CANONICAL_MAX_N) -> Graph:
     """The canonically labeled representative of g's isomorphism class."""
-    key = canonical_key(g, max_n=max_n)
+    return graph_from_key(g.n, canonical_key(g, max_n=max_n))
+
+
+def graph_from_key(n: int, key: tuple[int, ...]) -> Graph:
+    """Decode a :func:`canonical_key`: the representative whose key is ``key``."""
     pairs = []
     for k, col in enumerate(key, start=1):
         for j in range(k):
             if (col >> (k - 1 - j)) & 1:
                 pairs.append((j, k))
-    return from_edge_list(g.n, pairs)
+    return from_edge_list(n, pairs)
 
 
 def is_isomorphic(g: Graph, h: Graph, max_n: int = CANONICAL_MAX_N) -> bool:

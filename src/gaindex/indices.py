@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 from .graphs import Graph
@@ -36,6 +36,9 @@ __all__ = [
 
 _SNAP = 1e-12
 _FLOAT_REL_ERROR = 1e-12
+# An exact power base**alpha has about |alpha|*log2(base) bits, so a huge
+# exponent would never finish; larger exponents are rejected up front.
+MAX_EXACT_EXPONENT = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,10 +109,10 @@ def _degree_pairs(g: Graph) -> Counter[tuple[int, int]]:
     return pairs
 
 
-@lru_cache(maxsize=1024)
-def _ga1_exact(g: Graph) -> RadicalNumber:
+def _ga1_exact(pairs: Counter[tuple[int, int]]) -> RadicalNumber:
+    """GA1 from the degree-pair counts of :func:`_degree_pairs`."""
     terms: dict[int, Fraction] = {}
-    for (a, b), count in _degree_pairs(g).items():
+    for (a, b), count in pairs.items():
         s, q = radical_sqrt(a * b)
         cur = terms.get(q, Fraction(0)) + Fraction(2 * s * count, a + b)
         if cur:
@@ -122,7 +125,7 @@ def _ga1_exact(g: Graph) -> RadicalNumber:
 def ga1(g: Graph) -> IndexValue:
     """Geometric-arithmetic index: sum over edges of 2*sqrt(du*dv)/(du+dv)."""
     _require_no_edgeless_component(g)
-    return IndexValue.of_exact(_ga1_exact(g))
+    return IndexValue.of_exact(_ga1_exact(_degree_pairs(g)))
 
 
 def _snap_exponent(alpha: float | int | Fraction) -> Fraction | None:
@@ -149,6 +152,11 @@ def _exact_pow(base: int, alpha: Fraction) -> RadicalNumber:
 def _sum_powers(counts: Counter[int], alpha: float | Fraction) -> IndexValue:
     snapped = _snap_exponent(alpha)
     if snapped is not None:
+        if abs(snapped) > MAX_EXACT_EXPONENT:
+            raise ValueError(
+                "exact powers need |alpha| <= MAX_EXACT_EXPONENT "
+                f"({MAX_EXACT_EXPONENT})"
+            )
         total = RadicalNumber(0)
         for base, count in sorted(counts.items()):
             total = total + count * _exact_pow(base, snapped)

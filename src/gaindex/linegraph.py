@@ -9,16 +9,27 @@ rejects.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 
-from .graphs import Edge, Graph, components, from_edge_list, is_nontrivial, is_path
-from .indices import forgotten, m1, m2
+from .graphs import (
+    Edge,
+    Graph,
+    components,
+    from_edge_list,
+    is_biregular,
+    is_nontrivial,
+    is_path,
+    is_regular,
+)
+from .indices import _degree_pairs, _ga1_exact
 from .radicals import RadicalNumber
 from .report import CheckReport, exact_report
 
 __all__ = [
+    "GraphFacts",
     "LineGraphResult",
     "line_graph",
     "verify_degree_identity",
@@ -54,7 +65,6 @@ def _require_nontrivial(g: Graph) -> None:
         )
 
 
-@lru_cache(maxsize=512)
 def line_graph(g: Graph) -> LineGraphResult:
     """Construct the line graph; vertex i corresponds to the i-th sorted edge."""
     _require_nontrivial(g)
@@ -71,6 +81,78 @@ def line_graph(g: Graph) -> LineGraphResult:
             pairs.add((i, j) if i < j else (j, i))
     lg = from_edge_list(len(order), sorted(pairs))
     return LineGraphResult(graph=lg, edge_order=order)
+
+
+@dataclass(frozen=True)
+class GraphFacts:
+    """One graph and the facts the checkers read, each computed on first read."""
+
+    graph: Graph
+
+    @classmethod
+    def of(cls, g: Graph | GraphFacts) -> GraphFacts:
+        """``g`` itself if it is already a ``GraphFacts``, else its facts."""
+        return g if isinstance(g, GraphFacts) else cls(g)
+
+    @cached_property
+    def degree_pairs(self) -> Counter[tuple[int, int]]:
+        """Edge count per (smaller, larger) endpoint-degree pair."""
+        return _degree_pairs(self.graph)
+
+    @cached_property
+    def components(self) -> tuple[Graph, ...]:
+        return tuple(components(self.graph))
+
+    @cached_property
+    def nontrivial(self) -> bool:
+        return is_nontrivial(self.graph)
+
+    @cached_property
+    def regular(self) -> bool:
+        return is_regular(self.graph)
+
+    @cached_property
+    def biregular(self) -> bool:
+        return is_biregular(self.graph)
+
+    @cached_property
+    def edge_reason(self) -> str | None:
+        """Why a statement needing an edge in every component does not apply."""
+        if self.graph.m == 0:
+            return "graph has no edges"
+        if 0 in self.graph.deg:
+            return "every component must contain an edge (isolated vertices present)"
+        return None
+
+    @cached_property
+    def nontrivial_reason(self) -> str | None:
+        """Why a statement needing two edges in every component does not apply."""
+        if self.edge_reason:
+            return self.edge_reason
+        if not self.nontrivial:
+            return "every component must have at least two edges"
+        return None
+
+    @cached_property
+    def ga1(self) -> RadicalNumber:
+        return _ga1_exact(self.degree_pairs)
+
+    @cached_property
+    def m1(self) -> int:
+        return sum(d * d for d in self.graph.deg)
+
+    @cached_property
+    def m2(self) -> int:
+        return sum(a * b * count for (a, b), count in self.degree_pairs.items())
+
+    @cached_property
+    def forgotten(self) -> int:
+        return sum(d**3 for d in self.graph.deg)
+
+    @cached_property
+    def line(self) -> GraphFacts:
+        """The facts of the line graph (raises unless the graph is non-trivial)."""
+        return GraphFacts(line_graph(self.graph).graph)
 
 
 def verify_degree_identity(g: Graph) -> bool:
@@ -91,35 +173,31 @@ def verify_degree_identity(g: Graph) -> bool:
     return True
 
 
-def line_zagreb_identity(g: Graph) -> CheckReport:
+def line_zagreb_identity(g: Graph | GraphFacts) -> CheckReport:
     """First Zagreb index of the line graph from indices of the base graph.
 
     M1(L(G)) = 4m - 4*M1(G) + 2*M2(G) + F(G), exactly, in integers.
     """
-    lg = line_graph(g).graph
-    lhs = m1(lg).exact
-    m1g, m2g, fg = m1(g).exact, m2(g).exact, forgotten(g).exact
-    assert lhs is not None and m1g is not None and m2g is not None and fg is not None
-    rhs = 4 * g.m - 4 * m1g.as_fraction() + 2 * m2g.as_fraction() + fg.as_fraction()
+    f = GraphFacts.of(g)
+    rhs = 4 * f.graph.m - 4 * f.m1 + 2 * f.m2 + f.forgotten
     return exact_report(
         "line_zagreb_identity",
         "==",
-        lhs,
+        RadicalNumber(f.line.m1),
         RadicalNumber(rhs),
         notes="M1 of the line graph vs 4m - 4*M1 + 2*M2 + F",
     )
 
 
-def regular_line_condition(g: Graph) -> bool:
+def regular_line_condition(g: Graph | GraphFacts) -> bool:
     """Structural condition equivalent to the line graph being regular.
 
     Every component regular or biregular, with the same max+min degree sum
     across components.
     """
-    from .graphs import is_biregular, is_regular  # local to avoid wide import
-
-    target = g.max_degree + g.min_degree
-    for comp in components(g):
+    f = GraphFacts.of(g)
+    target = f.graph.max_degree + f.graph.min_degree
+    for comp in f.components:
         if not (is_regular(comp) or is_biregular(comp)):
             return False
         if comp.max_degree + comp.min_degree != target:
@@ -127,15 +205,14 @@ def regular_line_condition(g: Graph) -> bool:
     return True
 
 
-def line_regularity_characterization(g: Graph) -> CheckReport:
+def line_regularity_characterization(g: Graph | GraphFacts) -> CheckReport:
     """Line graph regular iff every component is regular-or-biregular with
     constant degree sum; both directions checked by construction."""
-    result = line_graph(g)
-    lg = result.graph
-    actual = lg.max_degree == lg.min_degree
-    predicted = regular_line_condition(g)
+    f = GraphFacts.of(g)
+    actual = f.line.regular
+    predicted = regular_line_condition(f)
     per_comp = ", ".join(
-        f"({c.max_degree},{c.min_degree})" for c in components(g)
+        f"({c.max_degree},{c.min_degree})" for c in f.components
     )
     return exact_report(
         "line_regular_iff",
@@ -146,15 +223,16 @@ def line_regularity_characterization(g: Graph) -> CheckReport:
     )
 
 
-def line_tree_characterization(g: Graph) -> list[CheckReport]:
+def line_tree_characterization(g: Graph | GraphFacts) -> list[CheckReport]:
     """For connected non-trivial g: line graph is a tree iff g is a path.
 
     Also reports the size monotonicity m <= m(L(G)) for non-paths.
     """
+    f = GraphFacts.of(g)
+    g = f.graph
     if not g.is_connected:
         raise ValueError("tree characterization requires a connected graph")
-    result = line_graph(g)
-    lg = result.graph
+    lg = f.line.graph
     lg_is_tree = lg.is_connected and lg.m == lg.n - 1
     g_is_path = is_path(g)
     reports = [

@@ -26,7 +26,7 @@ RECHECK_DIGITS = 80  # ~265 bits
 Number = float | Decimal
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
     check_id: str
     relation: str

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .checks import (
@@ -21,8 +21,9 @@ from .enumeration import (
     expected_small_value_families,
     random_connected,
 )
+from .formats import to_graph6
 from .graphs import Graph, canonical_form
-from .report import CheckReport
+from .report import CheckReport, skipped_report
 
 __all__ = ["CheckAggregate", "SweepResult", "exhaustive_sweep", "random_sweep"]
 
@@ -65,6 +66,15 @@ class SweepResult:
                 agg.mismatches += 1
                 self.failures.append((source, report))
 
+    def merge(self, other: "SweepResult") -> None:
+        """Add another sweep's counts, failures and notes to this one."""
+        for check_id, theirs in other.aggregates.items():
+            mine = self.aggregates.setdefault(check_id, CheckAggregate(check_id))
+            for name in ("tested", "skipped", "violations", "equalities", "mismatches"):
+                setattr(mine, name, getattr(mine, name) + getattr(theirs, name))
+        self.failures.extend(other.failures)
+        self.notes.extend(other.notes)
+
 
 def _sweep_graphs(
     result: SweepResult,
@@ -90,25 +100,21 @@ def exhaustive_sweep(
     result = SweepResult()
     _sweep_graphs(result, connected_with_edges(n_max), alphas, "exhaustive")
 
-    if n_max >= 6:
-        buckets = classify_small_values(6)
-        if buckets_match_families(buckets, expected_small_value_families()):
-            result.notes.append("small-value buckets reproduced exactly")
+    for order, which, label, bucketize, families in (
+        (6, "small_value_buckets", "small-value buckets",
+         classify_small_values, expected_small_value_families),
+        (7, "line_small_value_buckets", "line-graph small-value buckets",
+         classify_line_small_values, expected_line_small_value_families),
+    ):
+        if n_max < order:
+            continue
+        if buckets_match_families(bucketize(order), families()):
+            result.notes.append(f"{label} reproduced exactly")
         else:
-            result.notes.append("small-value buckets MISMATCH")
+            result.notes.append(f"{label} MISMATCH")
+            mismatch = skipped_report(which, "==", "bucket membership mismatch")
             result.failures.append(
-                ("buckets", _bucket_failure("small_value_buckets"))
-            )
-    if n_max >= 7:
-        line_buckets = classify_line_small_values(7)
-        if buckets_match_families(
-            line_buckets, expected_line_small_value_families()
-        ):
-            result.notes.append("line-graph small-value buckets reproduced exactly")
-        else:
-            result.notes.append("line-graph small-value buckets MISMATCH")
-            result.failures.append(
-                ("buckets", _bucket_failure("line_small_value_buckets"))
+                ("buckets", replace(mismatch, preconditions_met=True, holds=False))
             )
 
     for delta in (1, 2, 3, 5):
@@ -123,25 +129,19 @@ def exhaustive_sweep(
     return result
 
 
-def _bucket_failure(which: str) -> CheckReport:
-    from .report import skipped_report
-
-    report = skipped_report(which, "==", "bucket membership mismatch")
-    report.preconditions_met = True
-    report.holds = False
-    return report
-
-
 def random_sweep(
     trials: int,
     seed: int,
     n_high: int = 12,
     alphas: tuple[Fraction, ...] = DEFAULT_ALPHAS,
 ) -> SweepResult:
-    """Every checker on seeded random connected graphs (reproducible)."""
+    """Every checker on seeded random connected graphs (reproducible).
+
+    A failure's source is ``random:<graph6>``, which reproduces the graph.
+    """
     rng = random.Random(seed)
     result = SweepResult()
-    for i in range(trials):
+    for _ in range(trials):
         g = random_connected(rng, n_high=n_high)
-        result.absorb(f"random[{i}]", run_checks(g, alphas=alphas))
+        result.absorb(f"random:{to_graph6(g)}", run_checks(g, alphas=alphas))
     return result

@@ -598,3 +598,77 @@ class TestOutOfRangeAlpha:
         )
         assert [r.mode for r in reports] == ["exact", "skipped"]
         assert reports[0].holds and reports[0].equality
+
+
+class TestSharedFacts:
+    def test_one_line_graph_and_one_component_list_per_run(self, monkeypatch):
+        import gaindex.checks
+        import gaindex.graphs
+        import gaindex.linegraph
+
+        calls = {"components": 0, "line_graph": 0}
+        for name in calls:
+
+            def counting(g, _name=name, _original=getattr(gaindex.linegraph, name)):
+                calls[_name] += 1
+                return _original(g)
+
+            for module in (gaindex.graphs, gaindex.linegraph, gaindex.checks):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        reports = run_checks(petersen_graph())
+        assert calls == {"components": 1, "line_graph": 1}
+        assert len(reports) > 20 and not any(r.violated for r in reports)
+
+
+class TestFloatPathAgreesWithExact:
+    def test_alpha_half_and_one_on_connected_graphs_up_to_six(self):
+        from gaindex.checks import (
+            _line_variable_zagreb_float,
+            _variable_zagreb_float,
+        )
+        from gaindex.enumeration import connected_with_edges
+        from gaindex.linegraph import GraphFacts
+
+        compared = 0
+        for g in connected_with_edges(6):
+            facts = GraphFacts(g)
+            for alpha in (Fraction(1, 2), Fraction(1)):
+                cases = [(check_variable_zagreb_bound, _variable_zagreb_float)]
+                if facts.nontrivial_reason is None:
+                    cases.append(
+                        (check_line_variable_zagreb_bound, _line_variable_zagreb_float)
+                    )
+                for checker, float_path in cases:
+                    (exact,) = checker(facts, alpha)
+                    approx = float_path(facts, alpha)
+                    assert (exact.mode, approx.mode) == ("exact", "float")
+                    assert (approx.holds, approx.equality) == (
+                        exact.holds,
+                        exact.equality,
+                    ), (g, checker.__name__, alpha)
+                    compared += 1
+        assert compared > 500
+
+
+class TestRandomSweepSources:
+    def test_failure_names_the_graph_by_graph6(self, monkeypatch):
+        from dataclasses import replace
+
+        import gaindex.sweeps
+        from gaindex.formats import parse_graph6
+        from gaindex.report import skipped_report
+
+        drawn = []
+
+        def violating(g, alphas=None):
+            drawn.append(g)
+            forced = skipped_report("fake", ">=", "forced")
+            return [replace(forced, preconditions_met=True, holds=False)]
+
+        monkeypatch.setattr(gaindex.sweeps, "run_checks", violating)
+        result = gaindex.sweeps.random_sweep(3, seed=5)
+        assert len(result.failures) == len(drawn) == 3
+        for (source, _), g in zip(result.failures, drawn):
+            assert source.startswith("random:")
+            assert parse_graph6(source[len("random:"):]) == g

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gaindex
 from gaindex.cli import main
 from gaindex.formats import parse_graph6
@@ -138,12 +140,14 @@ class TestCheck:
         assert "star_lower_bound" in err
 
     def test_violation_exit_code(self, capsys, monkeypatch):
+        from dataclasses import replace
+
         from gaindex import cli as cli_module
         from gaindex.report import skipped_report
 
-        broken = skipped_report("fake", ">=", "forced")
-        broken.preconditions_met = True
-        broken.holds = False
+        broken = replace(
+            skipped_report("fake", ">=", "forced"), preconditions_met=True, holds=False
+        )
         monkeypatch.setattr(
             cli_module, "run_checks", lambda g, ids=None, alphas=None: [broken]
         )
@@ -237,6 +241,16 @@ class TestPrecisionConfig:
             assert "GAINDEX_PRECISION" in err and "32 and 53" in err
             monkeypatch.delenv("GAINDEX_PRECISION")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "C4", "--precision", "40"], ["linegraph", "P4", "--precision", "7"]],
+    )
+    def test_only_compute_takes_precision(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+
     def test_range_ends_accepted(self, capsys):
         for bits in ("32", "53"):
             code, out, _ = run_cli(
@@ -247,6 +261,11 @@ class TestPrecisionConfig:
 
 
 class TestAlphaRange:
+    def test_huge_exact_exponent_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "S5", "--alpha", "1e300")
+        assert code == 2 and out == ""
+        assert "MAX_EXACT_EXPONENT" in err
+
     def test_huge_alpha_becomes_skipped_reports(self, capsys):
         code, out, err = run_cli(
             capsys, "check", "C4", "--alpha", "1e300", "--format", "json"
@@ -303,3 +322,18 @@ class TestExitCodeContract:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode not in (0, 1)
         assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+class TestInputSizeLimits:
+    @pytest.mark.parametrize("spec", ["K100000,100000", "P1000000000"])
+    def test_oversized_spec_exits_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "compute", spec)
+        assert code == 2 and out == ""
+        assert "MAX_VERTICES" in err
+
+    def test_oversized_edge_list_header_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000 0\n")
+        code, out, err = run_cli(capsys, "check", "-i", str(path))
+        assert code == 2 and out == ""
+        assert "MAX_VERTICES" in err

@@ -137,6 +137,16 @@ class TestNontrivial:
     def test_mixed_union_false(self):
         assert not is_nontrivial(disjoint_union(cycle_graph(3), path_graph(2)))
 
+    def test_matches_component_edge_counts(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            pairs = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3
+            ]
+            g = from_edge_list(n, pairs)
+            assert is_nontrivial(g) == all(c.m >= 2 for c in components(g))
+
 
 class TestMinimalEdge:
     def naive_minimal(self, g: Graph, e) -> bool:
@@ -389,6 +399,17 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError, match="edge lines"):
             read_edge_list("3 2\n0 1\n")
 
+    @pytest.mark.parametrize(
+        "text,limit",
+        [("1000000000 0\n", "MAX_VERTICES"), ("10 1000000000\n", "MAX_EDGES")],
+    )
+    def test_oversized_header_rejected_before_building(
+        self, text, limit, monkeypatch
+    ):
+        refuse_builders(monkeypatch)
+        with pytest.raises(ValueError, match=limit):
+            read_edge_list(text)
+
 
 class TestGraphSpec:
     @pytest.mark.parametrize(
@@ -412,3 +433,40 @@ class TestGraphSpec:
     def test_junk_rejected(self):
         with pytest.raises(ValueError):
             parse_graph_spec("nonsense!!")
+
+    @pytest.mark.parametrize(
+        "spec,limit",
+        [
+            ("K100000,100000", "MAX_VERTICES"),
+            ("P1000000000", "MAX_VERTICES"),
+            ("C1000000000", "MAX_VERTICES"),
+            ("S1000000000", "MAX_VERTICES"),
+            ("DS1000000000,1", "MAX_VERTICES"),
+            ("K9000", "MAX_EDGES"),
+            ("K5000,21", "MAX_EDGES"),
+        ],
+    )
+    def test_oversized_spec_rejected_before_building(self, spec, limit, monkeypatch):
+        refuse_builders(monkeypatch)
+        with pytest.raises(ValueError, match=limit):
+            parse_graph_spec(spec)
+
+
+def refuse_builders(monkeypatch):
+    """Make every graph builder that gaindex.formats calls fail the test."""
+    import gaindex.formats as formats
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built before the size check")
+
+    for name in (
+        "path_graph",
+        "cycle_graph",
+        "star_graph",
+        "complete_graph",
+        "complete_bipartite_graph",
+        "double_star_graph",
+        "paw_graph",
+        "from_edge_list",
+    ):
+        monkeypatch.setattr(formats, name, refuse)

@@ -18,6 +18,7 @@ from gaindex.graphs import (
     star_graph,
 )
 from gaindex.indices import (
+    MAX_EXACT_EXPONENT,
     chi_alpha,
     forgotten,
     ga1,
@@ -102,6 +103,17 @@ class TestVariableIndices:
         g = star_graph(4)  # degrees 3,1,1,1
         value = m1_alpha(g, Fraction(1, 2))
         assert value.exact == RadicalNumber({3: 1, 1: 3})
+
+    @pytest.mark.parametrize(
+        "alpha", [10**300, 1e300, -(10**300), MAX_EXACT_EXPONENT + 1]
+    )
+    def test_exact_exponent_limit(self, alpha):
+        with pytest.raises(ValueError, match="MAX_EXACT_EXPONENT"):
+            m1_alpha(star_graph(5), alpha)
+
+    def test_exponent_at_the_limit_is_exact(self):
+        value = m1_alpha(star_graph(5), MAX_EXACT_EXPONENT)
+        assert value.exact == RadicalNumber(4**MAX_EXACT_EXPONENT + 4)
 
 
 class TestNamedWrappers:

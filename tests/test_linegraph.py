@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaindex.graphs import (
     canonical_form,
@@ -13,12 +16,15 @@ from gaindex.graphs import (
     disjoint_union,
     from_edge_list,
     is_isomorphic,
+    is_nontrivial,
     path_graph,
     paw_graph,
     star_graph,
+    strip_isolated,
 )
 from gaindex.indices import m1
 from gaindex.linegraph import (
+    GraphFacts,
     line_graph,
     line_regularity_characterization,
     line_tree_characterization,
@@ -27,6 +33,11 @@ from gaindex.linegraph import (
     verify_degree_identity,
 )
 from gaindex.radicals import RadicalNumber
+
+try:
+    import networkx as nx
+except ImportError:  # pragma: no cover
+    nx = None
 
 
 def random_nontrivial_connected(rng: random.Random, n: int):
@@ -198,3 +209,41 @@ class TestTreeCharacterization:
         for _ in range(50):
             g = random_nontrivial_connected(rng, rng.randint(3, 9))
             assert all(r.holds for r in line_tree_characterization(g))
+
+
+@st.composite
+def nontrivial_graphs(draw):
+    """Graphs on at most 8 vertices whose every component has two edges."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = strip_isolated(from_edge_list(n, [p for p, k in zip(pairs, keep) if k]))
+    assume(g.m > 0 and is_nontrivial(g))
+    return g
+
+
+@pytest.mark.skipif(nx is None, reason="networkx unavailable")
+class TestNetworkxOracle:
+    def to_nx(self, g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        return h
+
+    @settings(max_examples=200, deadline=None)
+    @given(nontrivial_graphs())
+    def test_line_graph_matches_networkx(self, g):
+        expected = nx.line_graph(self.to_nx(g))
+        assert nx.is_isomorphic(self.to_nx(line_graph(g).graph), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(nontrivial_graphs())
+    def test_facts_degree_sums_match_networkx(self, g):
+        h = self.to_nx(g)
+        deg = dict(h.degree())
+        line_deg = dict(nx.line_graph(h).degree())
+        facts = GraphFacts(g)
+        assert facts.m1 == sum(d * d for d in deg.values())
+        assert facts.m2 == sum(deg[u] * deg[v] for u, v in h.edges())
+        assert facts.forgotten == sum(d**3 for d in deg.values())
+        assert facts.line.m1 == sum(d * d for d in line_deg.values())
