@@ -19,15 +19,13 @@ from typing import Callable, Iterable, Sequence
 
 from .graphs import (
     Graph,
-    delete_edge,
     is_biregular,
     is_minimal_edge,
     is_path,
     is_regular,
     is_star,
-    strip_isolated,
 )
-from .indices import _snap_exponent, chi_alpha, m1_alpha
+from .indices import _ga1_exact, _snap_exponent, chi_alpha, m1_alpha
 from .linegraph import (
     GraphFacts,
     line_regularity_characterization,
@@ -207,6 +205,19 @@ def check_no_universal_vertex_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     return out
 
 
+def _pairs_without_edge(f: GraphFacts, u: int, v: int) -> Counter[tuple[int, int]]:
+    """Degree-pair counts of G - uv; only the edges at u and v change."""
+    deg = f.graph.deg
+    pairs = f.degree_pairs.copy()
+    pairs[tuple(sorted((deg[u], deg[v])))] -= 1
+    for a, b in ((u, v), (v, u)):
+        for w in f.graph.adj[a]:
+            if w != b:
+                pairs[tuple(sorted((deg[a], deg[w])))] -= 1
+                pairs[tuple(sorted((deg[a] - 1, deg[w])))] += 1
+    return +pairs
+
+
 def check_edge_deletion_drop(g: Graph | GraphFacts) -> list[CheckReport]:
     """Deleting a minimal edge drops GA1 by strictly more than the edge's term.
 
@@ -234,12 +245,11 @@ def check_edge_deletion_drop(g: Graph | GraphFacts) -> list[CheckReport]:
             )
             continue
         term = _sqrt_scaled(g.deg[u] * g.deg[v], Fraction(2, g.deg[u] + g.deg[v]))
-        remaining = strip_isolated(delete_edge(g, e))
         out.append(
             exact_report(
                 "edge_deletion_drop",
                 "<",
-                GraphFacts(remaining).ga1,
+                _ga1_exact(_pairs_without_edge(f, u, v)),
                 f.ga1 - term,
                 notes=f"deleted minimal edge ({u},{v})",
             )

@@ -192,10 +192,11 @@ def cmd_linegraph(args: argparse.Namespace) -> int:
 
 
 def _report_rows(g: Graph, reports) -> list[dict]:
+    graph6 = to_graph6(g)
     rows = []
     for report in reports:
         row = report.to_dict()
-        row["graph6"] = to_graph6(g)
+        row["graph6"] = graph6
         rows.append(row)
     return rows
 

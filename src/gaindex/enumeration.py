@@ -1,10 +1,11 @@
 """Isomorph-free generation of small connected graphs and extremal sweeps.
 
 Generation is exact: one canonical representative per isomorphism class.
-Labeled brute force is used through n=5; larger orders grow trees by leaf
-attachment and then add edges level by level, deduplicating with canonical
-forms (every connected graph contains a spanning tree, so edge augmentation
-reaches everything).
+Each order grows from the classes one vertex smaller by joining a new vertex
+to a nonempty set of old ones (to a single one for trees), deduplicating with
+canonical keys.  This reaches everything because every connected graph on
+n >= 2 vertices has a vertex whose removal leaves it connected, such as a
+leaf of a spanning tree.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from itertools import combinations
 from .graphs import (
     Graph,
     GraphKind,
-    add_edge,
     canonical_key,
     canonical_form,
     classify,
@@ -35,7 +35,7 @@ from .graphs import (
     paw_graph,
     star_graph,
 )
-from .indices import IndexValue, ga1
+from .indices import ga1
 from .linegraph import line_graph
 from .radicals import RadicalNumber, compare
 from .report import CheckReport, exact_report
@@ -67,24 +67,9 @@ ENUMERATION_MAX_N = 8
 
 def enumerate_trees(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of trees on n vertices."""
-    return tuple(tree for _, tree in _tree_classes(n))
-
-
-@lru_cache(maxsize=None)
-def _tree_classes(n: int) -> tuple[tuple[tuple[int, ...], Graph], ...]:
-    """(canonical key, representative) per tree class on n vertices, by key."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n == 1:
-        return (((), from_edge_list(1, [])),)
-    out: dict[tuple[int, ...], None] = {}
-    for tree in enumerate_trees(n - 1):
-        for v in range(n - 1):
-            grown = add_edge(
-                from_edge_list(n, tree.edges), v, n - 1
-            )
-            out.setdefault(canonical_key(grown), None)
-    return tuple((key, graph_from_key(n, key)) for key in sorted(out))
+    return _augmented_classes(n, trees=True)
 
 
 def enumerate_connected(n: int, max_n: int = 7) -> tuple[Graph, ...]:
@@ -99,38 +84,25 @@ def enumerate_connected(n: int, max_n: int = 7) -> tuple[Graph, ...]:
             f"enumeration supports 1 <= n <= {limit} "
             f"(n=8 available by passing max_n=8; beyond that is out of reach)"
         )
-    return _connected_classes(n)
+    return _augmented_classes(n, trees=False)
 
 
 @lru_cache(maxsize=None)
-def _connected_classes(n: int) -> tuple[Graph, ...]:
-    if n <= 5:
-        found: dict[tuple[int, ...], None] = {}
-        all_pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(all_pairs)):
-            pairs = [all_pairs[i] for i in range(len(all_pairs)) if (mask >> i) & 1]
-            g = from_edge_list(n, pairs)
-            if g.is_connected:
-                found.setdefault(canonical_key(g), None)
-        collected = {key: graph_from_key(n, key) for key in found}
-    else:
-        level = dict(_tree_classes(n))
-        collected = dict(level)
-        while level:
-            nxt: dict[tuple[int, ...], Graph] = {}
-            for g in level.values():
-                present = set(g.edges)
-                for u, v in combinations(range(n), 2):
-                    if (u, v) in present:
-                        continue
-                    key = canonical_key(add_edge(g, u, v))
-                    if key not in nxt:
-                        nxt[key] = graph_from_key(n, key)
-            collected.update(nxt)
-            level = nxt
-    # A representative decoded from its key has that key as its canonical key.
-    ordered = sorted(collected.items(), key=lambda item: (item[1].m, item[0]))
-    return tuple(g for _, g in ordered)
+def _augmented_classes(n: int, trees: bool) -> tuple[Graph, ...]:
+    """Every class on n - 1 vertices plus a vertex n - 1 joined to a nonempty
+    set of old vertices (one old vertex for trees), deduplicated by canonical
+    key and sorted by (m, key)."""
+    if n == 1:
+        return (from_edge_list(1, []),)
+    found: set[tuple[int, ...]] = set()
+    for g in _augmented_classes(n - 1, trees=trees):
+        for size in (1,) if trees else range(1, n):
+            for joined in combinations(range(n - 1), size):
+                grown = from_edge_list(n, g.edges + tuple((v, n - 1) for v in joined))
+                found.add(canonical_key(grown))
+    # A key has one bit per edge, so its popcount is m.
+    ordered = sorted(found, key=lambda key: (sum(map(int.bit_count, key)), key))
+    return tuple(graph_from_key(n, key) for key in ordered)
 
 
 def connected_with_edges(n_max: int) -> list[Graph]:
@@ -277,7 +249,7 @@ def line_graph_preimages(target: Graph, n_max: int | None = None) -> list[Graph]
     target_key = canonical_key(target)
     out = []
     for n in range(2, bound + 1):
-        for g in enumerate_connected(n, max_n=max(bound, 7)):
+        for g in enumerate_connected(n):
             if g.m != m_needed or not is_nontrivial(g):
                 continue
             if canonical_key(line_graph(g).graph) == target_key:
@@ -412,28 +384,15 @@ def census_rows(n: int) -> list[dict[str, object]]:
     """Per-class census rows for order n, ready for CSV output."""
     rows = []
     for g in enumerate_connected(n):
-        if g.m == 0:
-            rows.append(
-                {
-                    "canonical_form": canonical_form(g),
-                    "name": graph_name(g) or "",
-                    "n": g.n,
-                    "m": g.m,
-                    "ga1_exact": "",
-                    "ga1_float": "",
-                }
-            )
-            continue
-        value: IndexValue = ga1(g)
-        assert value.exact is not None
+        value = ga1(g) if g.m else None
         rows.append(
             {
                 "canonical_form": canonical_form(g),
                 "name": graph_name(g) or "",
                 "n": g.n,
                 "m": g.m,
-                "ga1_exact": str(value.exact),
-                "ga1_float": repr(value.approx),
+                "ga1_exact": "" if value is None else str(value.exact),
+                "ga1_float": "" if value is None else repr(value.approx),
             }
         )
     return rows

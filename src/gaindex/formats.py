@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _HEADER = ">>graph6<<"
+_PLUS_63 = bytes((i + 63) % 256 for i in range(256))  # 6-bit value -> graph6 char
 # Inputs from outside are checked against these before any graph is built,
 # so an oversized spec or header fails at once instead of exhausting memory.
 MAX_VERTICES = 10_000
@@ -113,18 +114,12 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(((n >> sh) & 63) + 63) for sh in (12, 6, 0))
     else:
         raise ValueError(f"graph too large for this encoder: n={n}")
-    bits = bytearray(n * (n - 1) // 2)
+    # Bit k of the column-major upper triangle is bit 5 - k % 6 of group k // 6.
+    groups = bytearray((n * (n - 1) // 2 + 5) // 6)
     for u, v in g.edges:
-        bits[v * (v - 1) // 2 + u] = 1
-    chars = []
-    for w in range(0, len(bits), 6):
-        val = 0
-        chunk = bits[w : w + 6]
-        for i, b in enumerate(chunk):
-            if b:
-                val |= 1 << (5 - i)
-        chars.append(chr(val + 63))
-    return head + "".join(chars)
+        k = v * (v - 1) // 2 + u
+        groups[k // 6] |= 32 >> (k % 6)
+    return head + groups.translate(_PLUS_63).decode("ascii")
 
 
 def iter_graph6(text: str) -> list[Graph]:

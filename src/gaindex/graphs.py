@@ -74,12 +74,12 @@ class Graph:
         return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
+        """Adjacency lookup in the lower-degree endpoint's neighbor list."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
+        if self.deg[u] > self.deg[v]:
             u, v = v, u
-        return (u, v) in self._edge_set()
-
-    def _edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
+        return v in self.adj[u]
 
     @property
     def is_connected(self) -> bool:
@@ -184,7 +184,7 @@ def is_minimal_edge(g: Graph, e: Edge) -> bool:
     ``u`` and symmetrically for ``v``; either condition may hold vacuously.
     """
     u, v = _norm_edge(e)
-    if (u, v) not in g._edge_set():
+    if not g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) not in graph")
     for a, b in ((u, v), (v, u)):
         for w in g.adj[a]:
@@ -196,7 +196,7 @@ def is_minimal_edge(g: Graph, e: Edge) -> bool:
 def delete_edge(g: Graph, e: Edge) -> Graph:
     """Remove one edge, keeping the vertex set (isolated vertices remain)."""
     u, v = _norm_edge(e)
-    if (u, v) not in g._edge_set():
+    if not g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) not in graph")
     return from_edge_list(g.n, [p for p in g.edges if p != (u, v)])
 
@@ -360,7 +360,7 @@ def graph_name(g: Graph) -> str | None:
 # -- canonical forms -------------------------------------------------------
 
 
-def canonical_key(g: Graph, max_n: int = CANONICAL_MAX_N) -> tuple[int, ...]:
+def canonical_key(g: Graph) -> tuple[int, ...]:
     """Minimum column-major upper-triangle encoding over all relabelings.
 
     Entry ``k-1`` packs the adjacency bits between position ``k`` and positions
@@ -368,9 +368,10 @@ def canonical_key(g: Graph, max_n: int = CANONICAL_MAX_N) -> tuple[int, ...]:
     tuple lexicographically is exact, so equal keys mean isomorphic graphs.
     """
     n = g.n
-    if n > max_n:
+    if n > CANONICAL_MAX_N:
         raise ValueError(
-            f"canonical form is exhaustive and limited to n <= {max_n}; got n={n}"
+            "canonical form is exhaustive and limited to "
+            f"n <= {CANONICAL_MAX_N}; got n={n}"
         )
     if n <= 1:
         return ()
@@ -423,16 +424,16 @@ def canonical_key(g: Graph, max_n: int = CANONICAL_MAX_N) -> tuple[int, ...]:
     return tuple(cols[1:])  # position 0 contributes no bits
 
 
-def canonical_form(g: Graph, max_n: int = CANONICAL_MAX_N) -> str:
+def canonical_form(g: Graph) -> str:
     """Canonical key rendered as a bitstring, prefixed by the order."""
-    key = canonical_key(g, max_n=max_n)
+    key = canonical_key(g)
     bits = "".join(format(col, f"0{k}b") for k, col in enumerate(key, start=1))
     return f"{g.n}:{bits}"
 
 
-def canonical_graph(g: Graph, max_n: int = CANONICAL_MAX_N) -> Graph:
+def canonical_graph(g: Graph) -> Graph:
     """The canonically labeled representative of g's isomorphism class."""
-    return graph_from_key(g.n, canonical_key(g, max_n=max_n))
+    return graph_from_key(g.n, canonical_key(g))
 
 
 def graph_from_key(n: int, key: tuple[int, ...]) -> Graph:
@@ -445,10 +446,10 @@ def graph_from_key(n: int, key: tuple[int, ...]) -> Graph:
     return from_edge_list(n, pairs)
 
 
-def is_isomorphic(g: Graph, h: Graph, max_n: int = CANONICAL_MAX_N) -> bool:
+def is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.m != h.m:
         return False
-    return canonical_key(g, max_n=max_n) == canonical_key(h, max_n=max_n)
+    return canonical_key(g) == canonical_key(h)
 
 
 # -- named families ---------------------------------------------------------

@@ -9,6 +9,7 @@ exact path.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -134,6 +135,8 @@ def _snap_exponent(alpha: float | int | Fraction) -> Fraction | None:
         return Fraction(alpha)
     if isinstance(alpha, Fraction):
         return alpha if alpha.denominator in (1, 2) else None
+    if not math.isfinite(2 * alpha):
+        return None
     doubled = round(2 * alpha)
     if abs(2 * alpha - doubled) <= 2 * _SNAP:
         return Fraction(doubled, 2)

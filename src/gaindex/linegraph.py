@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
+from .formats import MAX_EDGES
 from .graphs import (
     Edge,
     Graph,
@@ -68,6 +69,12 @@ def _require_nontrivial(g: Graph) -> None:
 def line_graph(g: Graph) -> LineGraphResult:
     """Construct the line graph; vertex i corresponds to the i-th sorted edge."""
     _require_nontrivial(g)
+    line_m = sum(d * (d - 1) // 2 for d in g.deg)
+    if line_m > MAX_EDGES:
+        raise ValueError(
+            f"the line graph would have {line_m} edges, over the limit "
+            f"MAX_EDGES = {MAX_EDGES}"
+        )
     order = g.edges  # already sorted lexicographically
     index = {e: i for i, e in enumerate(order)}
     incident: list[list[int]] = [[] for _ in range(g.n)]

@@ -209,6 +209,24 @@ class TestEdgeDeletion:
         assert not reports[0].preconditions_met
         assert "single-edge component" in reports[0].notes
 
+    def test_pairs_after_deletion_match_rebuilt_graph(self):
+        from gaindex.checks import _pairs_without_edge
+        from gaindex.graphs import delete_edge
+        from gaindex.indices import _degree_pairs
+        from gaindex.linegraph import GraphFacts
+
+        rng = random.Random(21)
+        for _ in range(200):
+            n = rng.randint(2, 10)
+            p = rng.uniform(0.2, 0.8)
+            pairs = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ]
+            f = GraphFacts(from_edge_list(n, pairs))
+            for u, v in f.graph.edges:
+                expected = _degree_pairs(delete_edge(f.graph, (u, v)))
+                assert _pairs_without_edge(f, u, v) == +expected
+
 
 class TestRationality:
     def test_double_star_rational(self):
@@ -587,6 +605,15 @@ class TestOutOfRangeAlpha:
             assert report.mode == "skipped" and not report.preconditions_met
             assert not report.violated
             assert "alpha=" in report.notes
+
+    @pytest.mark.parametrize(
+        "checker", [check_variable_zagreb_bound, check_line_variable_zagreb_bound]
+    )
+    def test_alpha_whose_double_is_infinite(self, checker):
+        # 2 * 1.7e308 overflows to inf, so the alpha cannot snap exactly.
+        (report,) = checker(cycle_graph(4), 1.7e308)
+        assert report.mode == "skipped" and not report.preconditions_met
+        assert "alpha=" in report.notes
 
     def test_fraction_too_large_for_a_float(self):
         (report,) = check_variable_zagreb_bound(cycle_graph(4), Fraction(10**400))

@@ -337,3 +337,17 @@ class TestInputSizeLimits:
         code, out, err = run_cli(capsys, "check", "-i", str(path))
         assert code == 2 and out == ""
         assert "MAX_VERTICES" in err
+
+    @pytest.mark.parametrize("command", ["check", "linegraph"])
+    def test_oversized_line_graph_exits_2(self, capsys, monkeypatch, command):
+        # K20,4980 passes the input limits, but its line graph would have
+        # about 2.5e8 edges; it must be refused before anything is built.
+        import gaindex.linegraph
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the line graph was built before the size check")
+
+        monkeypatch.setattr(gaindex.linegraph, "from_edge_list", refuse)
+        code, out, err = run_cli(capsys, command, "K20,4980")
+        assert code == 2 and out == ""
+        assert "MAX_EDGES" in err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -38,6 +39,11 @@ from gaindex.graphs import (
 )
 from gaindex.indices import ga1
 from gaindex.radicals import RadicalNumber
+
+try:
+    import networkx as nx
+except ImportError:  # pragma: no cover
+    nx = None
 
 
 def labeled_class_count(n: int) -> int:
@@ -108,6 +114,21 @@ class TestEnumerationCounts:
     def test_isolated_vertex_flagged(self):
         (k1,) = enumerate_connected(1)
         assert k1.m == 0 and k1.isolated_vertices == (0,)
+
+    @pytest.mark.skipif(nx is None, reason="networkx unavailable")
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_representatives_pairwise_non_isomorphic_under_networkx(self, n):
+        # Isomorphic graphs share m and the degree sequence, so only pairs
+        # within such a group can be isomorphic.
+        groups = defaultdict(list)
+        for g in enumerate_connected(n):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges)
+            groups[(g.m, tuple(sorted(g.deg)))].append(h)
+        for group in groups.values():
+            for a, b in combinations(group, 2):
+                assert not nx.is_isomorphic(a, b)
 
 
 class TestBuckets:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaindex.formats import (
     Graph6Error,
@@ -105,6 +107,14 @@ class TestConstruction:
             g = random_graph(rng, rng.randint(1, 10))
             assert sum(g.deg) == 2 * g.m
 
+    def test_has_edge_matches_edge_list(self):
+        rng = random.Random(15)
+        for _ in range(50):
+            g = random_graph(rng, rng.randint(1, 8))
+            for u in range(-1, g.n + 1):
+                for v in range(-1, g.n + 1):
+                    assert g.has_edge(u, v) == (tuple(sorted((u, v))) in g.edges)
+
 
 class TestComponents:
     def test_two_components(self):
@@ -171,6 +181,11 @@ class TestMinimalEdge:
         with pytest.raises(ValueError):
             is_minimal_edge(path_graph(3), (0, 2))
 
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 0), (2, 7)])
+    def test_out_of_range_edge_rejected(self, edge):
+        with pytest.raises(ValueError):
+            is_minimal_edge(path_graph(3), edge)
+
     def test_min_degree_endpoints_always_minimal(self):
         rng = random.Random(5)
         for _ in range(100):
@@ -203,6 +218,11 @@ class TestDeleteEdge:
     def test_missing_edge_rejected(self):
         with pytest.raises(ValueError):
             delete_edge(path_graph(3), (0, 2))
+
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 0), (2, 7)])
+    def test_out_of_range_edge_rejected(self, edge):
+        with pytest.raises(ValueError):
+            delete_edge(path_graph(3), edge)
 
     def test_delete_then_readd_is_identity_up_to_iso(self):
         rng = random.Random(12)
@@ -275,6 +295,40 @@ class TestCanonicalForm:
     def test_order_limit(self):
         with pytest.raises(ValueError, match="n <= 9"):
             canonical_form(path_graph(10))
+
+
+@st.composite
+def graph_with_relabelling_and_rival(draw):
+    """A graph on at most 7 vertices, a random relabelling of it, and an
+    independent random graph of the same order."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = list(combinations(range(n), 2))
+
+    def draw_graph() -> Graph:
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return from_edge_list(n, [p for p, k in zip(pairs, keep) if k])
+
+    g = draw_graph()
+    perm = draw(st.permutations(range(n)))
+    return g, relabel(g, perm), draw_graph()
+
+
+@pytest.mark.skipif(nx is None, reason="networkx unavailable")
+class TestIsomorphismAgainstNetworkx:
+    def to_nx(self, g: Graph):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        return h
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_with_relabelling_and_rival())
+    def test_is_isomorphic_matches_networkx(self, graphs):
+        g, relabelled, rival = graphs
+        assert is_isomorphic(g, relabelled)
+        assert nx.is_isomorphic(self.to_nx(g), self.to_nx(relabelled))
+        expected = nx.is_isomorphic(self.to_nx(g), self.to_nx(rival))
+        assert is_isomorphic(g, rival) == expected
 
 
 class TestClassify:
@@ -367,7 +421,7 @@ class TestGraph6:
     @pytest.mark.skipif(nx is None, reason="networkx unavailable")
     def test_against_networkx_encoder(self):
         rng = random.Random(8)
-        sizes = [rng.randint(1, 11) for _ in range(97)] + [62, 63, 64]
+        sizes = [rng.randint(1, 11) for _ in range(97)] + [62, 63, 64, 1000]
         for n in sizes:
             g = random_graph(rng, n, p=0.5 if n < 20 else 0.08)
             nx_graph = nx.Graph()
