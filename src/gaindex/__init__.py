@@ -23,7 +23,7 @@ from .graphs import (
 )
 from .formats import parse_graph6, parse_graph_spec, read_edge_list, to_graph6, write_edge_list
 from .indices import IndexValue, chi_alpha, ga1, harmonic, m1, m1_alpha, m2, m2_alpha, randic
-from .linegraph import GraphFacts, LineGraphResult, line_graph
+from .linegraph import GraphFacts, line_graph
 from .radicals import RadicalNumber, compare, format_radical, parse_radical, radical_sqrt
 from .report import CheckReport
 from .checks import CHECK_IDS, run_checks

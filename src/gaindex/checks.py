@@ -769,6 +769,22 @@ _ALPHA_CHECKS: dict[str, Callable[..., list[CheckReport]]] = {
 
 CHECK_IDS: tuple[str, ...] = tuple(list(_PLAIN_CHECKS) + list(_ALPHA_CHECKS))
 
+# Ids that read the line graph whenever its preconditions hold.  When one is
+# selected, the line graph is built before any checker runs, so that one over
+# MAX_EDGES fails at once instead of after the other checkers.
+_LINE_CHECK_IDS = frozenset(
+    {
+        "line_ga_bounds",
+        "nordhaus_gaddum",
+        "line_ga_ratio_bound",
+        "line_order_bound",
+        "line_zagreb_lower",
+        "line_three_half_zagreb_bound",
+        "line_zagreb_identity",
+        "line_regular_iff",
+    }
+)
+
 
 def run_checks(
     g: Graph | GraphFacts,
@@ -778,6 +794,8 @@ def run_checks(
     """Run the selected checkers (default: all) on one graph's shared facts."""
     f = GraphFacts.of(g)
     selected = list(ids) if ids is not None else list(CHECK_IDS)
+    if f.nontrivial_reason is None and not _LINE_CHECK_IDS.isdisjoint(selected):
+        f.line
     out: list[CheckReport] = []
     for check_id in selected:
         if check_id in _PLAIN_CHECKS:

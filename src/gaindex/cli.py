@@ -28,7 +28,7 @@ from .formats import (
 )
 from .graphs import Graph, canonical_form, classify, graph_name
 from .indices import all_indices, chi_alpha, m1_alpha, m2_alpha
-from .linegraph import line_graph, line_zagreb_identity, verify_degree_identity
+from .linegraph import GraphFacts, line_zagreb_identity, verify_degree_identity
 from .sweeps import exhaustive_sweep, random_sweep
 
 # Display floats are float64, so 53 bits is also the most a value can carry.
@@ -173,18 +173,18 @@ def cmd_linegraph(args: argparse.Namespace) -> int:
     graphs = _load_graphs(args)
     rows = []
     for g in graphs:
-        result = line_graph(g)
-        identity = line_zagreb_identity(g)
+        f = GraphFacts(g)
+        lg = f.line.graph
         rows.append(
             {
                 "graph6": to_graph6(g),
-                "line_graph6": to_graph6(result.graph),
-                "line_n": result.graph.n,
-                "line_m": result.graph.m,
-                "line_max_degree": result.graph.max_degree,
-                "line_min_degree": result.graph.min_degree,
-                "degree_identity": verify_degree_identity(g),
-                "zagreb_identity": identity.holds,
+                "line_graph6": to_graph6(lg),
+                "line_n": lg.n,
+                "line_m": lg.m,
+                "line_max_degree": lg.max_degree,
+                "line_min_degree": lg.min_degree,
+                "degree_identity": verify_degree_identity(f),
+                "zagreb_identity": line_zagreb_identity(f).holds,
             }
         )
     _emit_rows(rows, args.format, sys.stdout)
@@ -273,10 +273,12 @@ def cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    if args.nmax > 7:
+        raise UsageError("census supports --nmax at most 7 (enumeration limit)")
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for n in range(1, args.nmax + 1):
-        graphs = enumerate_connected(n, max_n=max(args.nmax, 7))
+        graphs = enumerate_connected(n)
         g6_path = outdir / f"census_n{n}.g6"
         g6_path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
         rows = census_rows(n)
@@ -360,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_extremal)
 
     sub = subs.add_parser("census", help="write per-order census files (graph6 + CSV)")
-    sub.add_argument("--nmax", type=int, default=7)
+    sub.add_argument("--nmax", type=int, default=7, help="largest order (<= 7)")
     sub.add_argument("--output", default="census", help="output directory")
     sub.set_defaults(func=cmd_census)
 

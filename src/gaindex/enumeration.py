@@ -187,7 +187,7 @@ def classify_line_small_values(n_max: int) -> list[Bucket]:
         raise ValueError("n_max >= 7 is required to cover every possible member")
     pairs = []
     for g in connected_nontrivial(n_max):
-        value = ga1(line_graph(g).graph).exact
+        value = ga1(line_graph(g)).exact
         assert value is not None
         pairs.append((g, value))
     return _bucketize(pairs)
@@ -236,7 +236,7 @@ def buckets_match_families(
 # -- line-graph preimages ------------------------------------------------------
 
 
-def line_graph_preimages(target: Graph, n_max: int | None = None) -> list[Graph]:
+def line_graph_preimages(target: Graph) -> list[Graph]:
     """All connected non-trivial graphs whose line graph is the target.
 
     A preimage must have exactly as many edges as the target has vertices,
@@ -245,23 +245,24 @@ def line_graph_preimages(target: Graph, n_max: int | None = None) -> list[Graph]
     if target.n > 6:
         raise ValueError("preimage search is supported for targets with n <= 6")
     m_needed = target.n
-    bound = m_needed + 1 if n_max is None else min(n_max, m_needed + 1)
     target_key = canonical_key(target)
     out = []
-    for n in range(2, bound + 1):
+    for n in range(2, m_needed + 2):
         for g in enumerate_connected(n):
             if g.m != m_needed or not is_nontrivial(g):
                 continue
-            if canonical_key(line_graph(g).graph) == target_key:
+            if canonical_key(line_graph(g)) == target_key:
                 out.append(g)
     return out
 
 
-def verify_no_preimage(target: Graph, n_max: int | None = None) -> bool:
-    return not line_graph_preimages(target, n_max=n_max)
+def verify_no_preimage(target: Graph) -> bool:
+    return not line_graph_preimages(target)
 
 
 # -- worked families ------------------------------------------------------------
+
+_BIPARTITE_K_MAX = 40  # K(200, 800) has 160,000 edges
 
 
 def check_double_star_rational(n1: int, n2: int) -> CheckReport:
@@ -294,14 +295,14 @@ def check_double_star_rational(n1: int, n2: int) -> CheckReport:
     return replace(report, holds=holds, preconditions_met=not degenerate)
 
 
-def check_complete_bipartite_integer(k: int, size_guard: int = 40) -> CheckReport:
+def check_complete_bipartite_integer(k: int) -> CheckReport:
     """K(5k,20k): GA1 is exactly the integer 80*k^2 although the graph is
     not regular."""
     check_id = "complete_bipartite_integer"
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if k > size_guard:
-        raise ValueError(f"k={k} exceeds the size guard {size_guard}")
+    if k > _BIPARTITE_K_MAX:
+        raise ValueError(f"k={k} exceeds the size guard {_BIPARTITE_K_MAX}")
     g = complete_bipartite_graph(5 * k, 20 * k)
     value = ga1(g).exact
     assert value is not None
@@ -353,12 +354,11 @@ def extremal_search(
 # -- random generation ------------------------------------------------------------
 
 
-def random_connected(
-    rng: random.Random, n_low: int = 3, n_high: int = 12
-) -> Graph:
-    """Seeded random connected graph via edge probability, retried until
-    connected (with a spanning-tree fallback so it always terminates)."""
-    n = rng.randint(n_low, n_high)
+def random_connected(rng: random.Random, n_high: int = 12) -> Graph:
+    """Seeded random connected graph on 3..n_high vertices via edge
+    probability, retried until connected (with a spanning-tree fallback so it
+    always terminates)."""
+    n = rng.randint(3, n_high)
     p = rng.uniform(0.25, 0.75)
     for _ in range(100):
         pairs = [

@@ -47,12 +47,39 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class Graph:
-    """A finite simple graph; vertices are 0..n-1, edges stored with u < v."""
+    """A finite simple graph; vertices are 0..n-1, edges sorted and distinct,
+    each stored with u < v.
+
+    ``adj`` (sorted neighbor tuples) and ``deg`` are derived from ``edges``.
+    """
 
     n: int
     edges: tuple[Edge, ...]
-    adj: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    deg: tuple[int, ...] = field(repr=False, compare=False)
+    adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    deg: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.n
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        edges = tuple(self.edges)  # a list of edges would break == and hash
+        neigh: list[list[int]] = [[] for _ in range(n)]
+        prev: Edge = (-1, -1)
+        for e in edges:
+            u, v = e
+            if not 0 <= u < v < n:
+                raise ValueError(f"edge {e} is not a pair with 0 <= u < v < n={n}")
+            if e <= prev:
+                raise ValueError(f"edges must be sorted and distinct: {e} follows {prev}")
+            # Sorted edges list each vertex's smaller neighbors in order,
+            # then its larger ones, so every neighbor list comes out sorted.
+            neigh[u].append(v)
+            neigh[v].append(u)
+            prev = e
+        adj = tuple(map(tuple, neigh))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "deg", tuple(map(len, adj)))
 
     @property
     def m(self) -> int:
@@ -104,8 +131,6 @@ def from_edge_list(n: int, pairs: list[Edge] | tuple[Edge, ...]) -> Graph:
     Duplicate pairs collapse to a single edge; self-loops and out-of-range
     vertices are rejected.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
     edge_set: set[Edge] = set()
     for u, v in pairs:
         if u == v:
@@ -113,16 +138,7 @@ def from_edge_list(n: int, pairs: list[Edge] | tuple[Edge, ...]) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         edge_set.add((u, v) if u < v else (v, u))
-    edges = tuple(sorted(edge_set))
-    neigh: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        neigh[u].append(v)
-        neigh[v].append(u)
-    adj = tuple(tuple(sorted(ns)) for ns in neigh)
-    deg = tuple(len(ns) for ns in adj)
-    if sum(deg) != 2 * len(edges):
-        raise AssertionError("handshake identity violated")
-    return Graph(n=n, edges=edges, adj=adj, deg=deg)
+    return Graph(n, tuple(sorted(edge_set)))
 
 
 def components(g: Graph) -> list[Graph]:

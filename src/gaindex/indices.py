@@ -58,10 +58,8 @@ class IndexValue:
         return cls(value, value.float_with_error)
 
     @classmethod
-    def of_float(
-        cls, value: float, rel_error: float = _FLOAT_REL_ERROR
-    ) -> "IndexValue":
-        return cls(None, lambda: (value, abs(value) * rel_error))
+    def of_float(cls, value: float) -> "IndexValue":
+        return cls(None, lambda: (value, abs(value) * _FLOAT_REL_ERROR))
 
     @classmethod
     def of_quotient(cls, num: RadicalNumber, den: RadicalNumber) -> "IndexValue":

@@ -10,13 +10,12 @@ rejects.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 from .formats import MAX_EDGES
 from .graphs import (
-    Edge,
     Graph,
     components,
     from_edge_list,
@@ -31,31 +30,12 @@ from .report import CheckReport, exact_report
 
 __all__ = [
     "GraphFacts",
-    "LineGraphResult",
     "line_graph",
     "verify_degree_identity",
     "line_zagreb_identity",
     "line_regularity_characterization",
     "line_tree_characterization",
 ]
-
-
-@dataclass(frozen=True)
-class LineGraphResult:
-    """The line graph plus the edge-to-vertex correspondence and basic stats."""
-
-    graph: Graph
-    edge_order: tuple[Edge, ...] = field(compare=False)
-
-    @property
-    def vertex_of_edge(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edge_order)}
-
-    @property
-    def stats(self) -> tuple[int, int, int, int]:
-        """(max degree, min degree, vertex count, edge count) of the line graph."""
-        lg = self.graph
-        return (lg.max_degree, lg.min_degree, lg.n, lg.m)
 
 
 def _require_nontrivial(g: Graph) -> None:
@@ -66,8 +46,8 @@ def _require_nontrivial(g: Graph) -> None:
         )
 
 
-def line_graph(g: Graph) -> LineGraphResult:
-    """Construct the line graph; vertex i corresponds to the i-th sorted edge."""
+def line_graph(g: Graph) -> Graph:
+    """The line graph; vertex i is the edge ``g.edges[i]``."""
     _require_nontrivial(g)
     line_m = sum(d * (d - 1) // 2 for d in g.deg)
     if line_m > MAX_EDGES:
@@ -75,19 +55,12 @@ def line_graph(g: Graph) -> LineGraphResult:
             f"the line graph would have {line_m} edges, over the limit "
             f"MAX_EDGES = {MAX_EDGES}"
         )
-    order = g.edges  # already sorted lexicographically
-    index = {e: i for i, e in enumerate(order)}
     incident: list[list[int]] = [[] for _ in range(g.n)]
-    for e in order:
-        u, v = e
-        incident[u].append(index[e])
-        incident[v].append(index[e])
-    pairs: set[Edge] = set()
-    for at_vertex in incident:
-        for i, j in combinations(at_vertex, 2):
-            pairs.add((i, j) if i < j else (j, i))
-    lg = from_edge_list(len(order), sorted(pairs))
-    return LineGraphResult(graph=lg, edge_order=order)
+    for i, (u, v) in enumerate(g.edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    pairs = [p for at_vertex in incident for p in combinations(at_vertex, 2)]
+    return from_edge_list(g.m, pairs)
 
 
 @dataclass(frozen=True)
@@ -159,18 +132,18 @@ class GraphFacts:
     @cached_property
     def line(self) -> GraphFacts:
         """The facts of the line graph (raises unless the graph is non-trivial)."""
-        return GraphFacts(line_graph(self.graph).graph)
+        return GraphFacts(line_graph(self.graph))
 
 
-def verify_degree_identity(g: Graph) -> bool:
+def verify_degree_identity(g: Graph | GraphFacts) -> bool:
     """Each line-graph degree equals du+dv-2, and the degree range fits.
 
     Also checks max_degree(L) <= 2*max_degree(G)-2 and
     min_degree(L) >= 2*min_degree(G)-2.
     """
-    result = line_graph(g)
-    lg = result.graph
-    for i, (u, v) in enumerate(result.edge_order):
+    f = GraphFacts.of(g)
+    g, lg = f.graph, f.line.graph
+    for i, (u, v) in enumerate(g.edges):
         if lg.deg[i] != g.deg[u] + g.deg[v] - 2:
             return False
     if lg.max_degree > 2 * g.max_degree - 2:

@@ -188,7 +188,7 @@ def _decimal_power(x: Number, y: Number) -> Decimal:
 
 def skipped_report(check_id: str, relation: str, reason: str) -> CheckReport:
     """Preconditions not met: nothing evaluated, vacuously non-violating."""
-    nan = IndexValue.of_float(math.nan, rel_error=0.0)
+    nan = IndexValue.of_float(math.nan)
     return CheckReport(
         check_id=check_id,
         relation=relation,

@@ -22,7 +22,6 @@ from .enumeration import (
     random_connected,
 )
 from .formats import to_graph6
-from .graphs import Graph, canonical_form
 from .report import CheckReport, skipped_report
 
 __all__ = ["CheckAggregate", "SweepResult", "exhaustive_sweep", "random_sweep"]
@@ -76,29 +75,20 @@ class SweepResult:
         self.notes.extend(other.notes)
 
 
-def _sweep_graphs(
-    result: SweepResult,
-    graphs: list[Graph],
-    alphas: tuple[Fraction, ...],
-    label: str,
-) -> None:
-    for i, g in enumerate(graphs):
-        source = f"{label}:{canonical_form(g) if g.n <= 9 else i}"
-        result.absorb(source, run_checks(g, alphas=alphas))
-
-
 def exhaustive_sweep(
     n_max: int = 7, alphas: tuple[Fraction, ...] = DEFAULT_ALPHAS
 ) -> SweepResult:
     """Every checker on every connected graph with an edge, up to order n_max.
 
     Also reproduces the small-value bucket lists and spot-checks the two
-    graph-free inequalities on a rational grid.
+    graph-free inequalities on a rational grid.  A graph's failure source is
+    ``exhaustive:<graph6>``, which reproduces the graph.
     """
     if n_max > 7:
         raise ValueError("exhaustive sweeps support n_max <= 7")
     result = SweepResult()
-    _sweep_graphs(result, connected_with_edges(n_max), alphas, "exhaustive")
+    for g in connected_with_edges(n_max):
+        result.absorb(f"exhaustive:{to_graph6(g)}", run_checks(g, alphas=alphas))
 
     for order, which, label, bucketize, families in (
         (6, "small_value_buckets", "small-value buckets",

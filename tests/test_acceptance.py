@@ -113,8 +113,7 @@ def test_criterion_3_identity_suite():
     started = time.monotonic()
     count = 0
     for g in connected_nontrivial(7):
-        result = line_graph(g)
-        lg = result.graph
+        lg = line_graph(g)
         assert lg.n == g.m
         m1g = m1(g).exact
         assert m1g is not None

@@ -699,3 +699,26 @@ class TestRandomSweepSources:
         for (source, _), g in zip(result.failures, drawn):
             assert source.startswith("random:")
             assert parse_graph6(source[len("random:"):]) == g
+
+
+class TestExhaustiveSweepSources:
+    def test_failure_names_the_graph_by_graph6(self, monkeypatch):
+        from dataclasses import replace
+
+        import gaindex.sweeps
+        from gaindex.formats import parse_graph6
+        from gaindex.report import skipped_report
+
+        swept = []
+
+        def violating(g, alphas=None):
+            swept.append(g)
+            forced = skipped_report("fake", ">=", "forced")
+            return [replace(forced, preconditions_met=True, holds=False)]
+
+        monkeypatch.setattr(gaindex.sweeps, "run_checks", violating)
+        result = gaindex.sweeps.exhaustive_sweep(3)
+        assert len(result.failures) == len(swept) == 3  # P2, P3 and K3
+        for (source, _), g in zip(result.failures, swept):
+            assert source.startswith("exhaustive:")
+            assert parse_graph6(source[len("exhaustive:"):]) == g

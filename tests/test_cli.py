@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -107,6 +108,20 @@ class TestLinegraph:
         code, _, err = run_cli(capsys, "linegraph", "P2")
         assert code == 2 and "two edges" in err
 
+    def test_one_line_graph_per_input(self, capsys, monkeypatch):
+        import gaindex.linegraph
+
+        built = []
+        line_graph = gaindex.linegraph.line_graph
+
+        def counting_line_graph(g):
+            built.append(g)
+            return line_graph(g)
+
+        monkeypatch.setattr(gaindex.linegraph, "line_graph", counting_line_graph)
+        code, _, _ = run_cli(capsys, "linegraph", "P5", "C4", "S5", "paw")
+        assert code == 0 and len(built) == 4
+
 
 class TestCheck:
     def test_star_bound_on_s5(self, capsys):
@@ -163,6 +178,16 @@ class TestSweep:
         agg = {r["check_id"]: r for r in rows if "check_id" in r}
         assert agg["star_lower_bound"]["violations"] == 0
 
+    def test_golden_json_output(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--nmax", "6", "--trials", "200", "--seed", "42",
+            "--format", "json",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ea4912729887c94096d94a4a004213ede3652ad49f29df5f8dfba0f2e9023724"
+        )
+
     def test_deterministic_output(self, capsys):
         args = ("sweep", "--nmax", "4", "--trials", "25", "--seed", "7",
                 "--format", "json")
@@ -208,6 +233,13 @@ class TestCensus:
             "canonical_form,name,n,m,ga1_exact,ga1_float"
         )
         assert "C4" in csv_text
+
+    def test_nmax_guard_writes_nothing(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "census", "--nmax", "8", "--output", str(tmp_path)
+        )
+        assert code == 2 and out == "" and "at most 7" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPrecisionConfig:
@@ -349,5 +381,20 @@ class TestInputSizeLimits:
 
         monkeypatch.setattr(gaindex.linegraph, "from_edge_list", refuse)
         code, out, err = run_cli(capsys, command, "K20,4980")
+        assert code == 2 and out == ""
+        assert "MAX_EDGES" in err
+
+    def test_line_graph_limit_checked_before_any_checker(self, capsys, monkeypatch):
+        # K447 has 99,681 edges, within the input limits; its line graph would
+        # have about 4.4e7.  No checker may run before that is refused.
+        import gaindex.checks
+
+        def must_not_run(f):
+            pytest.fail("edge_deletion_drop ran before the line-graph size check")
+
+        monkeypatch.setitem(
+            gaindex.checks._PLAIN_CHECKS, "edge_deletion_drop", must_not_run
+        )
+        code, out, err = run_cli(capsys, "check", "K447")
         assert code == 2 and out == ""
         assert "MAX_EDGES" in err

@@ -101,6 +101,26 @@ class TestConstruction:
         with pytest.raises(ValueError):
             from_edge_list(3, [(0, 3)])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [((1, 2), (0, 1)), ((0, 1), (0, 1)), ((1, 0),), ((1, 1),), ((0, 3),), ((-1, 0),)],
+        ids=["unsorted", "duplicated", "reversed", "self_loop", "out_of_range", "negative"],
+    )
+    def test_constructor_rejects_inconsistent_edges(self, edges):
+        with pytest.raises(ValueError):
+            Graph(3, edges)
+
+    def test_constructor_derives_adjacency_and_degrees(self):
+        g = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+        assert g == paw_graph()
+        assert g.adj == ((1, 2), (0, 2), (0, 1, 3), (2,))
+        assert g.deg == (2, 2, 3, 1)
+        assert Graph(4, list(g.edges)) == g
+        with pytest.raises(TypeError):
+            Graph(2, ((0, 1),), adj=((1,), (0,)), deg=(1, 1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            Graph(-1, ())
+
     def test_handshake_random(self):
         rng = random.Random(11)
         for _ in range(100):

@@ -52,31 +52,31 @@ def random_nontrivial_connected(rng: random.Random, n: int):
 
 class TestConstruction:
     def test_path4_gives_path3(self):
-        assert is_isomorphic(line_graph(path_graph(4)).graph, path_graph(3))
+        assert is_isomorphic(line_graph(path_graph(4)), path_graph(3))
 
     def test_star4_gives_triangle(self):
-        assert is_isomorphic(line_graph(star_graph(4)).graph, cycle_graph(3))
+        assert is_isomorphic(line_graph(star_graph(4)), cycle_graph(3))
 
     def test_star5_gives_k4(self):
-        assert is_isomorphic(line_graph(star_graph(5)).graph, complete_graph(4))
+        assert is_isomorphic(line_graph(star_graph(5)), complete_graph(4))
 
     def test_cycles_are_fixed_points(self):
         for n in range(3, 9):
-            assert is_isomorphic(line_graph(cycle_graph(n)).graph, cycle_graph(n))
+            assert is_isomorphic(line_graph(cycle_graph(n)), cycle_graph(n))
 
     def test_paths_shrink(self):
         for n in range(3, 10):
-            assert is_isomorphic(line_graph(path_graph(n)).graph, path_graph(n - 1))
+            assert is_isomorphic(line_graph(path_graph(n)), path_graph(n - 1))
 
     def test_stars_complete(self):
         for n in range(4, 9):
             assert is_isomorphic(
-                line_graph(star_graph(n)).graph, complete_graph(n - 1)
+                line_graph(star_graph(n)), complete_graph(n - 1)
             )
 
     def test_triangle_star_collision(self):
-        first = canonical_form(line_graph(cycle_graph(3)).graph)
-        second = canonical_form(line_graph(star_graph(4)).graph)
+        first = canonical_form(line_graph(cycle_graph(3)))
+        second = canonical_form(line_graph(star_graph(4)))
         assert first == second
 
     def test_trivial_input_rejected(self):
@@ -87,14 +87,13 @@ class TestConstruction:
 
     def test_vertex_correspondence_degrees(self):
         g = paw_graph()
-        result = line_graph(g)
-        for edge, idx in result.vertex_of_edge.items():
-            u, v = edge
-            assert result.graph.deg[idx] == g.deg[u] + g.deg[v] - 2
+        lg = line_graph(g)
+        for idx, (u, v) in enumerate(g.edges):
+            assert lg.deg[idx] == g.deg[u] + g.deg[v] - 2
 
     def test_stats_tuple(self):
-        result = line_graph(cycle_graph(4))
-        assert result.stats == (2, 2, 4, 4)
+        lg = line_graph(cycle_graph(4))
+        assert (lg.max_degree, lg.min_degree, lg.n, lg.m) == (2, 2, 4, 4)
 
 
 class TestIdentities:
@@ -112,7 +111,7 @@ class TestIdentities:
         rng = random.Random(72)
         for _ in range(50):
             g = random_nontrivial_connected(rng, rng.randint(3, 12))
-            lg = line_graph(g).graph
+            lg = line_graph(g)
             assert lg.n == g.m
             m1g = m1(g).exact
             assert m1g is not None
@@ -153,14 +152,14 @@ class TestRegularityCharacterization:
         g = disjoint_union(cycle_graph(3), cycle_graph(4))
         report = line_regularity_characterization(g)
         assert report.holds
-        lg = line_graph(g).graph
+        lg = line_graph(g)
         assert lg.max_degree == lg.min_degree
 
     def test_cycle_plus_star_same_sum(self):
         # (2,2) and (3,1): both sums are 4, so the line graph is regular.
         g = disjoint_union(cycle_graph(3), star_graph(4))
         assert regular_line_condition(g)
-        lg = line_graph(g).graph
+        lg = line_graph(g)
         assert lg.max_degree == lg.min_degree
         assert line_regularity_characterization(g).holds
 
@@ -168,7 +167,7 @@ class TestRegularityCharacterization:
         # (2,2) and (4,1): sums 4 vs 5, so the line graph cannot be regular.
         g = disjoint_union(cycle_graph(4), star_graph(5))
         assert not regular_line_condition(g)
-        lg = line_graph(g).graph
+        lg = line_graph(g)
         assert lg.max_degree != lg.min_degree
         assert line_regularity_characterization(g).holds
 
@@ -183,7 +182,7 @@ class TestTreeCharacterization:
     def test_path5(self):
         reports = line_tree_characterization(path_graph(5))
         assert all(r.holds for r in reports)
-        lg = line_graph(path_graph(5)).graph
+        lg = line_graph(path_graph(5))
         assert lg.is_connected and lg.m == lg.n - 1
 
     def test_cycle5(self):
@@ -234,7 +233,7 @@ class TestNetworkxOracle:
     @given(nontrivial_graphs())
     def test_line_graph_matches_networkx(self, g):
         expected = nx.line_graph(self.to_nx(g))
-        assert nx.is_isomorphic(self.to_nx(line_graph(g).graph), expected)
+        assert nx.is_isomorphic(self.to_nx(line_graph(g)), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(nontrivial_graphs())
