@@ -25,7 +25,7 @@ from .graphs import (
     is_regular,
     is_star,
 )
-from .indices import _ga1_exact, _snap_exponent, chi_alpha, m1_alpha
+from .indices import NotRadicalError, _exact_pow, _ga1_exact, _snap_exponent
 from .linegraph import (
     GraphFacts,
     line_regularity_characterization,
@@ -439,12 +439,51 @@ def _alpha_reason(alpha: float | Rational) -> str | None:
     return None
 
 
-def _float_alpha_report(
-    check_id: str, alpha: float | Rational, evaluate, notes: str
+def _power_bound(
+    check_id: str,
+    facts: GraphFacts,
+    rhs: Callable[..., tuple],
+    alpha: float | Rational,
+    float_notes: str,
+    predicted_equality: bool | None = None,
 ) -> CheckReport:
-    """Float verdict, skipped when ``alpha`` drives a side out of float range."""
+    """Decide ``GA1 >= num / den`` for the graph of ``facts``, at exponent alpha.
+
+    ``rhs(a, power)`` evaluates the bound at exponent ``a`` with
+    ``power(x, y) = x**y`` and returns ``(num, den)``, den > 0.  Where alpha
+    snaps to a nonzero half-integer and every power the bound takes is a
+    radical, it is decided exactly by cross-multiplying with ``den``;
+    otherwise in float mode, skipped where a side leaves the float range.
+    ``rhs`` takes its root factor first, so that an exponent without exact
+    powers fails before any large power such as d^(1-a) is computed.  The
+    exact report alone carries ``predicted_equality``.
+    """
+    snapped = _snap_exponent(alpha)
+    if snapped:
+        try:
+            num, den = rhs(snapped, _exact_pow)
+        except NotRadicalError:
+            pass
+        else:
+            return exact_report(
+                check_id,
+                ">=",
+                facts.ga1,
+                num,
+                predicted_equality=predicted_equality,
+                rhs_den=den,
+                notes=f"alpha={alpha}; decided exactly by cross-multiplication",
+            )
+
+    def evaluate(power):
+        lhs = 0
+        for (u, v), cnt in facts.degree_pairs.items():
+            lhs += cnt * 2 * power(u * v, 0.5) / (u + v)
+        num, den = rhs(float(alpha), power)
+        return lhs, num / den
+
     try:
-        return float_report(check_id, ">=", evaluate, notes=notes)
+        return float_report(check_id, ">=", evaluate, notes=float_notes)
     except ArithmeticError as exc:
         return skipped_report(
             check_id, ">=", f"alpha={alpha} is out of range: {exc}"
@@ -463,64 +502,28 @@ def check_variable_zagreb_bound(
         return [skipped_report(check_id, ">=", reason)]
     g = f.graph
     big, small, m = g.max_degree, g.min_degree, g.m
-    snapped = _snap_exponent(alpha)
-    if snapped == 1:
-        # Cross-multiplied: GA1 * D * sqrt(n) >= sqrt(2*d) * m * sqrt(m)
-        multiplier = big * RadicalNumber.sqrt_int(g.n)
-        rhs_cmp = RadicalNumber.sqrt_int(2 * small) * RadicalNumber.sqrt_int(m) * m
-    elif snapped == Fraction(1, 2):
-        # GA1 * D * sum(sqrt(du)) >= 2 * sqrt(d) * m^2
-        half_zagreb = m1_alpha(g, Fraction(1, 2)).exact
-        assert half_zagreb is not None
-        multiplier = big * half_zagreb
-        rhs_cmp = RadicalNumber.sqrt_int(small) * (2 * m * m)
-    else:
-        return [_variable_zagreb_float(f, alpha)]
+    degs = Counter(g.deg)
+
+    def rhs(a, power):
+        num = (
+            power(2, 1 / (2 * a))
+            * power(small, 0.5)
+            * power(m, (2 * a + 1) / (2 * a))
+        )
+        var_zagreb = sum(cnt * power(d, 1 - a) for d, cnt in degs.items())
+        return num, big * power(var_zagreb, 1 / (2 * a))
+
     return [
-        exact_report(
+        _power_bound(
             check_id,
-            ">=",
-            f.ga1,
-            rhs_cmp,
+            f,
+            rhs,
+            alpha,
+            f"alpha={alpha}; float mode, tight exactly for regular graphs at "
+            "every alpha",
             predicted_equality=f.regular,
-            rhs_den=multiplier,
-            notes=f"alpha={alpha}; decided exactly by cross-multiplication",
         )
     ]
-
-
-def _variable_zagreb_float(f: GraphFacts, alpha: float | Rational) -> CheckReport:
-    """``variable_zagreb_bound`` evaluated in float mode, at any alpha > 0."""
-    g = f.graph
-    big, small, m = g.max_degree, g.min_degree, g.m
-    degs = Counter(g.deg)
-    af = float(alpha)
-
-    def evaluate(power):
-        lhs = _ga_by_power(f.degree_pairs, power)
-        var_zagreb = sum(cnt * power(d, 1 - af) for d, cnt in degs.items())
-        rhs = (
-            power(2, 1 / (2 * af))
-            * power(small, 0.5)
-            * power(m, (2 * af + 1) / (2 * af))
-            / (big * power(var_zagreb, 1 / (2 * af)))
-        )
-        return lhs, rhs
-
-    return _float_alpha_report(
-        "variable_zagreb_bound",
-        alpha,
-        evaluate,
-        notes=f"alpha={alpha}; float mode, tight exactly for regular "
-        "graphs at every alpha",
-    )
-
-
-def _ga_by_power(pairs: Counter[tuple[int, int]], power) -> object:
-    total = 0
-    for (a, b), cnt in pairs.items():
-        total += cnt * 2 * power(a * b, 0.5) / (a + b)
-    return total
 
 
 def check_line_variable_zagreb_bound(
@@ -538,8 +541,8 @@ def check_line_variable_zagreb_bound(
     if reason:
         return [skipped_report(check_id, ">=", reason)]
     g = f.graph
-    big, small, m = g.max_degree, g.min_degree, g.m
-    growth = f.m1 - 2 * m  # = 2 * edge count of the line graph
+    big, small = g.max_degree, g.min_degree
+    growth = f.m1 - 2 * g.m  # = 2 * edge count of the line graph
     if small == 1:
         return [
             exact_report(
@@ -550,74 +553,27 @@ def check_line_variable_zagreb_bound(
                 notes=f"alpha={alpha}; vacuous: bound is zero (min degree 1)",
             )
         ]
-    snapped = _snap_exponent(alpha)
-    if snapped == 1:
-        # GA1(L)*4*(D-1)*sqrt(m) >= sqrt(2d-2) * (M1-2m)^(3/2)
-        multiplier = (4 * (big - 1)) * RadicalNumber.sqrt_int(m)
-        rhs_cmp = (
-            RadicalNumber.sqrt_int(2 * small - 2)
-            * RadicalNumber.sqrt_int(growth)
-            * growth
-        )
-    elif snapped == Fraction(1, 2):
-        # GA1(L)*4*(D-1)^(3/2)*chi_(1/2) >= sqrt(2d-2)*sqrt(D)*(M1-2m)^2
-        chi_half = chi_alpha(g, Fraction(1, 2)).exact
-        assert chi_half is not None
-        multiplier = 4 * (big - 1) * RadicalNumber.sqrt_int(big - 1) * chi_half
-        rhs_cmp = (
-            RadicalNumber.sqrt_int(2 * small - 2)
-            * RadicalNumber.sqrt_int(big)
-            * (growth * growth)
-        )
-    else:
-        return [_line_variable_zagreb_float(f, alpha)]
-    return [
-        exact_report(
-            check_id,
-            ">=",
-            f.line.ga1,
-            rhs_cmp,
-            rhs_den=multiplier,
-            notes=f"alpha={alpha}; decided exactly by cross-multiplication",
-        )
-    ]
 
-
-def _line_variable_zagreb_float(
-    f: GraphFacts, alpha: float | Rational
-) -> CheckReport:
-    """``line_variable_zagreb_bound`` evaluated in float mode, at any alpha > 0."""
-    g = f.graph
-    big, small = g.max_degree, g.min_degree
-    growth = f.m1 - 2 * g.m
-    af = float(alpha)
-
-    def evaluate(power):
-        lhs = _ga_by_power(f.line.degree_pairs, power)
-        chi = sum(cnt * power(a + b, 1 - af) for (a, b), cnt in f.degree_pairs.items())
-        if af <= 1:
-            rhs = (
+    def rhs(a, power):
+        if a <= 1:
+            num = (
                 power(2 * small - 2, 0.5)
-                * power(big, (1 - af) / (2 * af))
-                * power(growth, (2 * af + 1) / (2 * af))
-                / (4 * power(big - 1, (1 + af) / (2 * af)) * power(chi, 1 / (2 * af)))
+                * power(big, (1 - a) / (2 * a))
+                * power(growth, (2 * a + 1) / (2 * a))
             )
+            den = 4 * power(big - 1, (1 + a) / (2 * a))
         else:
-            rhs = (
+            num = (
                 power(2, 0.5)
-                * power(small - 1, (2 * af - 1) / (2 * af))
-                * power(small, (1 - af) / (2 * af))
-                * power(growth, (2 * af + 1) / (2 * af))
-                / (4 * (big - 1) * power(chi, 1 / (2 * af)))
+                * power(small - 1, (2 * a - 1) / (2 * a))
+                * power(small, (1 - a) / (2 * a))
+                * power(growth, (2 * a + 1) / (2 * a))
             )
-        return lhs, rhs
+            den = 4 * (big - 1)
+        chi = sum(cnt * power(u + v, 1 - a) for (u, v), cnt in f.degree_pairs.items())
+        return num, den * power(chi, 1 / (2 * a))
 
-    return _float_alpha_report(
-        "line_variable_zagreb_bound",
-        alpha,
-        evaluate,
-        notes=f"alpha={alpha}; float mode",
-    )
+    return [_power_bound(check_id, f.line, rhs, alpha, f"alpha={alpha}; float mode")]
 
 
 def check_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckReport]:
@@ -627,8 +583,7 @@ def check_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     if f.edge_reason:
         return [skipped_report(check_id, ">=", f.edge_reason)]
     g = f.graph
-    var = m1_alpha(g, Fraction(3, 2)).exact
-    assert var is not None
+    var = sum(cnt * _exact_pow(d, Fraction(3, 2)) for d, cnt in Counter(g.deg).items())
     rhs_cmp = RadicalNumber.sqrt_int(g.min_degree) * (2 * g.m * g.m)
     return [
         exact_report(
@@ -662,8 +617,10 @@ def check_line_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckRepor
             )
         ]
     growth = f.m1 - 2 * g.m
-    chi = chi_alpha(g, Fraction(3, 2)).exact
-    assert chi is not None
+    chi = sum(
+        cnt * _exact_pow(u + v, Fraction(3, 2))
+        for (u, v), cnt in f.degree_pairs.items()
+    )
     multiplier = 2 * (big - 1) * RadicalNumber.sqrt_int(big - 1) * chi
     rhs_cmp = (
         RadicalNumber.sqrt_int(2 * small - 2)
@@ -792,19 +749,20 @@ def run_checks(
     alphas: Sequence[float | Rational] = DEFAULT_ALPHAS,
 ) -> list[CheckReport]:
     """Run the selected checkers (default: all) on one graph's shared facts."""
-    f = GraphFacts.of(g)
     selected = list(ids) if ids is not None else list(CHECK_IDS)
+    for check_id in selected:
+        if check_id not in CHECK_IDS:
+            raise KeyError(
+                f"unknown check id {check_id!r}; available: {', '.join(CHECK_IDS)}"
+            )
+    f = GraphFacts.of(g)
     if f.nontrivial_reason is None and not _LINE_CHECK_IDS.isdisjoint(selected):
         f.line
     out: list[CheckReport] = []
     for check_id in selected:
         if check_id in _PLAIN_CHECKS:
             out.extend(_PLAIN_CHECKS[check_id](f))
-        elif check_id in _ALPHA_CHECKS:
+        else:
             for alpha in alphas:
                 out.extend(_ALPHA_CHECKS[check_id](f, alpha))
-        else:
-            raise KeyError(
-                f"unknown check id {check_id!r}; available: {', '.join(CHECK_IDS)}"
-            )
     return out

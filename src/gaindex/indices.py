@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Callable
 
 from .graphs import Graph
-from .radicals import RadicalNumber, radical_sqrt
+from .radicals import RadicalNumber
 
 __all__ = [
     "IndexValue",
@@ -112,12 +112,7 @@ def _ga1_exact(pairs: Counter[tuple[int, int]]) -> RadicalNumber:
     """GA1 from the degree-pair counts of :func:`_degree_pairs`."""
     terms: dict[int, Fraction] = {}
     for (a, b), count in pairs.items():
-        s, q = radical_sqrt(a * b)
-        cur = terms.get(q, Fraction(0)) + Fraction(2 * s * count, a + b)
-        if cur:
-            terms[q] = cur
-        else:
-            terms.pop(q, None)
+        terms[a * b] = terms.get(a * b, 0) + Fraction(2 * count, a + b)
     return RadicalNumber(terms)
 
 
@@ -141,23 +136,46 @@ def _snap_exponent(alpha: float | int | Fraction) -> Fraction | None:
     return None
 
 
-def _exact_pow(base: int, alpha: Fraction) -> RadicalNumber:
-    """``base ** alpha`` for integer base >= 1 and alpha in Z or Z + 1/2."""
-    if alpha.denominator == 1:
-        return RadicalNumber(Fraction(base) ** alpha.numerator)
-    k = (alpha.numerator - 1) // 2
-    s, q = radical_sqrt(base)
-    return RadicalNumber({q: Fraction(base) ** k * s})
+class NotRadicalError(ValueError):
+    """An exact power whose value need not lie in the rational radical span."""
+
+
+def _exact_pow(
+    base: int | Fraction | RadicalNumber, alpha: int | Fraction | float
+) -> RadicalNumber:
+    """Exact ``base ** alpha`` where it is known to be a radical.
+
+    That is a rational base >= 0 with alpha in Z or Z + 1/2, or a
+    ``RadicalNumber`` base with alpha == 1 or a rational value; a float alpha
+    is read exactly.  Anything else raises :class:`NotRadicalError`.
+    """
+    if isinstance(alpha, float):
+        alpha = Fraction(alpha)
+    num, den = alpha.numerator, alpha.denominator
+    if den > 2:
+        raise NotRadicalError(f"exponent {alpha} is not a multiple of 1/2")
+    if abs(num) > den * MAX_EXACT_EXPONENT:
+        raise ValueError(
+            "exact powers need |alpha| <= MAX_EXACT_EXPONENT "
+            f"({MAX_EXACT_EXPONENT})"
+        )
+    if isinstance(base, RadicalNumber):
+        if num == den:
+            return base
+        if not base.is_rational:
+            raise NotRadicalError(f"irrational base to the power {alpha}")
+        base = base.rational_part
+    if base < 0:
+        raise NotRadicalError(f"negative base {base}")
+    base = Fraction(base)
+    if den == 1:
+        return RadicalNumber(base**num)
+    return RadicalNumber.sqrt_fraction(base) * base ** ((num - 1) // 2)
 
 
 def _sum_powers(counts: Counter[int], alpha: float | Fraction) -> IndexValue:
     snapped = _snap_exponent(alpha)
     if snapped is not None:
-        if abs(snapped) > MAX_EXACT_EXPONENT:
-            raise ValueError(
-                "exact powers need |alpha| <= MAX_EXACT_EXPONENT "
-                f"({MAX_EXACT_EXPONENT})"
-            )
         total = RadicalNumber(0)
         for base, count in sorted(counts.items()):
             total = total + count * _exact_pow(base, snapped)

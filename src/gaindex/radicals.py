@@ -179,6 +179,11 @@ class RadicalNumber:
         return lhs + (-self)
 
     def __mul__(self, other: object) -> "RadicalNumber":
+        if isinstance(other, (int, Fraction)):
+            # A rational factor only scales the coefficients.
+            if not other:
+                return RadicalNumber._raw({})
+            return RadicalNumber._raw({q: c * other for q, c in self._terms.items()})
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented

@@ -132,7 +132,6 @@ def float_report(
     check_id: str,
     relation: str,
     evaluate: Callable[[Callable[[Number, Number], Number]], tuple[Number, Number]],
-    predicted_equality: bool | None = None,
     notes: str = "",
 ) -> CheckReport:
     """Float verdict with a 256-bit re-check before reporting any violation.
@@ -161,17 +160,15 @@ def float_report(
             cmp = 0 if near_equal else (1 if diff_d > 0 else -1)
             holds, _ = _relation_outcome(relation, cmp)
             note = (notes + "; " if notes else "") + "re-checked at 256-bit precision"
-    equality = near_equal
-    consistent = None if predicted_equality is None else equality == predicted_equality
     return CheckReport(
         check_id=check_id,
         relation=relation,
         lhs=IndexValue.of_float(lhs_f),
         rhs=IndexValue.of_float(rhs_f),
         holds=holds,
-        equality=equality,
-        predicted_equality=predicted_equality,
-        characterization_consistent=consistent,
+        equality=near_equal,
+        predicted_equality=None,
+        characterization_consistent=None,
         preconditions_met=True,
         mode="float",
         notes=note,

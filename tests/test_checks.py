@@ -445,6 +445,19 @@ class TestVariableZagrebBound:
         report = check_variable_zagreb_bound(cycle_graph(4), 0)[0]
         assert not report.preconditions_met
 
+    @pytest.mark.parametrize(
+        "checker", [check_variable_zagreb_bound, check_line_variable_zagreb_bound]
+    )
+    def test_exact_power_errors_do_not_fall_back_to_float(self, checker, monkeypatch):
+        import gaindex.checks
+
+        def broken(base, alpha):
+            raise ValueError("broken power")
+
+        monkeypatch.setattr(gaindex.checks, "_exact_pow", broken)
+        with pytest.raises(ValueError, match="broken power"):
+            checker(complete_graph(4), 1)
+
 
 class TestLineVariableZagrebBound:
     def test_cycle4_alpha_one_tight(self):
@@ -524,6 +537,16 @@ class TestRefinementAndRegistry:
     def test_unknown_id_rejected(self):
         with pytest.raises(KeyError, match="unknown check id"):
             run_checks(cycle_graph(4), ids=["nope"])
+
+    def test_unknown_id_rejected_before_any_checker_runs(self, monkeypatch):
+        import gaindex.checks
+
+        def fail(f):
+            raise AssertionError("a checker ran before the ids were validated")
+
+        monkeypatch.setitem(gaindex.checks._PLAIN_CHECKS, "edge_deletion_drop", fail)
+        with pytest.raises(KeyError, match="unknown check id 'bogus'"):
+            run_checks(complete_graph(60), ids=["edge_deletion_drop", "bogus"])
 
     def test_run_all_on_k1_all_skipped(self):
         g = from_edge_list(1, [])
@@ -649,33 +672,33 @@ class TestSharedFacts:
 
 
 class TestFloatPathAgreesWithExact:
-    def test_alpha_half_and_one_on_connected_graphs_up_to_six(self):
-        from gaindex.checks import (
-            _line_variable_zagreb_float,
-            _variable_zagreb_float,
-        )
+    def test_alpha_half_and_one_on_connected_graphs_up_to_six(self, monkeypatch):
+        # Covers every connected graph with n <= 7.  Float mode is forced by
+        # making every alpha fail to snap to a half-integer.
+        import gaindex.checks
         from gaindex.enumeration import connected_with_edges
         from gaindex.linegraph import GraphFacts
 
-        compared = 0
-        for g in connected_with_edges(6):
+        cases = []
+        for g in connected_with_edges(7):
             facts = GraphFacts(g)
+            checkers = [check_variable_zagreb_bound]
+            # Min degree 1 takes the vacuous exact branch in both modes.
+            if facts.nontrivial_reason is None and g.min_degree > 1:
+                checkers.append(check_line_variable_zagreb_bound)
             for alpha in (Fraction(1, 2), Fraction(1)):
-                cases = [(check_variable_zagreb_bound, _variable_zagreb_float)]
-                if facts.nontrivial_reason is None:
-                    cases.append(
-                        (check_line_variable_zagreb_bound, _line_variable_zagreb_float)
-                    )
-                for checker, float_path in cases:
+                for checker in checkers:
                     (exact,) = checker(facts, alpha)
-                    approx = float_path(facts, alpha)
-                    assert (exact.mode, approx.mode) == ("exact", "float")
-                    assert (approx.holds, approx.equality) == (
-                        exact.holds,
-                        exact.equality,
-                    ), (g, checker.__name__, alpha)
-                    compared += 1
-        assert compared > 500
+                    cases.append((g, checker, alpha, facts, exact))
+        monkeypatch.setattr(gaindex.checks, "_snap_exponent", lambda alpha: None)
+        for g, checker, alpha, facts, exact in cases:
+            (approx,) = checker(facts, alpha)
+            assert (exact.mode, approx.mode) == ("exact", "float")
+            assert (approx.holds, approx.equality) == (
+                exact.holds,
+                exact.equality,
+            ), (g, checker.__name__, alpha)
+        assert len(cases) > 500
 
 
 class TestRandomSweepSources:

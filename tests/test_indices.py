@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from gaindex.graphs import (
     complete_bipartite_graph,
@@ -19,6 +21,8 @@ from gaindex.graphs import (
 )
 from gaindex.indices import (
     MAX_EXACT_EXPONENT,
+    NotRadicalError,
+    _exact_pow,
     chi_alpha,
     forgotten,
     ga1,
@@ -114,6 +118,34 @@ class TestVariableIndices:
     def test_exponent_at_the_limit_is_exact(self):
         value = m1_alpha(star_graph(5), MAX_EXACT_EXPONENT)
         assert value.exact == RadicalNumber(4**MAX_EXACT_EXPONENT + 4)
+
+
+class TestExactPow:
+    @given(
+        st.fractions(min_value=0, max_value=50, max_denominator=20),
+        st.integers(min_value=-12, max_value=12),
+    )
+    def test_matches_float_power_on_rational_bases(self, base, doubled):
+        alpha = Fraction(doubled, 2)
+        assume(base or alpha >= 0)
+        value = _exact_pow(base, alpha)
+        assert value.to_float() == pytest.approx(float(base) ** float(alpha), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1, 4), 0.25])
+    def test_exponent_outside_half_integers_raises(self, alpha):
+        with pytest.raises(NotRadicalError):
+            _exact_pow(2, alpha)
+
+    def test_irrational_radical_to_a_half_raises(self):
+        with pytest.raises(NotRadicalError):
+            _exact_pow(RadicalNumber({2: 1, 1: 1}), Fraction(1, 2))
+
+    def test_radical_bases(self):
+        irrational = RadicalNumber({2: 3})
+        assert _exact_pow(irrational, 1) == irrational
+        assert _exact_pow(RadicalNumber(Fraction(9, 4)), 0.5) == RadicalNumber(
+            Fraction(3, 2)
+        )
 
 
 class TestNamedWrappers:

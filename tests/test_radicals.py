@@ -88,6 +88,10 @@ class TestVectorSpaceLaws:
     def test_scale_distributes(self, a, b, r):
         assert (a + b) * r == a * r + b * r
 
+    @given(radical_numbers(), rationals)
+    def test_rational_factor_matches_general_product(self, a, r):
+        assert a * r == r * a == a * RadicalNumber(r)
+
     @given(radical_numbers())
     def test_additive_inverse(self, a):
         assert a + (-a) == RadicalNumber(0)
