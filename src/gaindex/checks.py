@@ -15,6 +15,8 @@ import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .graphs import (
@@ -510,7 +512,8 @@ def check_variable_zagreb_bound(
             * power(small, 0.5)
             * power(m, (2 * a + 1) / (2 * a))
         )
-        var_zagreb = sum(cnt * power(d, 1 - a) for d, cnt in degs.items())
+        # Left to right on every Python: 3.12's sum() compensates float rounding.
+        var_zagreb = reduce(add, (cnt * power(d, 1 - a) for d, cnt in degs.items()), 0)
         return num, big * power(var_zagreb, 1 / (2 * a))
 
     return [
@@ -570,7 +573,8 @@ def check_line_variable_zagreb_bound(
                 * power(growth, (2 * a + 1) / (2 * a))
             )
             den = 4 * (big - 1)
-        chi = sum(cnt * power(u + v, 1 - a) for (u, v), cnt in f.degree_pairs.items())
+        terms = (cnt * power(u + v, 1 - a) for (u, v), cnt in f.degree_pairs.items())
+        chi = reduce(add, terms, 0)  # left to right, as for var_zagreb above
         return num, den * power(chi, 1 / (2 * a))
 
     return [_power_bound(check_id, f.line, rhs, alpha, f"alpha={alpha}; float mode")]
@@ -617,10 +621,10 @@ def check_line_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckRepor
             )
         ]
     growth = f.m1 - 2 * g.m
-    chi = sum(
-        cnt * _exact_pow(u + v, Fraction(3, 2))
-        for (u, v), cnt in f.degree_pairs.items()
-    )
+    sums: Counter[int] = Counter()
+    for (u, v), cnt in f.degree_pairs.items():
+        sums[u + v] += cnt
+    chi = sum(cnt * _exact_pow(s, Fraction(3, 2)) for s, cnt in sums.items())
     multiplier = 2 * (big - 1) * RadicalNumber.sqrt_int(big - 1) * chi
     rhs_cmp = (
         RadicalNumber.sqrt_int(2 * small - 2)

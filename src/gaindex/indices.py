@@ -13,11 +13,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Callable
 
 from .graphs import Graph
-from .radicals import RadicalNumber
+from .radicals import RadicalNumber, radical_sqrt
 
 __all__ = [
     "IndexValue",
@@ -110,10 +111,11 @@ def _degree_pairs(g: Graph) -> Counter[tuple[int, int]]:
 
 def _ga1_exact(pairs: Counter[tuple[int, int]]) -> RadicalNumber:
     """GA1 from the degree-pair counts of :func:`_degree_pairs`."""
-    terms: dict[int, Fraction] = {}
+    den = math.lcm(*(a + b for a, b in pairs))
+    terms: dict[int, int] = {}
     for (a, b), count in pairs.items():
-        terms[a * b] = terms.get(a * b, 0) + Fraction(2 * count, a + b)
-    return RadicalNumber(terms)
+        terms[a * b] = terms.get(a * b, 0) + 2 * count * (den // (a + b))
+    return RadicalNumber(terms) / den
 
 
 def ga1(g: Graph) -> IndexValue:
@@ -167,10 +169,17 @@ def _exact_pow(
         base = base.rational_part
     if base < 0:
         raise NotRadicalError(f"negative base {base}")
-    base = Fraction(base)
+    p, r = base.numerator, base.denominator
+    if num < 0:  # base**-x == (1/base)**x
+        if not p:
+            raise ZeroDivisionError(f"zero to the power {alpha}")
+        p, r, num = r, p, -num
+    k = num // den
     if den == 1:
-        return RadicalNumber(base**num)
-    return RadicalNumber.sqrt_fraction(base) * base ** ((num - 1) // 2)
+        return RadicalNumber._raw({1: p**k}, r**k)
+    # (p/r)**(k + 1/2) == p**k * s*sqrt(q) / r**(k+1), where p*r == s*s*q
+    s, q = radical_sqrt(p * r) if p else (0, 1)
+    return RadicalNumber._raw({q: s * p**k}, r ** (k + 1))
 
 
 def _sum_powers(counts: Counter[int], alpha: float | Fraction) -> IndexValue:
@@ -180,8 +189,9 @@ def _sum_powers(counts: Counter[int], alpha: float | Fraction) -> IndexValue:
         for base, count in sorted(counts.items()):
             total = total + count * _exact_pow(base, snapped)
         return IndexValue.of_exact(total)
-    total_f = sum(count * float(base) ** float(alpha) for base, count in counts.items())
-    return IndexValue.of_float(total_f)
+    powers = (count * float(base) ** float(alpha) for base, count in counts.items())
+    # Left to right on every Python: 3.12's sum() compensates float rounding.
+    return IndexValue.of_float(reduce(add, powers, 0))
 
 
 def m1_alpha(g: Graph, alpha: float | int | Fraction) -> IndexValue:

@@ -1,19 +1,23 @@
 """Exact arithmetic in the rational span of square roots of squarefree integers.
 
-A value is stored as a map ``q -> c_q`` meaning ``sum c_q * sqrt(q)``, with
-every key a squarefree positive integer and every coefficient a nonzero
-rational.  Square roots of distinct squarefree integers are linearly
-independent over the rationals, so the map is a canonical form: two values are
-equal exactly when their maps coincide.  Strict order is decided by interval
-refinement with escalating precision, which terminates because distinct values
-are distinct real numbers.
+A value ``sum n_q * sqrt(q) / den`` is stored as one positive integer
+denominator ``den`` and a map ``q -> n_q`` of nonzero integer numerators, with
+every key a squarefree positive integer and ``den`` coprime to the numerators
+taken together.  Square roots of distinct squarefree integers are linearly
+independent over the rationals, so this is a canonical form: two values are
+equal exactly when their denominators and maps coincide.  Each operation works
+on integers and divides out one gcd at the end.  A product of two radicands
+splits without factoring: with ``g = gcd(q1, q2)``,
+``sqrt(q1*q2) = g * sqrt((q1/g) * (q2/g))``, and that radicand is squarefree.
+Strict order is decided by interval refinement with escalating precision,
+which terminates because distinct values are distinct real numbers.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "RadicalNumber",
@@ -56,83 +60,80 @@ def radical_sqrt(k: int) -> tuple[int, int]:
     return s, q * rem
 
 
-def _as_fraction(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value: Rational) -> tuple[int, int]:
+    """``(numerator, denominator)`` of an int or Fraction."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
 class RadicalNumber:
     """An exact element of the rational span of sqrt(q) for squarefree q."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, value: Rational | dict[int, Rational] = 0):
-        terms: dict[int, Fraction] = {}
-        if isinstance(value, dict):
-            for q, c in value.items():
-                if not isinstance(q, int) or q < 1:
-                    raise ValueError(f"radicand must be a positive integer, got {q!r}")
-                coeff = _as_fraction(c)
-                if not coeff:
-                    continue
+        if not isinstance(value, dict):
+            value = {1: value}
+        den = lcm(*(_ratio(c)[1] for c in value.values()))
+        num: dict[int, int] = {}
+        for q, c in value.items():
+            if not isinstance(q, int) or q < 1:
+                raise ValueError(f"radicand must be a positive integer, got {q!r}")
+            if c:
                 s, qf = radical_sqrt(q)
-                cur = terms.get(qf)
-                new = (cur if cur is not None else Fraction(0)) + coeff * s
-                if new:
-                    terms[qf] = new
-                else:
-                    terms.pop(qf, None)
-        else:
-            coeff = _as_fraction(value)
-            if coeff:
-                terms[1] = coeff
-        self._terms = terms
+                num[qf] = num.get(qf, 0) + c.numerator * s * (den // c.denominator)
+        self._set(num, den)
+
+    def _set(self, num: dict[int, int], den: int) -> "RadicalNumber":
+        """Store ``sum num[q] * sqrt(q) / den`` in lowest terms and return self;
+        every key must be squarefree and ``den`` positive."""
+        if 0 in num.values():
+            num = {q: c for q, c in num.items() if c}
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {q: c // g for q, c in num.items()}
+            den //= g
+        self._num = num
+        self._den = den
+        return self
 
     @classmethod
-    def _raw(cls, terms: dict[int, Fraction]) -> "RadicalNumber":
-        """Internal constructor: terms already normalized."""
-        out = cls.__new__(cls)
-        out._terms = terms
-        return out
+    def _raw(cls, num: dict[int, int], den: int) -> "RadicalNumber":
+        """Internal constructor: squarefree keys, ``den > 0``, any common factor."""
+        return cls.__new__(cls)._set(num, den)
 
     @classmethod
     def sqrt_int(cls, k: int) -> "RadicalNumber":
         """Exact ``sqrt(k)`` for a positive integer ``k``."""
         s, q = radical_sqrt(k)
-        return cls._raw({q: Fraction(s)})
+        return cls._raw({q: s}, 1)
 
     @classmethod
     def sqrt_fraction(cls, r: Rational) -> "RadicalNumber":
         """Exact ``sqrt(r)`` for a nonnegative rational ``r``."""
-        frac = _as_fraction(r)
-        if frac < 0:
-            raise ValueError(f"cannot take a real square root of {frac}")
-        if frac == 0:
-            return cls._raw({})
-        # sqrt(a/b) = sqrt(a*b)/b
-        s, q = radical_sqrt(frac.numerator * frac.denominator)
-        return cls._raw({q: Fraction(s, frac.denominator)})
+        n, d = _ratio(r)
+        if n < 0:
+            raise ValueError(f"cannot take a real square root of {Fraction(n, d)}")
+        # sqrt(n/d) = sqrt(n*d)/d
+        s, q = radical_sqrt(n * d) if n else (0, 1)
+        return cls._raw({q: s}, d)
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        return {q: Fraction(c, self._den) for q, c in self._num.items()}
 
     @property
     def is_rational(self) -> bool:
-        return all(q == 1 for q in self._terms)
+        return all(q == 1 for q in self._num)
 
     @property
     def is_integer(self) -> bool:
-        if not self._terms:
-            return True
-        return self.is_rational and self._terms[1].denominator == 1
+        return self._den == 1 and self.is_rational
 
     @property
     def rational_part(self) -> Fraction:
-        return self._terms.get(1, Fraction(0))
+        return Fraction(self._num.get(1, 0), self._den)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -145,62 +146,48 @@ class RadicalNumber:
         if isinstance(other, RadicalNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            return RadicalNumber(other)
+            return RadicalNumber._raw({1: other.numerator}, other.denominator)
         return None
 
-    def __add__(self, other: object) -> "RadicalNumber":
+    def _combine(self, other: object, sign: int) -> "RadicalNumber":
+        """``self + sign * other``, over the lcm of the two denominators."""
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for q, c in rhs._terms.items():
-            new = terms.get(q, Fraction(0)) + c
-            if new:
-                terms[q] = new
-            else:
-                terms.pop(q, None)
-        return RadicalNumber._raw(terms)
+        g = gcd(self._den, rhs._den)
+        scale, rscale = rhs._den // g, sign * (self._den // g)
+        num = {q: c * scale for q, c in self._num.items()}
+        for q, c in rhs._num.items():
+            num[q] = num.get(q, 0) + c * rscale
+        return RadicalNumber._raw(num, self._den * scale)
+
+    def __add__(self, other: object) -> "RadicalNumber":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalNumber":
-        return RadicalNumber._raw({q: -c for q, c in self._terms.items()})
+        return RadicalNumber._raw({q: -c for q, c in self._num.items()}, self._den)
 
     def __sub__(self, other: object) -> "RadicalNumber":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        return self._combine(other, -1)
 
     def __rsub__(self, other: object) -> "RadicalNumber":
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs + (-self)
+        return -(self - other)
 
     def __mul__(self, other: object) -> "RadicalNumber":
-        if isinstance(other, (int, Fraction)):
-            # A rational factor only scales the coefficients.
-            if not other:
-                return RadicalNumber._raw({})
-            return RadicalNumber._raw({q: c * other for q, c in self._terms.items()})
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, (int, Fraction)):  # scales numerators and denominator
+            num = {q: c * other.numerator for q, c in self._num.items()}
+            return RadicalNumber._raw(num, self._den * other.denominator)
+        if not isinstance(other, RadicalNumber):
             return NotImplemented
-        terms: dict[int, Fraction] = {}
-        for q1, c1 in self._terms.items():
-            for q2, c2 in rhs._terms.items():
-                if q1 == q2:
-                    q, coeff = 1, c1 * c2 * q1
-                else:
-                    s, q = radical_sqrt(q1 * q2)
-                    coeff = c1 * c2 * s
-                new = terms.get(q, Fraction(0)) + coeff
-                if new:
-                    terms[q] = new
-                else:
-                    terms.pop(q, None)
-        return RadicalNumber._raw(terms)
+        num: dict[int, int] = {}
+        for q1, c1 in self._num.items():
+            for q2, c2 in other._num.items():
+                g = gcd(q1, q2)
+                q = (q1 // g) * (q2 // g)
+                num[q] = num.get(q, 0) + c1 * c2 * g
+        return RadicalNumber._raw(num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -208,14 +195,18 @@ class RadicalNumber:
         if isinstance(other, RadicalNumber):
             if not other.is_rational:
                 raise ValueError("division is supported only by nonzero rationals")
-            other = other.rational_part
-        divisor = _as_fraction(other)
-        if not divisor:
+            n, d = other._num.get(1, 0), other._den
+        else:
+            n, d = _ratio(other)
+        if not n:
             raise ZeroDivisionError("division by zero")
-        return RadicalNumber._raw({q: c / divisor for q, c in self._terms.items()})
+        if n < 0:
+            n, d = -n, -d
+        num = {q: c * d for q, c in self._num.items()}
+        return RadicalNumber._raw(num, self._den * n)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- comparisons ------------------------------------------------------
 
@@ -223,23 +214,22 @@ class RadicalNumber:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._terms == rhs._terms
+        return self._den == rhs._den and self._num == rhs._num
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        if self.is_rational:  # equal to its Fraction, so hashed like one
+            return hash(self.rational_part)
+        return hash(tuple(sorted(self.terms.items())))
 
     def _interval(self, bits: int) -> tuple[int, int, int]:
         """Integers ``(lo, hi, den)`` with ``lo/den <= value <= hi/den``.
 
-        ``den`` is the lcm of the coefficient denominators shifted left by
-        ``bits``, so each term is an integer numerator times a fixed-point
-        bound of its square root; no rational is normalized on the way.
+        ``den`` is the stored denominator shifted left by ``bits``, so each
+        term is its integer numerator times a fixed-point bound of its square
+        root; no rational is normalized on the way.
         """
-        terms = self._terms
-        common = lcm(*(c.denominator for c in terms.values()))
         lo = hi = 0
-        for q, c in terms.items():
-            k = c.numerator * (common // c.denominator)
+        for q, k in self._num.items():
             if q == 1:
                 lo += k << bits
                 hi += k << bits
@@ -253,15 +243,14 @@ class RadicalNumber:
             else:
                 lo += k * (root + 1)
                 hi += k * root
-        return lo, hi, common << bits
+        return lo, hi, self._den << bits
 
     def sign(self) -> int:
         """-1, 0 or 1; exact."""
-        if not self._terms:
+        if not self._num:
             return 0
-        if len(self._terms) == 1:
-            c = next(iter(self._terms.values()))
-            return 1 if c > 0 else -1
+        if len(self._num) == 1:
+            return 1 if next(iter(self._num.values())) > 0 else -1
         bits = _START_BITS
         while bits <= _MAX_BITS:
             lo, hi, _ = self._interval(bits)
@@ -270,31 +259,19 @@ class RadicalNumber:
             if hi < 0:
                 return -1
             bits *= 2
-        raise AssertionError(f"sign of nonzero value {self._terms!r} did not resolve")
+        raise AssertionError(f"sign of nonzero value {self} did not resolve")
 
     def __lt__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() >= 0
+        return (self - other).sign() >= 0
 
     # -- numeric conversion ----------------------------------------------
 
@@ -307,7 +284,7 @@ class RadicalNumber:
         """
         if bits < 32:
             raise ValueError(f"precision must be at least 32 bits, got {bits}")
-        if not self._terms:
+        if not self._num:
             return 0.0, 0.0
         work = bits + 16
         while True:
@@ -339,28 +316,26 @@ def compare(a: RadicalNumber, b: RadicalNumber | Rational) -> int:
     """Exact three-way comparison: -1 (less), 0 (equal) or 1 (greater)."""
     if not isinstance(b, RadicalNumber):
         b = RadicalNumber(b)
-    if a._terms == b._terms:
+    if a == b:
         return 0
     return (a - b).sign()
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def format_radical(value: RadicalNumber) -> str:
     """Canonical display form, e.g. ``1 + 4/3*sqrt(2)``; terms sorted by q."""
-    if not value._terms:
+    if not value._num:
         return "0"
+    den = value._den
     parts: list[str] = []
-    for q, c in sorted(value._terms.items()):
-        mag = abs(c)
+    for q, c in sorted(value._num.items()):
+        g = gcd(c, den)
+        mag = str(abs(c) // g) if den == g else f"{abs(c) // g}/{den // g}"
         if q == 1:
-            body = _format_coeff(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = f"sqrt({q})"
         else:
-            body = f"{_format_coeff(mag)}*sqrt({q})"
+            body = f"{mag}*sqrt({q})"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

@@ -510,6 +510,24 @@ class TestThreeHalfZagrebBounds:
         report = check_line_three_half_zagreb_bound(complete_graph(4))[0]
         assert report.holds
 
+    def test_line_version_one_power_per_degree_sum(self, monkeypatch):
+        import gaindex.checks
+        from gaindex.formats import parse_graph6
+        from gaindex.indices import _exact_pow
+
+        bases = []
+
+        def counting(base, alpha):
+            bases.append(base)
+            return _exact_pow(base, alpha)
+
+        # Degree pairs (2,3), (2,4), (3,3) and (3,4): (2,4) and (3,3) share u+v = 6.
+        g = parse_graph6("DL{")
+        expected = check_line_three_half_zagreb_bound(g)[0].to_dict()
+        monkeypatch.setattr(gaindex.checks, "_exact_pow", counting)
+        assert check_line_three_half_zagreb_bound(g)[0].to_dict() == expected
+        assert sorted(bases) == [5, 6, 7]
+
 
 class TestRefinementAndRegistry:
     def test_star_bound_refines_order_size_bounds(self):

@@ -108,6 +108,14 @@ class TestVariableIndices:
         value = m1_alpha(g, Fraction(1, 2))
         assert value.exact == RadicalNumber({3: 1, 1: 3})
 
+    def test_float_path_sums_left_to_right(self):
+        # Python 3.12's sum() compensates float rounding and gives
+        # 5.978005393200231 and 8.180569478715332 here, so output would
+        # depend on the interpreter.
+        g = from_edge_list(5, [(0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
+        assert m1_alpha(g, 0.3).approx == 5.97800539320023
+        assert chi_alpha(g, 0.3).approx == 8.180569478715334
+
     @pytest.mark.parametrize(
         "alpha", [10**300, 1e300, -(10**300), MAX_EXACT_EXPONENT + 1]
     )
@@ -130,6 +138,20 @@ class TestExactPow:
         assume(base or alpha >= 0)
         value = _exact_pow(base, alpha)
         assert value.to_float() == pytest.approx(float(base) ** float(alpha), rel=1e-12)
+
+    @given(
+        st.fractions(min_value=0, max_value=50, max_denominator=20),
+        st.integers(min_value=-12, max_value=12),
+    )
+    def test_square_is_the_rational_power(self, base, doubled):
+        assume(base or doubled >= 0)
+        value = _exact_pow(base, Fraction(doubled, 2))
+        assert value * value == RadicalNumber(base**doubled)
+
+    @pytest.mark.parametrize("alpha", [-1, Fraction(-1, 2), Fraction(-7, 2)])
+    def test_zero_to_a_negative_power_raises(self, alpha):
+        with pytest.raises(ZeroDivisionError):
+            _exact_pow(0, alpha)
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1, 4), 0.25])
     def test_exponent_outside_half_integers_raises(self, alpha):

@@ -318,6 +318,212 @@ class TestIntervalKernel:
             assert miss <= abs(true) * Decimal(2.0 ** (1 - bits) * (1 + 2.0**-50))
 
 
+# -- differential test of the integer-numerator kernel ------------------------
+#
+# The reference below is the Fraction-coefficient kernel that the integer one
+# replaced: one normalized Fraction per radicand, products split by factoring
+# q1*q2.  The integer kernel must give the same terms, signs, strings and
+# bit-identical floats.
+
+
+class FractionRadical:
+    """``sum c_q * sqrt(q)`` as a map ``q -> c_q`` of nonzero Fractions."""
+
+    def __init__(self, value: int | Fraction | dict[int, int | Fraction] = 0):
+        terms: dict[int, Fraction] = {}
+        if not isinstance(value, dict):
+            value = {1: value}
+        for q, c in value.items():
+            coeff = Fraction(c)
+            if not coeff:
+                continue
+            s, qf = radical_sqrt(q)
+            new = terms.get(qf, Fraction(0)) + coeff * s
+            if new:
+                terms[qf] = new
+            else:
+                terms.pop(qf, None)
+        self.terms = terms
+
+    @classmethod
+    def _raw(cls, terms: dict[int, Fraction]) -> "FractionRadical":
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @property
+    def rational_part(self) -> Fraction:
+        return self.terms.get(1, Fraction(0))
+
+    def _coerce(self, other) -> "FractionRadical":
+        return other if isinstance(other, FractionRadical) else FractionRadical(other)
+
+    def __add__(self, other) -> "FractionRadical":
+        terms = dict(self.terms)
+        for q, c in self._coerce(other).terms.items():
+            new = terms.get(q, Fraction(0)) + c
+            if new:
+                terms[q] = new
+            else:
+                terms.pop(q, None)
+        return FractionRadical._raw(terms)
+
+    def __neg__(self) -> "FractionRadical":
+        return FractionRadical._raw({q: -c for q, c in self.terms.items()})
+
+    def __sub__(self, other) -> "FractionRadical":
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other) -> "FractionRadical":
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other) -> "FractionRadical":
+        terms: dict[int, Fraction] = {}
+        for q1, c1 in self.terms.items():
+            for q2, c2 in self._coerce(other).terms.items():
+                if q1 == q2:
+                    q, coeff = 1, c1 * c2 * q1
+                else:
+                    s, q = radical_sqrt(q1 * q2)
+                    coeff = c1 * c2 * s
+                new = terms.get(q, Fraction(0)) + coeff
+                if new:
+                    terms[q] = new
+                else:
+                    terms.pop(q, None)
+        return FractionRadical._raw(terms)
+
+    def __truediv__(self, other) -> "FractionRadical":
+        if isinstance(other, FractionRadical):
+            assert all(q == 1 for q in other.terms)
+            other = other.rational_part
+        return FractionRadical._raw({q: c / other for q, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return self.terms == self._coerce(other).terms
+
+    def _interval(self, bits: int) -> tuple[int, int, int]:
+        common = math.lcm(*(c.denominator for c in self.terms.values()))
+        lo = hi = 0
+        for q, c in self.terms.items():
+            k = c.numerator * (common // c.denominator)
+            if q == 1:
+                lo += k << bits
+                hi += k << bits
+                continue
+            root = isqrt(q << (2 * bits))
+            if k > 0:
+                lo += k * root
+                hi += k * (root + 1)
+            else:
+                lo += k * (root + 1)
+                hi += k * root
+        return lo, hi, common << bits
+
+    def sign(self) -> int:
+        if not self.terms:
+            return 0
+        if len(self.terms) == 1:
+            return 1 if next(iter(self.terms.values())) > 0 else -1
+        bits = 64
+        while True:
+            lo, hi, _ = self._interval(bits)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            bits *= 2
+
+    def float_with_error(self, bits: int) -> tuple[float, float]:
+        if not self.terms:
+            return 0.0, 0.0
+        work = bits + 16
+        while True:
+            lo, hi, den = self._interval(work)
+            total = lo + hi
+            if total and (hi - lo) << bits <= abs(total):
+                mid = total / (2 * den)
+                return mid, (hi - lo) / (2 * den) + abs(mid) * 2.0**-52
+            work *= 2
+
+    def __str__(self) -> str:
+        def coeff(c: Fraction) -> str:
+            n, d = c.numerator, c.denominator
+            return str(n) if d == 1 else f"{n}/{d}"
+
+        if not self.terms:
+            return "0"
+        parts: list[str] = []
+        for q, c in sorted(self.terms.items()):
+            mag = abs(c)
+            if q == 1:
+                body = coeff(mag)
+            elif mag == 1:
+                body = f"sqrt({q})"
+            else:
+                body = f"{coeff(mag)}*sqrt({q})"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
+
+
+def assert_matches(value: RadicalNumber, ref: FractionRadical) -> None:
+    terms = value.terms
+    assert terms == ref.terms
+    assert all(type(c) is Fraction for c in terms.values())
+    assert value.rational_part == ref.rational_part
+    assert type(value.rational_part) is Fraction
+    assert str(value) == str(ref)
+    assert value.sign() == ref.sign()
+    for bits in (32, 53):
+        assert value.float_with_error(bits) == ref.float_with_error(bits)
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6), wide_rationals
+)
+
+
+class TestIntegerKernel:
+    @given(st.dictionaries(any_radicands, coefficients, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_construction_matches_fraction_reference(self, terms):
+        assert_matches(RadicalNumber(terms), FractionRadical(terms))
+
+    @given(kernel_inputs(), kernel_inputs(), wide_rationals)
+    @settings(max_examples=150, deadline=None)
+    def test_operations_match_fraction_reference(self, a, b, r):
+        ra, rb = FractionRadical(a.terms), FractionRadical(b.terms)
+        assert_matches(a, ra)
+        assert_matches(a + b, ra + rb)
+        assert_matches(a - b, ra - rb)
+        assert_matches(r - a, r - ra)
+        assert_matches(a * b, ra * rb)
+        assert_matches(a * r, ra * r)
+        if r:
+            assert_matches(a / r, ra / r)
+            assert_matches(b / RadicalNumber(r), rb / FractionRadical(r))
+        for x, y, rx, ry in ((a, b, ra, rb), (a + b - b, a, ra + rb - rb, ra)):
+            assert (x == y) == (rx == ry)
+        assert (a == r) == (ra == r)
+
+    @given(kernel_inputs(), wide_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_equal_values_hash_equal(self, a, r):
+        assert hash(a + r - r) == hash(a)
+        assert hash(RadicalNumber(r)) == hash(r)
+        if not a.is_rational:
+            assert hash(a) == hash(tuple(sorted(a.terms.items())))
+
+    def test_rational_values_hash_like_their_fraction(self):
+        assert len({RadicalNumber(2), 2}) == 1
+        assert hash(RadicalNumber(Fraction(-7, 3))) == hash(Fraction(-7, 3))
+        assert hash(RadicalNumber(0)) == hash(0)
+        assert RadicalNumber({2: 1}) - RadicalNumber.sqrt_int(8) / 2 in {0}
+
+
 class TestDisplayFormat:
     def test_examples(self):
         assert format_radical(RadicalNumber(0)) == "0"
