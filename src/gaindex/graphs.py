@@ -382,6 +382,15 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
     Entry ``k-1`` packs the adjacency bits between position ``k`` and positions
     ``0..k-1`` (earlier position = more significant bit).  Minimizing this
     tuple lexicographically is exact, so equal keys mean isomorphic graphs.
+
+    The search places one vertex per position, depth first.  Each unplaced
+    vertex carries its column against the placed prefix, and placing ``v``
+    appends one bit to every other column.  Only vertices of minimum column
+    can come next.  Of twins (equal open or closed neighborhoods) one is
+    tried.  A branch whose prefix equals that of the best key found so far is
+    cut as soon as its next column is larger than the best key's; a complete
+    labeling that is smaller replaces it.  This is branch and bound on the
+    exact minimum, so the key is the same as that of a full search.
     """
     n = g.n
     if n > CANONICAL_MAX_N:
@@ -400,44 +409,46 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
     if g.m == n * (n - 1) // 2:
         return tuple((1 << k) - 1 for k in range(1, n))
 
-    def best_suffix(chosen: list[int], remaining: list[int]) -> list[int]:
-        if not remaining:
-            return []
-        k = len(chosen)
-        scored: list[tuple[int, int]] = []
-        for v in remaining:
-            mv = masks[v]
-            col = 0
-            for j, u in enumerate(chosen):
-                if (mv >> u) & 1:
-                    col |= 1 << (k - 1 - j)
-            scored.append((col, v))
-        cmin = min(c for c, _ in scored)
-        best: list[int] | None = None
-        seen_open: set[int] = set()
-        seen_closed: set[int] = set()
-        for col, v in scored:
-            if col != cmin:
-                continue
-            # Twins (same open or closed neighborhood) are interchangeable by
-            # an automorphism fixing everything else; explore one of each.
-            sig_open = masks[v]
-            sig_closed = masks[v] | (1 << v)
-            if sig_open in seen_open or sig_closed in seen_closed:
-                continue
-            seen_open.add(sig_open)
-            seen_closed.add(sig_closed)
-            chosen.append(v)
-            rest = [w for w in remaining if w != v]
-            suffix = best_suffix(chosen, rest)
-            chosen.pop()
-            if best is None or suffix < best:
-                best = suffix
-        assert best is not None
-        return [cmin] + best
+    best: list[int] = []  # the smallest full column list so far
+    prefix: list[int] = []
 
-    cols = best_suffix([], list(range(n)))
-    return tuple(cols[1:])  # position 0 contributes no bits
+    def search(cols: dict[int, int], tied: bool) -> None:
+        # ``cols`` maps each unplaced vertex to its column against ``prefix``;
+        # ``tied`` says that ``prefix`` equals the start of ``best``.
+        nonlocal best
+        cmin = min(cols.values())
+        if tied:
+            bound = best[len(prefix)]
+            if cmin > bound:
+                return
+            tied = cmin == bound
+        prefix.append(cmin)
+        if len(cols) == 1:
+            if not tied:
+                best = prefix.copy()
+        else:
+            seen_open: set[int] = set()
+            seen_closed: set[int] = set()
+            for v, col in cols.items():
+                if col != cmin:
+                    continue
+                # Twins (same open or closed neighborhood) are interchangeable
+                # by an automorphism fixing everything else; explore one of each.
+                mv = masks[v]
+                closed = mv | (1 << v)
+                if mv in seen_open or closed in seen_closed:
+                    continue
+                seen_open.add(mv)
+                seen_closed.add(closed)
+                child = {w: (c << 1) | ((mv >> w) & 1) for w, c in cols.items() if w != v}
+                search(child, tied)
+                # The first child ends on a leaf no worse than ``best``, which
+                # therefore starts with ``prefix`` from here on.
+                tied = True
+        prefix.pop()
+
+    search(dict.fromkeys(range(n), 0), False)
+    return tuple(best[1:])  # position 0 contributes no bits
 
 
 def canonical_form(g: Graph) -> str:

@@ -74,7 +74,9 @@ class RadicalNumber:
 
     def __init__(self, value: Rational | dict[int, Rational] = 0):
         if not isinstance(value, dict):
-            value = {1: value}
+            n, d = _ratio(value)
+            self._set({1: n}, d)
+            return
         den = lcm(*(_ratio(c)[1] for c in value.values()))
         num: dict[int, int] = {}
         for q, c in value.items():

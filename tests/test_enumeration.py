@@ -6,6 +6,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,7 @@ from gaindex.enumeration import (
     random_connected,
     verify_no_preimage,
 )
+from gaindex.formats import to_graph6
 from gaindex.graphs import (
     canonical_form,
     cycle_graph,
@@ -39,6 +41,8 @@ from gaindex.graphs import (
 )
 from gaindex.indices import ga1
 from gaindex.radicals import RadicalNumber
+
+ROOT = Path(__file__).resolve().parents[1]
 
 try:
     import networkx as nx
@@ -110,6 +114,13 @@ class TestEnumerationCounts:
             enumerate_connected(9, max_n=8)
         with pytest.raises(ValueError):
             enumerate_connected(8)  # needs the explicit max_n=8 opt-in
+
+    def test_representatives_and_order_match_stored_file(self):
+        # The benchmark's input file holds the graph6 of enumerate_connected(n),
+        # n = 2..7, in the order the enumeration returns them.
+        stored = (ROOT / "perfbench" / "data" / "connected_n2_7.g6").read_text().splitlines()
+        produced = [to_graph6(g) for n in range(2, 8) for g in enumerate_connected(n)]
+        assert produced == stored
 
     def test_isolated_vertex_flagged(self):
         (k1,) = enumerate_connected(1)

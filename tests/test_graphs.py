@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaindex.enumeration import _augmented_classes
 from gaindex.formats import (
     Graph6Error,
     iter_graph6,
@@ -60,6 +61,52 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
     return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def reference_canonical_key(g: Graph) -> tuple[int, ...]:
+    """The previous search, kept as an oracle: at each position rebuild every
+    remaining vertex's column against the chosen prefix, recurse into each
+    minimum-column vertex (one per twin class) and keep the smallest suffix.
+    No bound against earlier branches."""
+    n = g.n
+    if n <= 1:
+        return ()
+    masks = [0] * n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+
+    def best_suffix(chosen: list[int], remaining: list[int]) -> list[int]:
+        if not remaining:
+            return []
+        k = len(chosen)
+        scored: list[tuple[int, int]] = []
+        for v in remaining:
+            col = 0
+            for j, u in enumerate(chosen):
+                if (masks[v] >> u) & 1:
+                    col |= 1 << (k - 1 - j)
+            scored.append((col, v))
+        cmin = min(c for c, _ in scored)
+        best: list[int] | None = None
+        seen_open: set[int] = set()
+        seen_closed: set[int] = set()
+        for col, v in scored:
+            if col != cmin:
+                continue
+            if masks[v] in seen_open or masks[v] | (1 << v) in seen_closed:
+                continue
+            seen_open.add(masks[v])
+            seen_closed.add(masks[v] | (1 << v))
+            chosen.append(v)
+            suffix = best_suffix(chosen, [w for w in remaining if w != v])
+            chosen.pop()
+            if best is None or suffix < best:
+                best = suffix
+        assert best is not None
+        return [cmin] + best
+
+    return tuple(best_suffix([], list(range(n)))[1:])
 
 
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
@@ -304,6 +351,30 @@ class TestCanonicalForm:
             n = rng.randint(2, 6)
             g = random_graph(rng, n, p=rng.choice([0.2, 0.5, 0.8]))
             assert canonical_key(g) == brute_min_key(g)
+
+    def test_matches_reference_on_grown_graphs(self):
+        # Every graph the enumeration builds for n <= 6: each class one vertex
+        # smaller plus a new vertex joined to a nonempty set of old ones.
+        checked = 0
+        for n in range(2, 7):
+            for g in _augmented_classes(n - 1, trees=False):
+                for size in range(1, n):
+                    for joined in combinations(range(n - 1), size):
+                        new_edges = tuple((v, n - 1) for v in joined)
+                        grown = from_edge_list(n, g.edges + new_edges)
+                        assert canonical_key(grown) == reference_canonical_key(grown)
+                        checked += 1
+        assert checked == 1 + 3 + 14 + 90 + 651
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=0.1, max_value=0.9),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_matches_reference_on_random_graphs(self, n, p, seed):
+        g = random_graph(random.Random(seed), n, p)
+        assert canonical_key(g) == reference_canonical_key(g)
 
     def test_canonical_graph_is_isomorphic_rep(self):
         rng = random.Random(14)

@@ -492,6 +492,19 @@ class TestIntegerKernel:
     def test_construction_matches_fraction_reference(self, terms):
         assert_matches(RadicalNumber(terms), FractionRadical(terms))
 
+    @given(coefficients)
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_construction_matches_dict_form(self, c):
+        assert_matches(RadicalNumber(c), FractionRadical(c))
+        assert RadicalNumber(c) == RadicalNumber({1: c})
+
+    @pytest.mark.parametrize("bad", [1.5, "2", None, Decimal(1)])
+    def test_construction_rejects_non_rationals(self, bad):
+        with pytest.raises(TypeError):
+            RadicalNumber(bad)
+        with pytest.raises(TypeError):
+            RadicalNumber({1: bad})
+
     @given(kernel_inputs(), kernel_inputs(), wide_rationals)
     @settings(max_examples=150, deadline=None)
     def test_operations_match_fraction_reference(self, a, b, r):
