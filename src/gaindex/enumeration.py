@@ -75,8 +75,9 @@ def enumerate_trees(n: int) -> tuple[Graph, ...]:
 def enumerate_connected(n: int, max_n: int = 7) -> tuple[Graph, ...]:
     """One canonical representative per connected graph on n vertices.
 
-    Exhaustive and exact; bounded because canonical forms are brute force.
-    Orders up to 7 are the supported default; 8 works but takes minutes.
+    Exhaustive and exact; bounded because canonical keys are an exhaustive
+    search.  Orders up to 7 are the supported default (n = 7 takes about 1 s);
+    n = 8 (11,117 classes) takes 35 to 45 s, both on 2 cores with Python 3.11.
     """
     limit = min(max_n, ENUMERATION_MAX_N)
     if not 1 <= n <= limit:

@@ -442,8 +442,8 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
                 seen_closed.add(closed)
                 child = {w: (c << 1) | ((mv >> w) & 1) for w, c in cols.items() if w != v}
                 search(child, tied)
-                # The first child ends on a leaf no worse than ``best``, which
-                # therefore starts with ``prefix`` from here on.
+                # Now ``best`` starts with ``prefix``: either it already did,
+                # or the child, never cut, ended on a smaller leaf.
                 tied = True
         prefix.pop()
 

@@ -64,10 +64,10 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
 
 
 def reference_canonical_key(g: Graph) -> tuple[int, ...]:
-    """The previous search, kept as an oracle: at each position rebuild every
-    remaining vertex's column against the chosen prefix, recurse into each
-    minimum-column vertex (one per twin class) and keep the smallest suffix.
-    No bound against earlier branches."""
+    """Oracle for :func:`canonical_key` without its bound: at each position
+    rebuild every remaining vertex's column against the chosen prefix,
+    recurse into each minimum-column vertex (one per twin class) and keep the
+    smallest suffix."""
     n = g.n
     if n <= 1:
         return ()
