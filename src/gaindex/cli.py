@@ -29,6 +29,7 @@ from .formats import (
 from .graphs import Graph, canonical_form, classify, graph_name
 from .indices import all_indices, chi_alpha, m1_alpha, m2_alpha
 from .linegraph import GraphFacts, line_zagreb_identity, verify_degree_identity
+from .report import json_rows
 from .sweeps import exhaustive_sweep, random_sweep
 
 # Display floats are float64, so 53 bits is also the most a value can carry.
@@ -191,14 +192,22 @@ def cmd_linegraph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_rows(g: Graph, reports) -> list[dict]:
-    graph6 = to_graph6(g)
-    rows = []
-    for report in reports:
-        row = report.to_dict()
-        row["graph6"] = graph6
-        rows.append(row)
-    return rows
+def _report_rows(reports, graph6: str) -> list[dict]:
+    return [{**report.to_dict(), "graph6": graph6} for report in reports]
+
+
+def _write_json_rows(rows: list[str], out: io.TextIOBase) -> None:
+    """Write ``json_rows`` items as the JSON array ``json.dump`` would.
+
+    One ``write`` per row and per separator, never the joined output: that
+    keeps memory flat and no string handed to ``out`` is longer than a row.
+    """
+    sep = "[\n"
+    for row in rows:
+        out.write(sep)
+        out.write(row)
+        sep = ",\n"
+    out.write("\n]\n" if rows else "[]\n")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -212,13 +221,20 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"unknown check ids {unknown}; available: {', '.join(CHECK_IDS)}"
             )
     alphas = tuple(args.alpha) if args.alpha else DEFAULT_ALPHAS
-    rows = []
+    as_json = args.format == "json"
+    encode = json_rows if as_json else _report_rows
+    rows: list = []
     violated = False
+    # Every graph is checked and encoded before the first write, so a failure
+    # leaves stdout empty.
     for g in graphs:
         reports = run_checks(g, ids=ids, alphas=alphas)
         violated = violated or any(r.violated for r in reports)
-        rows.extend(_report_rows(g, reports))
-    _emit_rows(rows, args.format, sys.stdout)
+        rows.extend(encode(reports, to_graph6(g)))
+    if as_json:
+        _write_json_rows(rows, sys.stdout)
+    else:
+        _emit_rows(rows, args.format, sys.stdout)
     return 1 if violated else 0
 
 

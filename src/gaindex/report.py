@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Callable
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable
 
 from .indices import IndexValue
 from .radicals import RadicalNumber, compare
 
-__all__ = ["CheckReport", "exact_report", "float_report", "skipped_report"]
+__all__ = ["CheckReport", "exact_report", "float_report", "json_rows", "skipped_report"]
 
 FLOAT_RTOL = 1e-9
 RECHECK_DIGITS = 80  # ~265 bits
@@ -50,6 +51,9 @@ class CheckReport:
         return self.lhs.approx - self.rhs.approx
 
     def to_dict(self) -> dict:
+        """The report as a ``text`` or ``csv`` row; ``json_rows`` writes the
+        same keys for ``json``."""
+
         def side(v: IndexValue) -> dict:
             return {
                 "exact": None if v.exact is None else str(v.exact),
@@ -71,6 +75,72 @@ class CheckReport:
             "mode": self.mode,
             "notes": self.notes,
         }
+
+
+# One item of ``json.dump(rows, indent=2, sort_keys=True)`` where each row is
+# ``to_dict()`` plus "graph6": keys sorted, the row at depth 1, its sides at 2.
+_JSON_SIDE = '{\n      "approx": %s,\n      "error": %s,\n      "exact": %s\n    }'
+_JSON_ROW = (
+    "  {\n"
+    '    "characterization_consistent": %s,\n'
+    '    "check_id": %s,\n'
+    '    "equality": %s,\n'
+    '    "graph6": %s,\n'
+    '    "holds": %s,\n'
+    '    "lhs": %s,\n'
+    '    "mode": %s,\n'
+    '    "notes": %s,\n'
+    '    "preconditions_met": %s,\n'
+    '    "predicted_equality": %s,\n'
+    '    "relation": %s,\n'
+    '    "rhs": %s,\n'
+    '    "slack": %s\n'
+    "  }"
+)
+_JSON_CONST = {True: "true", False: "false", None: "null"}
+
+
+def _json_float(x: float) -> str:
+    # float.__repr__ is what json writes for a float, and it raises on an int.
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_side(v: IndexValue) -> str:
+    exact = "null" if v.exact is None else encode_basestring_ascii(str(v.exact))
+    return _JSON_SIDE % (_json_float(v.approx), _json_float(v.error), exact)
+
+
+def json_rows(reports: Iterable[CheckReport], graph6: str) -> list[str]:
+    """One graph's reports as items of the ``check --format json`` array.
+
+    Each item is byte for byte what ``json.dump(rows, indent=2,
+    sort_keys=True)`` writes for the row ``{**r.to_dict(), "graph6": graph6}``,
+    filled into one fixed template instead of json's pure-Python indenting
+    encoder.  Strings go through json's own ASCII escaper.
+    """
+    g6 = encode_basestring_ascii(graph6)
+    const = _JSON_CONST
+    return [
+        _JSON_ROW
+        % (
+            const[r.characterization_consistent],
+            encode_basestring_ascii(r.check_id),
+            const[r.equality],
+            g6,
+            const[r.holds],
+            _json_side(r.lhs),
+            encode_basestring_ascii(r.mode),
+            encode_basestring_ascii(r.notes),
+            const[r.preconditions_met],
+            const[r.predicted_equality],
+            encode_basestring_ascii(r.relation),
+            _json_side(r.rhs),
+            _json_float(r.slack),
+        )
+        for r in reports
+    ]
 
 
 def _relation_outcome(relation: str, cmp: int) -> tuple[bool, bool]:
