@@ -5,16 +5,23 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gaindex
+from gaindex.checks import DEFAULT_ALPHAS, run_checks
 from gaindex.cli import main
-from gaindex.formats import parse_graph6
+from gaindex.enumeration import enumerate_connected
+from gaindex.formats import parse_graph6, parse_graph_spec, to_graph6
+from gaindex.indices import IndexValue
+from gaindex.report import float_report, json_rows
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -168,6 +175,103 @@ class TestCheck:
         )
         code, _, _ = run_cli(capsys, "check", "C4", "--format", "json")
         assert code == 1
+
+
+def reference_check_json(graphs, ids=None, alphas=DEFAULT_ALPHAS) -> str:
+    """``json.dump`` of ``to_dict`` rows: the reference output for ``json_rows``."""
+    rows = [
+        {**r.to_dict(), "graph6": to_graph6(g)}
+        for g in graphs
+        for r in run_checks(g, ids=ids, alphas=alphas)
+    ]
+    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+def paw_report():
+    """A report with radical sides and a characterization, so no null flags."""
+    reports = run_checks(parse_graph_spec("paw"), ids=["star_lower_bound"])
+    return next(r for r in reports if r.lhs.exact is not None)
+
+
+class TestCheckJsonEncoder:
+    """The fixed-schema encoder writes the bytes ``json.dump`` wrote."""
+
+    def test_connected_graphs_up_to_5(self, capsys, tmp_path):
+        graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+        path = tmp_path / "graphs.g6"
+        path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+        code, out, _ = run_cli(capsys, "check", "-i", str(path), "--format", "json")
+        assert code == 0
+        assert out == reference_check_json(graphs)
+
+    def test_float_mode_quotients_and_skipped_rows(self, capsys):
+        specs = ["C4", "K5", "S5", "paw", "P5", "K5,20", "DS1,2"]
+        alphas = ["2", "3/2", "1e300"]
+        argv = ["check", *specs, "--format", "json"]
+        for alpha in alphas:
+            argv += ["--alpha", alpha]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        expected = reference_check_json(
+            [parse_graph_spec(s) for s in specs],
+            alphas=tuple(Fraction(a) for a in alphas),
+        )
+        assert out == expected
+        rows = json.loads(out)
+        assert {r["mode"] for r in rows} == {"exact", "float", "skipped"}
+        assert any(r["mode"] == "exact" and r["rhs"]["exact"] is None for r in rows)
+        assert any(math.isnan(r["slack"]) for r in rows)
+
+    @pytest.mark.parametrize(
+        "theorems", ["star_lower_bound,line_sqrt_bound,variable_zagreb_bound", ","]
+    )
+    def test_theorem_subset(self, capsys, theorems):
+        specs = ["C4", "K5", "S5", "paw"]
+        code, out, _ = run_cli(
+            capsys, "check", *specs, "--theorems", theorems, "--format", "json"
+        )
+        ids = [tok for tok in theorems.split(",") if tok]
+        assert code == 0
+        assert out == reference_check_json([parse_graph_spec(s) for s in specs], ids)
+
+    def test_escapes_and_non_finite_floats(self):
+        base = paw_report()
+        notes = ['quote " backslash \\ newline \n bell \x07', "non-ASCII: é → 𝔾", ""]
+        sides = [
+            IndexValue.of_float(math.inf),
+            IndexValue.of_float(-math.inf),
+            IndexValue.of_float(math.nan),
+            base.rhs,
+        ]
+        reports = [
+            replace(base, notes=note, lhs=side, mode="float")
+            for note in notes
+            for side in sides
+        ]
+        # No true bound reaches the 256-bit re-check; an apparent violation does.
+        reports.append(float_report("forced", ">=", lambda power: (1.0, 1.5)))
+        assert "256-bit" in reports[-1].notes
+        graph6 = "C\\"  # graph6 characters include the backslash
+        rows = json_rows(reports, graph6)
+        expected = [{**r.to_dict(), "graph6": graph6} for r in reports]
+        assert "[\n" + ",\n".join(rows) + "\n]" == json.dumps(
+            expected, indent=2, sort_keys=True
+        )
+
+    def test_keys_match_to_dict(self):
+        report = paw_report()
+        (row,) = json_rows([report], "Cx")
+        decoded = json.loads(row)
+        fields = report.to_dict()
+        assert set(decoded) == set(fields) | {"graph6"}
+        assert set(decoded["lhs"]) == set(fields["lhs"])
+        assert set(decoded["rhs"]) == set(fields["rhs"])
+
+    def test_int_in_a_float_slot_raises(self):
+        # json.dump would print 1 where a float prints 1.0; refuse instead.
+        report = replace(paw_report(), lhs=IndexValue(None, lambda: (1, 0.0)))
+        with pytest.raises(TypeError):
+            json_rows([report], "Cx")
 
 
 class TestSweep:
@@ -340,6 +444,23 @@ class TestExitCodeContract:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "disk full" in err
+
+    def test_crash_after_first_graph_writes_nothing(self, capsys, monkeypatch):
+        from gaindex import cli as cli_module
+
+        checked = []
+
+        def fail_on_second(g, ids=None, alphas=None):
+            checked.append(g)
+            if len(checked) == 2:
+                raise RuntimeError("checker crashed")
+            return run_checks(g, ids=ids, alphas=alphas)
+
+        monkeypatch.setattr(cli_module, "run_checks", fail_on_second)
+        code, out, err = run_cli(capsys, "check", "C4", "K5", "--format", "json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "checker crashed" in err
 
     def test_closed_pipe_in_a_real_process(self):
         src = Path(gaindex.__file__).resolve().parents[1]
