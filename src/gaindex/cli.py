@@ -213,8 +213,10 @@ def _write_json_rows(rows: list[str], out: io.TextIOBase) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     graphs = _load_graphs(args)
     ids = None
-    if args.theorems and args.theorems != "all":
+    if args.theorems != "all":
         ids = [tok.strip() for tok in args.theorems.split(",") if tok.strip()]
+        if not ids:
+            raise UsageError(f"no check ids selected; available: {', '.join(CHECK_IDS)}")
         unknown = [tok for tok in ids if tok not in CHECK_IDS]
         if unknown:
             raise UsageError(

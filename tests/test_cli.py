@@ -223,14 +223,18 @@ class TestCheckJsonEncoder:
         assert any(math.isnan(r["slack"]) for r in rows)
 
     @pytest.mark.parametrize(
-        "theorems", ["star_lower_bound,line_sqrt_bound,variable_zagreb_bound", ","]
+        "theorems", ["star_lower_bound,line_sqrt_bound,variable_zagreb_bound", ",", ""]
     )
     def test_theorem_subset(self, capsys, theorems):
         specs = ["C4", "K5", "S5", "paw"]
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "check", *specs, "--theorems", theorems, "--format", "json"
         )
         ids = [tok for tok in theorems.split(",") if tok]
+        if not ids:  # an empty selection is a usage error, not a clean run
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            return
         assert code == 0
         assert out == reference_check_json([parse_graph_spec(s) for s in specs], ids)
 

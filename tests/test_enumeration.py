@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
 
+from gaindex import enumeration
 from gaindex.enumeration import (
     buckets_match_families,
     census_rows,
@@ -30,10 +32,13 @@ from gaindex.enumeration import (
 )
 from gaindex.formats import to_graph6
 from gaindex.graphs import (
+    Graph,
     canonical_form,
+    canonical_key,
     cycle_graph,
     double_star_graph,
     from_edge_list,
+    graph_from_key,
     graph_name,
     is_isomorphic,
     path_graph,
@@ -79,6 +84,64 @@ def labeled_class_count(n: int) -> int:
     return len(classes)
 
 
+@lru_cache(maxsize=None)
+def reference_augmented_classes(n: int, trees: bool) -> tuple[Graph, ...]:
+    """Generate-then-dedupe without the construction-path filter: every child
+    of every class one vertex smaller gets a canonical key."""
+    if n == 1:
+        return (from_edge_list(1, []),)
+    found = set()
+    for g in reference_augmented_classes(n - 1, trees):
+        for size in (1,) if trees else range(1, n):
+            for joined in combinations(range(n - 1), size):
+                grown = from_edge_list(n, g.edges + tuple((v, n - 1) for v in joined))
+                found.add(canonical_key(grown))
+    ordered = sorted(found, key=lambda key: (sum(map(int.bit_count, key)), key))
+    return tuple(graph_from_key(n, key) for key in ordered)
+
+
+class TestConstructionPathFilter:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_connected_match_reference(self, n):
+        assert enumerate_connected(n) == reference_augmented_classes(n, False)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_trees_match_reference(self, n):
+        assert enumerate_trees(n) == reference_augmented_classes(n, True)
+
+    def test_only_non_cut_vertices_can_beat_the_new_vertex(self):
+        def masks(g):
+            return [sum(1 << w for w in nbrs) for nbrs in g.adj]
+
+        # Path 0 - 2 - 1 with its centre last: leaf 0 is non-cut and beats it.
+        path = from_edge_list(3, [(0, 2), (1, 2)])
+        assert not enumeration._new_vertex_is_minimal(masks(path))
+        # Two K4s joined through the path 0 - 3 - 4 (n = 9).  Vertex 3 alone
+        # has the least f, but it is a cut vertex, so its class is reached
+        # only through a child whose new vertex is a degree-3 K4 vertex.
+        k4_pair = from_edge_list(
+            9,
+            list(combinations((0, 1, 2, 8), 2))
+            + list(combinations((4, 5, 6, 7), 2))
+            + [(0, 3), (3, 4)],
+        )
+        assert enumeration._new_vertex_is_minimal(masks(k4_pair))
+
+    def test_filter_skips_keys(self, monkeypatch):
+        expected = enumerate_connected(7)  # also fills the cache below n = 7
+        calls = 0
+
+        def counted(g):
+            nonlocal calls
+            calls += 1
+            return canonical_key(g)
+
+        monkeypatch.setattr(enumeration, "canonical_key", counted)
+        assert enumeration._augmented_classes.__wrapped__(7, False) == expected
+        children = len(enumerate_connected(6)) * (2**6 - 1)
+        assert len(expected) <= calls < children
+
+
 class TestEnumerationCounts:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_counts_match_brute_force_oracle(self, n):
@@ -111,9 +174,9 @@ class TestEnumerationCounts:
 
     def test_order_limit(self):
         with pytest.raises(ValueError, match="enumeration supports"):
-            enumerate_connected(9, max_n=8)
-        with pytest.raises(ValueError):
-            enumerate_connected(8)  # needs the explicit max_n=8 opt-in
+            enumerate_connected(9)
+        with pytest.raises(ValueError, match="enumeration supports"):
+            enumerate_connected(0)
 
     def test_representatives_and_order_match_stored_file(self):
         # The benchmark's input file holds the graph6 of enumerate_connected(n),
