@@ -27,7 +27,7 @@ from .graphs import (
     is_regular,
     is_star,
 )
-from .indices import NotRadicalError, _exact_pow, _ga1_exact, _snap_exponent
+from .indices import NotRadicalError, _exact_pow, _ga1_exact, _power_sum, _snap_exponent
 from .linegraph import (
     GraphFacts,
     line_regularity_characterization,
@@ -89,11 +89,13 @@ def ga_edge_term(x: Rational, y: Rational) -> RadicalNumber:
     return RadicalNumber.sqrt_fraction(fx * fy) * Fraction(2, 1) / (fx + fy)
 
 
-def _sqrt_scaled(radicand: int, coeff: Fraction) -> RadicalNumber:
-    """coeff * sqrt(radicand), tolerating radicand == 0."""
-    if radicand == 0 or coeff == 0:
+def _sqrt_scaled(radicand: int, num: int, den: int) -> RadicalNumber:
+    """``num / den * sqrt(radicand)`` for ``den > 0``, tolerating radicand == 0;
+    radicand 1 gives the rational ``num / den``."""
+    if radicand == 0:
         return RadicalNumber(0)
-    return RadicalNumber.sqrt_int(radicand) * coeff
+    s, q = radical_sqrt(radicand)
+    return RadicalNumber._raw({q: s * num}, den)
 
 
 # -- checkers over the base graph ------------------------------------------
@@ -110,7 +112,7 @@ def check_extreme_degree_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
         ]
     g = f.graph
     big, small = g.max_degree, g.min_degree
-    lower = _sqrt_scaled(big * small, Fraction(2 * g.m, big + small))
+    lower = _sqrt_scaled(big * small, 2 * g.m, big + small)
     return [
         exact_report(
             "extreme_degree_bounds.lower",
@@ -134,7 +136,7 @@ def check_order_size_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
     f = GraphFacts.of(g)
     g = f.graph
     reason = f.edge_reason
-    if reason is None and not g.is_connected:
+    if reason is None and not f.connected:
         reason = "requires a connected graph"
     if reason:
         return [
@@ -147,13 +149,13 @@ def check_order_size_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
             "order_size_bounds.order",
             ">=",
             f.ga1,
-            _sqrt_scaled(n - 1, Fraction(2 * (n - 1), n)),
+            _sqrt_scaled(n - 1, 2 * (n - 1), n),
         ),
         exact_report(
             "order_size_bounds.size",
             ">=",
             f.ga1,
-            RadicalNumber(Fraction(2 * g.m, n)),
+            _sqrt_scaled(1, 2 * g.m, n),
         ),
     ]
 
@@ -164,7 +166,7 @@ def check_star_lower_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     if f.edge_reason:
         return [skipped_report("star_lower_bound", ">=", f.edge_reason)]
     g = f.graph
-    bound = _sqrt_scaled(g.n - 1, Fraction(2 * g.m, g.n))
+    bound = _sqrt_scaled(g.n - 1, 2 * g.m, g.n)
     return [
         exact_report(
             "star_lower_bound", ">=", f.ga1, bound, predicted_equality=is_star(g)
@@ -185,7 +187,7 @@ def check_no_universal_vertex_bound(g: Graph | GraphFacts) -> list[CheckReport]:
             skipped_report("no_universal_vertex_bound.strict", ">", reason),
             skipped_report("no_universal_vertex_bound.tail", ">=", reason),
         ]
-    bound = _sqrt_scaled(g.n - 2, Fraction(2 * g.m, g.n - 1))
+    bound = _sqrt_scaled(g.n - 2, 2 * g.m, g.n - 1)
     out = [exact_report("no_universal_vertex_bound.strict", ">", f.ga1, bound)]
     if g.m >= g.n - 1:
         out.append(
@@ -193,7 +195,7 @@ def check_no_universal_vertex_bound(g: Graph | GraphFacts) -> list[CheckReport]:
                 "no_universal_vertex_bound.tail",
                 ">=",
                 bound,
-                _sqrt_scaled(g.n - 2, Fraction(2)),
+                _sqrt_scaled(g.n - 2, 2, 1),
             )
         )
     else:
@@ -246,7 +248,7 @@ def check_edge_deletion_drop(g: Graph | GraphFacts) -> list[CheckReport]:
                 )
             )
             continue
-        term = _sqrt_scaled(g.deg[u] * g.deg[v], Fraction(2, g.deg[u] + g.deg[v]))
+        term = _sqrt_scaled(g.deg[u] * g.deg[v], 2, g.deg[u] + g.deg[v])
         out.append(
             exact_report(
                 "edge_deletion_drop",
@@ -296,7 +298,7 @@ def check_line_ga_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
     g = f.graph
     big, small = g.max_degree, g.min_degree
     radicand = (big - 1) * (small - 1)
-    lower = _sqrt_scaled(radicand, Fraction(f.m1 - 2 * g.m, big + small - 2))
+    lower = _sqrt_scaled(radicand, f.m1 - 2 * g.m, big + small - 2)
     notes_lower = "vacuous: bound is zero (min degree 1)" if radicand == 0 else ""
     return [
         exact_report(
@@ -311,7 +313,7 @@ def check_line_ga_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
             "line_ga_bounds.upper",
             "<=",
             f.line.ga1,
-            RadicalNumber(Fraction(f.m1, 2) - g.m),
+            _sqrt_scaled(1, f.m1 - 2 * g.m, 2),
             predicted_equality=regular_line_condition(f),
             notes="upper bound tight exactly when the line graph is regular",
         ),
@@ -328,7 +330,7 @@ def check_nordhaus_gaddum(g: Graph | GraphFacts) -> list[CheckReport]:
         ]
     total = f.ga1 + f.line.ga1
     big, small = f.graph.max_degree, f.graph.min_degree
-    lower = _sqrt_scaled((big - 1) * (small - 1), Fraction(f.m1, big + small - 2))
+    lower = _sqrt_scaled((big - 1) * (small - 1), f.m1, big + small - 2)
     return [
         exact_report(
             "nordhaus_gaddum.lower", "<=", lower, total, predicted_equality=f.regular
@@ -337,7 +339,7 @@ def check_nordhaus_gaddum(g: Graph | GraphFacts) -> list[CheckReport]:
             "nordhaus_gaddum.upper",
             "<=",
             total,
-            RadicalNumber(Fraction(f.m1, 2)),
+            _sqrt_scaled(1, f.m1, 2),
             predicted_equality=f.regular,
         ),
     ]
@@ -351,8 +353,8 @@ def check_line_ga_ratio_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     g = f.graph
     hi = 2 * g.max_degree - 2
     lo = max(2 * g.min_degree - 2, 1)
-    candidate = _sqrt_scaled(hi * lo, Fraction(2, hi + lo))
-    path_factor = RadicalNumber({2: Fraction(3, 8)})  # 3/(4*sqrt(2))
+    candidate = _sqrt_scaled(hi * lo, 2, hi + lo)
+    path_factor = _sqrt_scaled(2, 3, 8)  # 3/(4*sqrt(2))
     factor = path_factor if compare(path_factor, candidate) <= 0 else candidate
     rhs = factor * f.ga1
     return [
@@ -395,7 +397,7 @@ def check_line_order_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     if f.nontrivial_reason:
         return [skipped_report("line_order_bound", ">=", f.nontrivial_reason)]
     m = f.graph.m
-    bound = _sqrt_scaled(m - 1, Fraction(2 * (m - 1), m))
+    bound = _sqrt_scaled(m - 1, 2 * (m - 1), m)
     return [exact_report("line_order_bound", ">=", f.line.ga1, bound)]
 
 
@@ -407,7 +409,7 @@ def check_line_sqrt_bound(g: Graph | GraphFacts) -> list[CheckReport]:
         reason = "a component is a path on at most 6 vertices"
     if reason:
         return [skipped_report("line_sqrt_bound", ">=", reason)]
-    bound = _sqrt_scaled(f.graph.m - 1, Fraction(2))
+    bound = _sqrt_scaled(f.graph.m - 1, 2, 1)
     return [exact_report("line_sqrt_bound", ">=", f.line.ga1, bound)]
 
 
@@ -451,19 +453,25 @@ def _power_bound(
 ) -> CheckReport:
     """Decide ``GA1 >= num / den`` for the graph of ``facts``, at exponent alpha.
 
-    ``rhs(a, power)`` evaluates the bound at exponent ``a`` with
-    ``power(x, y) = x**y`` and returns ``(num, den)``, den > 0.  Where alpha
-    snaps to a nonzero half-integer and every power the bound takes is a
-    radical, it is decided exactly by cross-multiplying with ``den``;
-    otherwise in float mode, skipped where a side leaves the float range.
-    ``rhs`` takes its root factor first, so that an exponent without exact
-    powers fails before any large power such as d^(1-a) is computed.  The
-    exact report alone carries ``predicted_equality``.
+    ``rhs(p, q, power, power_sum)`` evaluates the bound at exponent a = p/q
+    and returns ``(num, den)``, den > 0.  Each exponent i/j is passed as the
+    pair ``(i, j)`` of expressions in p and q, to ``power(x, (i, j))`` and to
+    ``power_sum(terms, (i, j))``, the sum of ``count * base**(i/j)`` over
+    pairs ``(base, count)``.  Where alpha snaps to a nonzero half-integer p/q
+    and every power is a radical, the bound is decided exactly by
+    cross-multiplying with ``den``; otherwise in float mode, with
+    ``p = float(alpha)``, ``q = 1`` and the float ``i / j`` as exponent,
+    skipped where a side leaves the float range.  ``rhs`` takes its root
+    factor first, so that an exponent without exact powers fails before any
+    large power such as d^(1-a) is computed.  The exact report alone carries
+    ``predicted_equality``.
     """
     snapped = _snap_exponent(alpha)
     if snapped:
         try:
-            num, den = rhs(snapped, _exact_pow)
+            num, den = rhs(
+                snapped.numerator, snapped.denominator, _exact_pow, _power_sum
+            )
         except NotRadicalError:
             pass
         else:
@@ -481,7 +489,15 @@ def _power_bound(
         lhs = 0
         for (u, v), cnt in facts.degree_pairs.items():
             lhs += cnt * 2 * power(u * v, 0.5) / (u + v)
-        num, den = rhs(float(alpha), power)
+
+        def pair_power(x, e):
+            return power(x, e[0] / e[1])
+
+        def power_sum(terms, e):
+            # Left to right on every Python: 3.12's sum() compensates float rounding.
+            return reduce(add, (cnt * pair_power(b, e) for b, cnt in terms), 0)
+
+        num, den = rhs(float(alpha), 1, pair_power, power_sum)
         return lhs, num / den
 
     try:
@@ -506,15 +522,14 @@ def check_variable_zagreb_bound(
     big, small, m = g.max_degree, g.min_degree, g.m
     degs = Counter(g.deg)
 
-    def rhs(a, power):
+    def rhs(p, q, power, power_sum):  # a = p/q
         num = (
-            power(2, 1 / (2 * a))
-            * power(small, 0.5)
-            * power(m, (2 * a + 1) / (2 * a))
+            power(2, (q, 2 * p))
+            * power(small, (1, 2))
+            * power(m, (2 * p + q, 2 * p))
         )
-        # Left to right on every Python: 3.12's sum() compensates float rounding.
-        var_zagreb = reduce(add, (cnt * power(d, 1 - a) for d, cnt in degs.items()), 0)
-        return num, big * power(var_zagreb, 1 / (2 * a))
+        var_zagreb = power_sum(degs.items(), (q - p, q))
+        return num, big * power(var_zagreb, (q, 2 * p))
 
     return [
         _power_bound(
@@ -557,25 +572,27 @@ def check_line_variable_zagreb_bound(
             )
         ]
 
-    def rhs(a, power):
-        if a <= 1:
+    # One term per degree pair, in its order: float mode adds them left to right.
+    chi_terms = [(u + v, cnt) for (u, v), cnt in f.degree_pairs.items()]
+
+    def rhs(p, q, power, power_sum):  # a = p/q
+        if p <= q:
             num = (
-                power(2 * small - 2, 0.5)
-                * power(big, (1 - a) / (2 * a))
-                * power(growth, (2 * a + 1) / (2 * a))
+                power(2 * small - 2, (1, 2))
+                * power(big, (q - p, 2 * p))
+                * power(growth, (2 * p + q, 2 * p))
             )
-            den = 4 * power(big - 1, (1 + a) / (2 * a))
+            den = 4 * power(big - 1, (q + p, 2 * p))
         else:
             num = (
-                power(2, 0.5)
-                * power(small - 1, (2 * a - 1) / (2 * a))
-                * power(small, (1 - a) / (2 * a))
-                * power(growth, (2 * a + 1) / (2 * a))
+                power(2, (1, 2))
+                * power(small - 1, (2 * p - q, 2 * p))
+                * power(small, (q - p, 2 * p))
+                * power(growth, (2 * p + q, 2 * p))
             )
             den = 4 * (big - 1)
-        terms = (cnt * power(u + v, 1 - a) for (u, v), cnt in f.degree_pairs.items())
-        chi = reduce(add, terms, 0)  # left to right, as for var_zagreb above
-        return num, den * power(chi, 1 / (2 * a))
+        chi = power_sum(chi_terms, (q - p, q))
+        return num, den * power(chi, (q, 2 * p))
 
     return [_power_bound(check_id, f.line, rhs, alpha, f"alpha={alpha}; float mode")]
 
@@ -587,7 +604,7 @@ def check_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     if f.edge_reason:
         return [skipped_report(check_id, ">=", f.edge_reason)]
     g = f.graph
-    var = sum(cnt * _exact_pow(d, Fraction(3, 2)) for d, cnt in Counter(g.deg).items())
+    var = sum(cnt * _exact_pow(d, (3, 2)) for d, cnt in Counter(g.deg).items())
     rhs_cmp = RadicalNumber.sqrt_int(g.min_degree) * (2 * g.m * g.m)
     return [
         exact_report(
@@ -624,7 +641,7 @@ def check_line_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckRepor
     sums: Counter[int] = Counter()
     for (u, v), cnt in f.degree_pairs.items():
         sums[u + v] += cnt
-    chi = sum(cnt * _exact_pow(s, Fraction(3, 2)) for s, cnt in sums.items())
+    chi = sum(cnt * _exact_pow(s, (3, 2)) for s, cnt in sums.items())
     multiplier = 2 * (big - 1) * RadicalNumber.sqrt_int(big - 1) * chi
     rhs_cmp = (
         RadicalNumber.sqrt_int(2 * small - 2)
@@ -695,7 +712,7 @@ def _wrap_line_regular_iff(f: GraphFacts) -> list[CheckReport]:
 
 def _wrap_line_tree_iff(f: GraphFacts) -> list[CheckReport]:
     reason = f.nontrivial_reason
-    if reason is None and not f.graph.is_connected:
+    if reason is None and not f.connected:
         reason = "requires a connected graph"
     if reason:
         return [skipped_report("line_tree_iff", "==", reason)]

@@ -265,7 +265,7 @@ def is_biregular(g: Graph) -> bool:
 
 
 def is_path(g: Graph) -> bool:
-    return g.n >= 2 and g.is_connected and g.m == g.n - 1 and g.max_degree <= 2
+    return g.n >= 2 and g.m == g.n - 1 and g.max_degree <= 2 and g.is_connected
 
 
 def is_cycle(g: Graph) -> bool:
@@ -273,8 +273,11 @@ def is_cycle(g: Graph) -> bool:
 
 
 def is_star(g: Graph) -> bool:
-    """Star on n >= 2 vertices (a single edge counts: it is the 2-vertex star)."""
-    return g.n >= 2 and g.is_connected and g.m == g.n - 1 and g.max_degree == g.n - 1
+    """Star on n >= 2 vertices (a single edge counts: it is the 2-vertex star).
+
+    A vertex of degree n - 1 reaches every other, so no search is needed.
+    """
+    return g.n >= 2 and g.m == g.n - 1 and g.max_degree == g.n - 1
 
 
 def is_double_star(g: Graph) -> bool:

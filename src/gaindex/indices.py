@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add
-from typing import Callable
+from typing import Callable, Iterable
 
 from .graphs import Graph
 from .radicals import RadicalNumber, radical_sqrt
@@ -114,8 +114,9 @@ def _ga1_exact(pairs: Counter[tuple[int, int]]) -> RadicalNumber:
     den = math.lcm(*(a + b for a, b in pairs))
     terms: dict[int, int] = {}
     for (a, b), count in pairs.items():
-        terms[a * b] = terms.get(a * b, 0) + 2 * count * (den // (a + b))
-    return RadicalNumber(terms) / den
+        s, q = radical_sqrt(a * b)
+        terms[q] = terms.get(q, 0) + 2 * count * s * (den // (a + b))
+    return RadicalNumber._raw(terms, den)
 
 
 def ga1(g: Graph) -> IndexValue:
@@ -142,37 +143,50 @@ class NotRadicalError(ValueError):
     """An exact power whose value need not lie in the rational radical span."""
 
 
-def _exact_pow(
-    base: int | Fraction | RadicalNumber, alpha: int | Fraction | float
-) -> RadicalNumber:
-    """Exact ``base ** alpha`` where it is known to be a radical.
+Exponent = int | Fraction | float | tuple[int, int]
 
-    That is a rational base >= 0 with alpha in Z or Z + 1/2, or a
-    ``RadicalNumber`` base with alpha == 1 or a rational value; a float alpha
-    is read exactly.  Anything else raises :class:`NotRadicalError`.
+
+def _half_integer(alpha: Exponent) -> tuple[int, int]:
+    """``alpha`` as a pair ``(num, den)`` in lowest terms with ``den`` 1 or 2.
+
+    ``alpha`` is a number, read exactly, or a pair ``(num, den)`` of
+    integers with ``den > 0``.  Raises :class:`NotRadicalError` off the
+    half-integers and ``ValueError`` above ``MAX_EXACT_EXPONENT``.
     """
-    if isinstance(alpha, float):
-        alpha = Fraction(alpha)
-    num, den = alpha.numerator, alpha.denominator
+    num, den = alpha if isinstance(alpha, tuple) else alpha.as_integer_ratio()
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     if den > 2:
-        raise NotRadicalError(f"exponent {alpha} is not a multiple of 1/2")
+        raise NotRadicalError(f"exponent {num}/{den} is not a multiple of 1/2")
     if abs(num) > den * MAX_EXACT_EXPONENT:
         raise ValueError(
             "exact powers need |alpha| <= MAX_EXACT_EXPONENT "
             f"({MAX_EXACT_EXPONENT})"
         )
+    return num, den
+
+
+def _exact_pow(base: int | Fraction | RadicalNumber, alpha: Exponent) -> RadicalNumber:
+    """Exact ``base ** alpha`` where it is known to be a radical.
+
+    That is a rational base >= 0 with alpha in Z or Z + 1/2, or a
+    ``RadicalNumber`` base with alpha == 1 or a rational value.  ``alpha`` is
+    read by :func:`_half_integer`; anything else raises
+    :class:`NotRadicalError`.
+    """
+    num, den = _half_integer(alpha)
     if isinstance(base, RadicalNumber):
         if num == den:
             return base
         if not base.is_rational:
-            raise NotRadicalError(f"irrational base to the power {alpha}")
+            raise NotRadicalError(f"irrational base to the power {num}/{den}")
         base = base.rational_part
     if base < 0:
         raise NotRadicalError(f"negative base {base}")
     p, r = base.numerator, base.denominator
     if num < 0:  # base**-x == (1/base)**x
         if not p:
-            raise ZeroDivisionError(f"zero to the power {alpha}")
+            raise ZeroDivisionError(f"zero to the power {num}/{den}")
         p, r, num = r, p, -num
     k = num // den
     if den == 1:
@@ -182,13 +196,23 @@ def _exact_pow(
     return RadicalNumber._raw({q: s * p**k}, r ** (k + 1))
 
 
+def _power_sum(terms: Iterable[tuple[int, int]], alpha: Exponent) -> RadicalNumber:
+    """Exact sum of ``count * base**alpha`` over pairs ``(base, count)``.
+
+    A nonnegative integer exponent is summed in integers and converted once,
+    so at alpha = 0 the sum is the total count.
+    """
+    num, den = _half_integer(alpha)
+    if den == 1 and num >= 0:
+        return RadicalNumber(sum(count * base**num for base, count in terms))
+    powers = (count * _exact_pow(base, (num, den)) for base, count in terms)
+    return sum(powers, RadicalNumber(0))
+
+
 def _sum_powers(counts: Counter[int], alpha: float | Fraction) -> IndexValue:
     snapped = _snap_exponent(alpha)
     if snapped is not None:
-        total = RadicalNumber(0)
-        for base, count in sorted(counts.items()):
-            total = total + count * _exact_pow(base, snapped)
-        return IndexValue.of_exact(total)
+        return IndexValue.of_exact(_power_sum(counts.items(), snapped))
     powers = (count * float(base) ** float(alpha) for base, count in counts.items())
     # Left to right on every Python: 3.12's sum() compensates float rounding.
     return IndexValue.of_float(reduce(add, powers, 0))

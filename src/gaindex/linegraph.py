@@ -84,6 +84,10 @@ class GraphFacts:
         return tuple(components(self.graph))
 
     @cached_property
+    def connected(self) -> bool:
+        return self.graph.is_connected
+
+    @cached_property
     def nontrivial(self) -> bool:
         return is_nontrivial(self.graph)
 
@@ -210,10 +214,10 @@ def line_tree_characterization(g: Graph | GraphFacts) -> list[CheckReport]:
     """
     f = GraphFacts.of(g)
     g = f.graph
-    if not g.is_connected:
+    if not f.connected:
         raise ValueError("tree characterization requires a connected graph")
     lg = f.line.graph
-    lg_is_tree = lg.is_connected and lg.m == lg.n - 1
+    lg_is_tree = f.line.connected and lg.m == lg.n - 1
     g_is_path = is_path(g)
     reports = [
         exact_report(

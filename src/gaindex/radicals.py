@@ -9,8 +9,11 @@ equal exactly when their denominators and maps coincide.  Each operation works
 on integers and divides out one gcd at the end.  A product of two radicands
 splits without factoring: with ``g = gcd(q1, q2)``,
 ``sqrt(q1*q2) = g * sqrt((q1/g) * (q2/g))``, and that radicand is squarefree.
-Strict order is decided by interval refinement with escalating precision,
-which terminates because distinct values are distinct real numbers.
+Order is decided in integers: :func:`compare` first bounds each side on its
+own at 64 bits and settles the comparison when the bounds are disjoint; only
+when they overlap does it test equality and take the sign of the exact
+difference, by interval refinement with escalating precision, which
+terminates because distinct values are distinct real numbers.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ __all__ = [
     "parse_radical",
 ]
 
-# Interval refinement starts here and doubles each round; a cap turns a
-# (mathematically impossible) non-terminating comparison into a loud error.
+# Interval bounds start here (compare's filter and sign's first round) and
+# double each round; a cap turns a (mathematically impossible)
+# non-terminating comparison into a loud error.
 _START_BITS = 64
 _MAX_BITS = 1 << 16
 
@@ -263,17 +267,17 @@ class RadicalNumber:
             bits *= 2
         raise AssertionError(f"sign of nonzero value {self} did not resolve")
 
-    def __lt__(self, other: object) -> bool:
-        return (self - other).sign() < 0
+    def __lt__(self, other: RadicalNumber | Rational) -> bool:
+        return compare(self, other) < 0
 
-    def __le__(self, other: object) -> bool:
-        return (self - other).sign() <= 0
+    def __le__(self, other: RadicalNumber | Rational) -> bool:
+        return compare(self, other) <= 0
 
-    def __gt__(self, other: object) -> bool:
-        return (self - other).sign() > 0
+    def __gt__(self, other: RadicalNumber | Rational) -> bool:
+        return compare(self, other) > 0
 
-    def __ge__(self, other: object) -> bool:
-        return (self - other).sign() >= 0
+    def __ge__(self, other: RadicalNumber | Rational) -> bool:
+        return compare(self, other) >= 0
 
     # -- numeric conversion ----------------------------------------------
 
@@ -314,10 +318,35 @@ class RadicalNumber:
         return f"RadicalNumber({format_radical(self)!r})"
 
 
-def compare(a: RadicalNumber, b: RadicalNumber | Rational) -> int:
-    """Exact three-way comparison: -1 (less), 0 (equal) or 1 (greater)."""
+def compare(
+    a: RadicalNumber,
+    b: RadicalNumber | Rational,
+    scale: RadicalNumber | Rational | None = None,
+) -> int:
+    """Exact three-way comparison of ``a * scale`` (default ``a``) with ``b``:
+    -1 (less), 0 (equal) or 1 (greater).
+
+    Each side is bounded on its own at 64 bits, a product by the bounds of
+    its factors.  Disjoint integer bounds decide; only overlapping ones lead
+    to building the exact product and difference.  A positive ``scale``
+    decides a quotient bound ``a >= b / scale`` by cross-multiplication.
+    """
     if not isinstance(b, RadicalNumber):
         b = RadicalNumber(b)
+    lo, hi, den = a._interval(_START_BITS)
+    if scale is not None:
+        if not isinstance(scale, RadicalNumber):
+            scale = RadicalNumber(scale)
+        slo, shi, sden = scale._interval(_START_BITS)
+        corners = (lo * slo, lo * shi, hi * slo, hi * shi)
+        lo, hi, den = min(corners), max(corners), den * sden
+    blo, bhi, bden = b._interval(_START_BITS)
+    if hi * bden < blo * den:
+        return -1
+    if lo * bden > bhi * den:
+        return 1
+    if scale is not None:
+        a = a * scale
     if a == b:
         return 0
     return (a - b).sign()

@@ -172,13 +172,14 @@ def exact_report(
     With a positive ``rhs_den`` the right side is the quotient
     ``rhs / rhs_den``.  Radicals divide only by rationals, so the quotient is
     decided by cross-multiplication, ``lhs * rhs_den`` against ``rhs``, and
-    displayed as a float only.
+    displayed as a float only; :func:`compare` forms that product only when
+    the integer bounds of the two sides overlap.
     """
     if rhs_den is None:
         cmp = compare(lhs, rhs)
         rhs_val = IndexValue.of_exact(rhs)
     else:
-        cmp = compare(lhs * rhs_den, rhs)
+        cmp = compare(lhs, rhs, rhs_den)
         rhs_val = IndexValue.of_quotient(rhs, rhs_den)
     holds, equality = _relation_outcome(relation, cmp)
     lhs_val = IndexValue.of_exact(lhs)
