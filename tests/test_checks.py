@@ -635,6 +635,24 @@ class TestDisplayFloatsOnRead:
         assert calls
 
 
+class TestConnectivityOncePerGraph:
+    def test_one_search_for_the_graph_and_one_for_its_line_graph(self, monkeypatch):
+        from gaindex.graphs import Graph
+
+        calls = []
+        search = Graph.is_connected.fget
+
+        def counting(self):
+            calls.append(self.n)
+            return search(self)
+
+        monkeypatch.setattr(Graph, "is_connected", property(counting))
+        g = from_edge_list(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+        ids = {r.check_id for r in run_checks(g)}
+        assert {"order_size_bounds.order", "line_tree_iff", "star_lower_bound"} <= ids
+        assert sorted(calls) == [5, g.m]  # G, then L(G) with m vertices
+
+
 class TestOutOfRangeAlpha:
     @pytest.mark.parametrize("alpha", [1e300, float("inf"), float("nan")])
     @pytest.mark.parametrize(

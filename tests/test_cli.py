@@ -204,6 +204,19 @@ class TestCheckJsonEncoder:
         assert code == 0
         assert out == reference_check_json(graphs)
 
+    def test_connected_graphs_up_to_6_pinned(self, capsys, tmp_path):
+        # Pinned bytes of every verdict, exact string and float.  At n = 6 the
+        # float-mode alpha = 2 bounds add terms whose order changes the last
+        # bit, so a reordered float sum shows here as well.
+        graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+        path = tmp_path / "graphs.g6"
+        path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+        code, out, _ = run_cli(capsys, "check", "-i", str(path), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fe01dae23a0e3857198c543fcc299e672abc92b23995461386e51004a8a5951c"
+        )
+
     def test_float_mode_quotients_and_skipped_rows(self, capsys):
         specs = ["C4", "K5", "S5", "paw", "P5", "K5,20", "DS1,2"]
         alphas = ["2", "3/2", "1e300"]
@@ -217,6 +230,11 @@ class TestCheckJsonEncoder:
             alphas=tuple(Fraction(a) for a in alphas),
         )
         assert out == expected
+        # Pinned bytes, so every float-mode float of the alpha bounds at these
+        # alphas is fixed, not only equal to what the same code computes.
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d7067c1a4b2cc10298266847e4eb8c7db594c37051d24e34c8fc531e6b22534f"
+        )
         rows = json.loads(out)
         assert {r["mode"] for r in rows} == {"exact", "float", "skipped"}
         assert any(r["mode"] == "exact" and r["rhs"]["exact"] is None for r in rows)

@@ -23,6 +23,7 @@ from gaindex.indices import (
     MAX_EXACT_EXPONENT,
     NotRadicalError,
     _exact_pow,
+    _power_sum,
     chi_alpha,
     forgotten,
     ga1,
@@ -168,6 +169,66 @@ class TestExactPow:
         assert _exact_pow(RadicalNumber(Fraction(9, 4)), 0.5) == RadicalNumber(
             Fraction(3, 2)
         )
+
+    @given(
+        st.fractions(min_value=0, max_value=50, max_denominator=20),
+        st.integers(min_value=-12, max_value=12),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_half_integer_pairs_match_fractions(self, base, doubled, scale):
+        # (doubled * scale, 2 * scale) is doubled/2 in any terms, reduced or not.
+        assume(base or doubled >= 0)
+        pair = (doubled * scale, 2 * scale)
+        assert _exact_pow(base, pair) == _exact_pow(base, Fraction(doubled, 2))
+        assert _exact_pow(RadicalNumber(base), pair) == _exact_pow(base, pair)
+
+    @pytest.mark.parametrize("pair", [(1, 3), (2, 6), (-1, 4), (5, 4), (3, 10)])
+    def test_other_pairs_raise(self, pair):
+        with pytest.raises(NotRadicalError):
+            _exact_pow(2, pair)
+
+    def test_pairs_obey_the_exponent_limit(self):
+        limit = MAX_EXACT_EXPONENT
+        assert _exact_pow(2, (2 * limit, 2)) == RadicalNumber(2**limit)
+        assert _exact_pow(2, (-3 * limit, 3)) == RadicalNumber(Fraction(1, 2**limit))
+        for pair in [(2 * limit + 1, 2), (-(limit + 1), 1), (4 * limit + 4, 4)]:
+            with pytest.raises(ValueError, match="MAX_EXACT_EXPONENT"):
+                _exact_pow(2, pair)
+
+
+class TestPowerSum:
+    @given(
+        st.dictionaries(st.integers(min_value=1, max_value=40), st.integers(1, 9)),
+        st.integers(min_value=-9, max_value=9),
+    )
+    def test_matches_the_sum_of_powers(self, counts, doubled):
+        expected = RadicalNumber(0)
+        for base, count in counts.items():
+            expected = expected + count * _exact_pow(base, Fraction(doubled, 2))
+        assert _power_sum(counts.items(), (doubled, 2)) == expected
+        # Repeated bases are separate terms.
+        twice = list(counts.items()) * 2
+        assert _power_sum(twice, Fraction(doubled, 2)) == expected * 2
+
+    def test_integer_exponents_give_rationals(self):
+        degrees = {3: 2, 2: 5}  # two vertices of degree 3, five of degree 2
+        assert _power_sum(degrees.items(), 0) == RadicalNumber(7)
+        assert _power_sum(degrees.items(), (0, 4)) == RadicalNumber(7)
+        assert _power_sum(degrees.items(), 2) == RadicalNumber(38)
+        assert _power_sum(degrees.items(), -1) == RadicalNumber(Fraction(19, 6))
+
+    def test_zero_base(self):
+        assert _power_sum([(0, 3), (4, 1)], (1, 2)) == RadicalNumber(2)
+        assert _power_sum([(0, 3)], 0) == RadicalNumber(3)
+        for alpha in [-1, Fraction(-1, 2)]:
+            with pytest.raises(ZeroDivisionError):
+                _power_sum([(0, 1), (2, 1)], alpha)
+
+    def test_half_integers_only(self):
+        with pytest.raises(NotRadicalError):
+            _power_sum([(2, 1)], (1, 3))
+        with pytest.raises(ValueError, match="MAX_EXACT_EXPONENT"):
+            _power_sum([(2, 1)], MAX_EXACT_EXPONENT + 1)
 
 
 class TestNamedWrappers:

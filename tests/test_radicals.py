@@ -318,6 +318,87 @@ class TestIntervalKernel:
             assert miss <= abs(true) * Decimal(2.0 ** (1 - bits) * (1 + 2.0**-50))
 
 
+# -- differential test of compare's enclosure filter ---------------------------
+#
+# compare decides from the 64-bit bounds of each side when they are disjoint
+# and builds the exact difference only when they overlap.  The reference is
+# the sign of that difference, taken every time.
+
+
+@st.composite
+def comparison_triples(draw):
+    """``(a, b, d)`` of both signs, with ``b`` random, equal to ``a`` or to
+    ``a * d``, or one of those moved by a tiny nonzero value."""
+    values = st.one_of(radical_numbers(), kernel_inputs())
+    a, d = draw(values), draw(values)
+    kind = draw(st.sampled_from(["random", "a", "a*d"]))
+    b = draw(values) if kind == "random" else a + 0 if kind == "a" else a * d
+    if draw(st.booleans()):
+        b = b + draw(near_cancelling())
+    return a, b, d
+
+
+def sqrt2_floor_64() -> Fraction:
+    """``floor(sqrt(2) * 2^64) / 2^64``: the lower 64-bit bound of sqrt(2)."""
+    return Fraction(isqrt(2 << 128), 1 << 64)
+
+
+class TestCompareFilter:
+    @given(comparison_triples())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_sign_of_difference(self, triple):
+        a, b, d = triple
+        assert compare(a, b) == (a - b).sign()
+        assert compare(a, b, d) == (a * d - b).sign()
+        assert compare(a, a + 0) == compare(a, a * d, d) == 0
+
+    # sqrt(2) * 2^64 = isqrt(2 << 128) + 0.699..., so each of these rationals
+    # lies in the 64-bit enclosure of sqrt(2), on either side of it.
+    @pytest.mark.parametrize(
+        "offset, expected",
+        [(Fraction(0), 1), (Fraction(1, 1 << 70), 1), (Fraction(3, 1 << 66), -1)],
+    )
+    def test_overlapping_enclosures_fall_back_to_the_exact_sign(
+        self, offset, expected
+    ):
+        sqrt2 = RadicalNumber.sqrt_int(2)
+        near = sqrt2_floor_64() + offset
+        lo, hi, den = sqrt2._interval(64)
+        assert lo <= near * den <= hi  # the filter cannot decide
+        assert compare(sqrt2, near) == expected
+        assert compare(RadicalNumber(near), sqrt2) == -expected
+        assert compare(sqrt2, 3 * near, 3) == expected
+        assert compare(sqrt2, 3 * near, RadicalNumber(3)) == expected
+
+    def test_disjoint_enclosures_form_no_difference_or_product(self, monkeypatch):
+        counts = {"sub": 0, "mul": 0}
+        sub, mul = RadicalNumber.__sub__, RadicalNumber.__mul__
+
+        def counting_sub(self, other):
+            counts["sub"] += 1
+            return sub(self, other)
+
+        def counting_mul(self, other):
+            counts["mul"] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(RadicalNumber, "__sub__", counting_sub)
+        monkeypatch.setattr(RadicalNumber, "__mul__", counting_mul)
+        ga1_p4 = RadicalNumber({1: 1, 2: Fraction(4, 3)})  # GA1 of the 4-vertex path
+        sqrt3 = RadicalNumber.sqrt_int(3)
+        assert compare(ga1_p4, 3) < 0
+        assert compare(ga1_p4, RadicalNumber(2)) > 0
+        assert compare(ga1_p4, sqrt3 + 1, sqrt3) > 0
+        assert compare(ga1_p4, 11, RadicalNumber({2: 1, 5: 1})) < 0
+        assert RadicalNumber.sqrt_int(2) < sqrt3
+        assert counts == {"sub": 0, "mul": 0}
+        # A tie builds the product once and no difference; a near miss both.
+        assert compare(sqrt3, RadicalNumber(6), RadicalNumber.sqrt_int(12)) == 0
+        assert counts == {"sub": 0, "mul": 1}
+        assert compare(RadicalNumber.sqrt_int(2), sqrt2_floor_64(), 1) == 1
+        assert counts == {"sub": 1, "mul": 2}
+
+
 # -- differential test of the integer-numerator kernel ------------------------
 #
 # The reference below is the Fraction-coefficient kernel that the integer one
