@@ -23,7 +23,7 @@ from .graphs import (
     Graph,
     is_biregular,
     is_minimal_edge,
-    is_path,
+    is_path_component,
     is_regular,
     is_star,
 )
@@ -374,7 +374,7 @@ def check_line_vs_graph_regular(g: Graph | GraphFacts) -> list[CheckReport]:
     f = GraphFacts.of(g)
     reason = f.nontrivial_reason
     if reason is None:
-        if any(c.n == 3 and is_path(c) for c in f.components):
+        if any(c.n == 3 and is_path_component(c) for c in f.components):
             reason = "a component is the 3-vertex path"
         elif not all(is_regular(c) or is_biregular(c) for c in f.components):
             reason = "every component must be regular or biregular"
@@ -405,7 +405,7 @@ def check_line_sqrt_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     """GA1(L(G)) >= 2*sqrt(m-1) when no component is a path on <= 6 vertices."""
     f = GraphFacts.of(g)
     reason = f.nontrivial_reason
-    if reason is None and any(is_path(c) and c.n <= 6 for c in f.components):
+    if reason is None and any(c.n <= 6 and is_path_component(c) for c in f.components):
         reason = "a component is a path on at most 6 vertices"
     if reason:
         return [skipped_report("line_sqrt_bound", ">=", reason)]

@@ -265,7 +265,13 @@ def is_biregular(g: Graph) -> bool:
 
 
 def is_path(g: Graph) -> bool:
-    return g.n >= 2 and g.m == g.n - 1 and g.max_degree <= 2 and g.is_connected
+    return is_path_component(g) and g.is_connected
+
+
+def is_path_component(g: Graph) -> bool:
+    """:func:`is_path` for a graph known to be connected, such as one of
+    :func:`components`: n - 1 edges and no degree above 2, without a search."""
+    return g.n >= 2 and g.m == g.n - 1 and g.max_degree <= 2
 
 
 def is_cycle(g: Graph) -> bool:

@@ -21,7 +21,7 @@ from .graphs import (
     from_edge_list,
     is_biregular,
     is_nontrivial,
-    is_path,
+    is_path_component,
     is_regular,
 )
 from .indices import _degree_pairs, _ga1_exact
@@ -85,7 +85,7 @@ class GraphFacts:
 
     @cached_property
     def connected(self) -> bool:
-        return self.graph.is_connected
+        return len(self.components) <= 1
 
     @cached_property
     def nontrivial(self) -> bool:
@@ -217,8 +217,9 @@ def line_tree_characterization(g: Graph | GraphFacts) -> list[CheckReport]:
     if not f.connected:
         raise ValueError("tree characterization requires a connected graph")
     lg = f.line.graph
-    lg_is_tree = f.line.connected and lg.m == lg.n - 1
-    g_is_path = is_path(g)
+    # G is connected here, and so is its line graph.
+    lg_is_tree = lg.m == lg.n - 1
+    g_is_path = is_path_component(g)
     reports = [
         exact_report(
             "line_tree_iff",

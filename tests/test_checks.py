@@ -636,21 +636,35 @@ class TestDisplayFloatsOnRead:
 
 
 class TestConnectivityOncePerGraph:
-    def test_one_search_for_the_graph_and_one_for_its_line_graph(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "g",
+        [
+            from_edge_list(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]),
+            path_graph(5),
+        ],
+        ids=["bowtie", "P5"],
+    )
+    def test_one_search_of_the_graph_and_none_of_its_line_graph(self, g, monkeypatch):
+        import gaindex.linegraph as linegraph
         from gaindex.graphs import Graph
 
         calls = []
         search = Graph.is_connected.fget
+        split = linegraph.components
 
-        def counting(self):
+        def counting_search(self):
             calls.append(self.n)
             return search(self)
 
-        monkeypatch.setattr(Graph, "is_connected", property(counting))
-        g = from_edge_list(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+        def counting_split(h):
+            calls.append(h.n)
+            return split(h)
+
+        monkeypatch.setattr(Graph, "is_connected", property(counting_search))
+        monkeypatch.setattr(linegraph, "components", counting_split)
         ids = {r.check_id for r in run_checks(g)}
         assert {"order_size_bounds.order", "line_tree_iff", "star_lower_bound"} <= ids
-        assert sorted(calls) == [5, g.m]  # G, then L(G) with m vertices
+        assert calls == [5]  # the components of G; L(G) has g.m vertices
 
 
 class TestOutOfRangeAlpha:
