@@ -145,7 +145,8 @@ def components(g: Graph) -> list[Graph]:
     """Connected components as standalone graphs (vertices relabeled in order).
 
     Isolated vertices come back as single-vertex components, so callers can
-    reject edgeless pieces explicitly.
+    reject edgeless pieces explicitly.  A connected graph is its own single
+    component and comes back as itself.
     """
     seen = [False] * g.n
     out: list[Graph] = []
@@ -161,6 +162,8 @@ def components(g: Graph) -> list[Graph]:
                     seen[w] = True
                     comp.append(w)
                     stack.append(w)
+        if len(comp) == g.n:
+            return [g]
         comp.sort()
         out.append(induced_subgraph(g, comp))
     return out

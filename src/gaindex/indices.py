@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add
 from typing import Callable, Iterable
 
@@ -48,7 +48,9 @@ class IndexValue:
     """An index value: exact radical form when available, float always.
 
     ``approx`` and its absolute ``error`` only serve display, since verdicts
-    are decided on ``exact``; ``estimate`` computes them on first read.
+    are decided on ``exact``; each read calls ``estimate``.  For an exact
+    value that is its ``float_with_error``, which the value computes once
+    and keeps, so deciding a verdict computes no float.
     """
 
     exact: RadicalNumber | None
@@ -73,17 +75,13 @@ class IndexValue:
 
         return cls(None, estimate)
 
-    @cached_property
-    def _display(self) -> tuple[float, float]:
-        return self.estimate()
-
     @property
     def approx(self) -> float:
-        return self._display[0]
+        return self.estimate()[0]
 
     @property
     def error(self) -> float:
-        return self._display[1]
+        return self.estimate()[1]
 
     def __str__(self) -> str:
         if self.exact is not None:

@@ -9,11 +9,14 @@ equal exactly when their denominators and maps coincide.  Each operation works
 on integers and divides out one gcd at the end.  A product of two radicands
 splits without factoring: with ``g = gcd(q1, q2)``,
 ``sqrt(q1*q2) = g * sqrt((q1/g) * (q2/g))``, and that radicand is squarefree.
-Order is decided in integers: :func:`compare` first bounds each side on its
-own at 64 bits and settles the comparison when the bounds are disjoint; only
-when they overlap does it test equality and take the sign of the exact
-difference, by interval refinement with escalating precision, which
-terminates because distinct values are distinct real numbers.
+Order is decided in integers.  Every value keeps one integer enclosure at
+``_START_BITS``, computed when first needed: :func:`compare` settles a
+comparison when the enclosures of its sides are disjoint; only when they
+overlap does it test equality and take the sign of the exact difference, by
+interval refinement with escalating precision, which terminates because
+distinct values are distinct real numbers.  The same enclosure is the first
+round of the default 53-bit display float, and a value keeps that float and
+its display string once computed.
 """
 
 from __future__ import annotations
@@ -30,10 +33,14 @@ __all__ = [
     "parse_radical",
 ]
 
-# Interval bounds start here (compare's filter and sign's first round) and
-# double each round; a cap turns a (mathematically impossible)
-# non-terminating comparison into a loud error.
-_START_BITS = 64
+# A display float of b bits is read from bounds of b + _GUARD_BITS bits.
+# The enclosure each value keeps is the first round of the default 53-bit
+# display, so compare's filter, sign's first round and display share it.
+# Refinement doubles the width each round; a cap turns a (mathematically
+# impossible) non-terminating comparison into a loud error.
+_DISPLAY_BITS = 53
+_GUARD_BITS = 16
+_START_BITS = _DISPLAY_BITS + _GUARD_BITS
 _MAX_BITS = 1 << 16
 
 Rational = int | Fraction
@@ -72,9 +79,13 @@ def _ratio(value: Rational) -> tuple[int, int]:
 
 
 class RadicalNumber:
-    """An exact element of the rational span of sqrt(q) for squarefree q."""
+    """An exact element of the rational span of sqrt(q) for squarefree q.
 
-    __slots__ = ("_num", "_den")
+    Values are immutable.  Each keeps, once computed, its enclosure at
+    ``_START_BITS``, its 53-bit ``float_with_error`` and its display string.
+    """
+
+    __slots__ = ("_num", "_den", "_bounds", "_display", "_text")
 
     def __init__(self, value: Rational | dict[int, Rational] = 0):
         if not isinstance(value, dict):
@@ -102,6 +113,7 @@ class RadicalNumber:
             den //= g
         self._num = num
         self._den = den
+        self._bounds = self._display = self._text = None
         return self
 
     @classmethod
@@ -251,21 +263,26 @@ class RadicalNumber:
                 hi += k * root
         return lo, hi, self._den << bits
 
+    def _enclosure(self) -> tuple[int, int, int]:
+        """``_interval(_START_BITS)``, computed on first use and kept."""
+        if self._bounds is None:
+            self._bounds = self._interval(_START_BITS)
+        return self._bounds
+
     def sign(self) -> int:
         """-1, 0 or 1; exact."""
         if not self._num:
             return 0
         if len(self._num) == 1:
             return 1 if next(iter(self._num.values())) > 0 else -1
+        lo, hi, _ = self._enclosure()
         bits = _START_BITS
-        while bits <= _MAX_BITS:
-            lo, hi, _ = self._interval(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+        while lo <= 0 <= hi:
             bits *= 2
-        raise AssertionError(f"sign of nonzero value {self} did not resolve")
+            if bits > _MAX_BITS:
+                raise AssertionError(f"sign of nonzero value {self} did not resolve")
+            lo, hi, _ = self._interval(bits)
+        return 1 if lo > 0 else -1
 
     def __lt__(self, other: RadicalNumber | Rational) -> bool:
         return compare(self, other) < 0
@@ -281,20 +298,27 @@ class RadicalNumber:
 
     # -- numeric conversion ----------------------------------------------
 
-    def float_with_error(self, bits: int = 53) -> tuple[float, float]:
+    def float_with_error(self, bits: int = _DISPLAY_BITS) -> tuple[float, float]:
         """Approximation and an absolute error bound.
 
         The relative error is at most ``2**(1 - bits)`` (down to float64
         resolution); internal precision escalates until cancellation between
-        terms is resolved.
+        terms is resolved.  The 53-bit pair is computed once per value.
         """
+        if bits != _DISPLAY_BITS:
+            return self._float_with_error(bits)
+        if self._display is None:
+            self._display = self._float_with_error(bits)
+        return self._display
+
+    def _float_with_error(self, bits: int) -> tuple[float, float]:
         if bits < 32:
             raise ValueError(f"precision must be at least 32 bits, got {bits}")
         if not self._num:
             return 0.0, 0.0
-        work = bits + 16
+        work = bits + _GUARD_BITS
+        lo, hi, den = self._enclosure() if work == _START_BITS else self._interval(work)
         while True:
-            lo, hi, den = self._interval(work)
             total = lo + hi
             if total and (hi - lo) << bits <= abs(total):
                 # int / int rounds correctly, as Fraction.__float__ does.
@@ -303,8 +327,9 @@ class RadicalNumber:
             if work > _MAX_BITS:
                 raise AssertionError("precision escalation did not converge")
             work *= 2
+            lo, hi, den = self._interval(work)
 
-    def to_float(self, bits: int = 53) -> float:
+    def to_float(self, bits: int = _DISPLAY_BITS) -> float:
         return self.float_with_error(bits)[0]
 
     __float__ = to_float
@@ -312,7 +337,9 @@ class RadicalNumber:
     # -- display ----------------------------------------------------------
 
     def __str__(self) -> str:
-        return format_radical(self)
+        if self._text is None:
+            self._text = format_radical(self)
+        return self._text
 
     def __repr__(self) -> str:
         return f"RadicalNumber({format_radical(self)!r})"
@@ -326,21 +353,22 @@ def compare(
     """Exact three-way comparison of ``a * scale`` (default ``a``) with ``b``:
     -1 (less), 0 (equal) or 1 (greater).
 
-    Each side is bounded on its own at 64 bits, a product by the bounds of
-    its factors.  Disjoint integer bounds decide; only overlapping ones lead
-    to building the exact product and difference.  A positive ``scale``
-    decides a quotient bound ``a >= b / scale`` by cross-multiplication.
+    Each side is bounded by the enclosures its values keep, a product by
+    those of its factors.  Disjoint integer bounds decide; only overlapping
+    ones lead to building the exact product and difference.  A positive
+    ``scale`` decides a quotient bound ``a >= b / scale`` by
+    cross-multiplication.
     """
     if not isinstance(b, RadicalNumber):
         b = RadicalNumber(b)
-    lo, hi, den = a._interval(_START_BITS)
+    lo, hi, den = a._enclosure()
     if scale is not None:
         if not isinstance(scale, RadicalNumber):
             scale = RadicalNumber(scale)
-        slo, shi, sden = scale._interval(_START_BITS)
+        slo, shi, sden = scale._enclosure()
         corners = (lo * slo, lo * shi, hi * slo, hi * shi)
         lo, hi, den = min(corners), max(corners), den * sden
-    blo, bhi, bden = b._interval(_START_BITS)
+    blo, bhi, bden = b._enclosure()
     if hi * bden < blo * den:
         return -1
     if lo * bden > bhi * den:

@@ -635,6 +635,24 @@ class TestDisplayFloatsOnRead:
         assert calls
 
 
+class TestEnclosureOncePerValue:
+    def test_run_checks_bounds_each_value_once(self, monkeypatch):
+        from gaindex import radicals
+
+        bounded = []
+        original = RadicalNumber._interval
+
+        def counting(self, bits):
+            if bits == radicals._START_BITS:
+                bounded.append(self)  # kept alive, so no id is reused
+            return original(self, bits)
+
+        monkeypatch.setattr(RadicalNumber, "_interval", counting)
+        run_checks(petersen_graph())
+        assert bounded
+        assert len({id(v) for v in bounded}) == len(bounded)
+
+
 class TestConnectivityOncePerGraph:
     @pytest.mark.parametrize(
         "g",

@@ -207,15 +207,21 @@ class TestCheckJsonEncoder:
     def test_connected_graphs_up_to_6_pinned(self, capsys, tmp_path):
         # Pinned bytes of every verdict, exact string and float.  At n = 6 the
         # float-mode alpha = 2 bounds add terms whose order changes the last
-        # bit, so a reordered float sum shows here as well.
+        # bit, so a reordered float sum shows here as well.  The csv and text
+        # rows come from to_dict, which reads the same display floats and
+        # strings as the json encoder.
         graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
         path = tmp_path / "graphs.g6"
         path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
-        code, out, _ = run_cli(capsys, "check", "-i", str(path), "--format", "json")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "fe01dae23a0e3857198c543fcc299e672abc92b23995461386e51004a8a5951c"
-        )
+        digests = {
+            "json": "fe01dae23a0e3857198c543fcc299e672abc92b23995461386e51004a8a5951c",
+            "csv": "e64f6291d5d86bcb1d02428f9288230df381d9103db81f1ff6562182322eadef",
+            "text": "2c5f34628c3b6926a6bcd026b345e95c652abe44b5b3791430bc3f12c116a91b",
+        }
+        for fmt, digest in digests.items():
+            code, out, _ = run_cli(capsys, "check", "-i", str(path), "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
     def test_float_mode_quotients_and_skipped_rows(self, capsys):
         specs = ["C4", "K5", "S5", "paw", "P5", "K5,20", "DS1,2"]

@@ -194,6 +194,11 @@ class TestComponents:
         g = cycle_graph(4)
         assert len(components(g)) == 1
 
+    @pytest.mark.parametrize("g", [path_graph(1), path_graph(2), complete_graph(4)])
+    def test_connected_graph_is_its_own_component(self, g):
+        # Returned as itself, not rebuilt as a relabeled copy.
+        assert components(g)[0] is g
+
     def test_isolated_vertex_flagged(self):
         g = from_edge_list(3, [(0, 1)])
         assert g.isolated_vertices == (2,)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaindex import radicals
 from gaindex.radicals import (
     RadicalNumber,
     compare,
@@ -320,7 +321,7 @@ class TestIntervalKernel:
 
 # -- differential test of compare's enclosure filter ---------------------------
 #
-# compare decides from the 64-bit bounds of each side when they are disjoint
+# compare decides from the enclosures of its sides when they are disjoint
 # and builds the exact difference only when they overlap.  The reference is
 # the sign of that difference, taken every time.
 
@@ -338,9 +339,18 @@ def comparison_triples(draw):
     return a, b, d
 
 
-def sqrt2_floor_64() -> Fraction:
-    """``floor(sqrt(2) * 2^64) / 2^64``: the lower 64-bit bound of sqrt(2)."""
-    return Fraction(isqrt(2 << 128), 1 << 64)
+def sqrt2_floor(bits: int) -> Fraction:
+    """``floor(sqrt(2) * 2^bits) / 2^bits``: the lower bound of sqrt(2) at
+    ``bits``."""
+    return Fraction(isqrt(2 << (2 * bits)), 1 << bits)
+
+
+# The lower end of sqrt(2)'s enclosure, and the neighbours of sqrt(2) eight
+# bits finer, which lie inside the enclosure on either side of sqrt(2).
+ENCLOSURE_FLOOR = sqrt2_floor(radicals._START_BITS)
+FINE_BITS = radicals._START_BITS + 8
+FINE_BELOW = sqrt2_floor(FINE_BITS) - ENCLOSURE_FLOOR
+FINE_ABOVE = FINE_BELOW + Fraction(1, 1 << FINE_BITS)
 
 
 class TestCompareFilter:
@@ -352,18 +362,18 @@ class TestCompareFilter:
         assert compare(a, b, d) == (a * d - b).sign()
         assert compare(a, a + 0) == compare(a, a * d, d) == 0
 
-    # sqrt(2) * 2^64 = isqrt(2 << 128) + 0.699..., so each of these rationals
-    # lies in the 64-bit enclosure of sqrt(2), on either side of it.
+    # Each of these rationals lies in the enclosure of sqrt(2), on either
+    # side of it.
     @pytest.mark.parametrize(
         "offset, expected",
-        [(Fraction(0), 1), (Fraction(1, 1 << 70), 1), (Fraction(3, 1 << 66), -1)],
+        [(Fraction(0), 1), (FINE_BELOW, 1), (FINE_ABOVE, -1)],
     )
     def test_overlapping_enclosures_fall_back_to_the_exact_sign(
         self, offset, expected
     ):
         sqrt2 = RadicalNumber.sqrt_int(2)
-        near = sqrt2_floor_64() + offset
-        lo, hi, den = sqrt2._interval(64)
+        near = ENCLOSURE_FLOOR + offset
+        lo, hi, den = sqrt2._interval(radicals._START_BITS)
         assert lo <= near * den <= hi  # the filter cannot decide
         assert compare(sqrt2, near) == expected
         assert compare(RadicalNumber(near), sqrt2) == -expected
@@ -395,8 +405,26 @@ class TestCompareFilter:
         # A tie builds the product once and no difference; a near miss both.
         assert compare(sqrt3, RadicalNumber(6), RadicalNumber.sqrt_int(12)) == 0
         assert counts == {"sub": 0, "mul": 1}
-        assert compare(RadicalNumber.sqrt_int(2), sqrt2_floor_64(), 1) == 1
+        assert compare(RadicalNumber.sqrt_int(2), ENCLOSURE_FLOOR, 1) == 1
         assert counts == {"sub": 1, "mul": 2}
+
+
+class TestKeptEnclosureAndDisplay:
+    @given(kernel_inputs(), kernel_inputs(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_kept_values_match_a_fresh_equal_value(self, a, b, compared):
+        if compared:
+            compare(a, b)
+            compare(b, a, a)
+        for _ in range(2):  # the first read computes and keeps, the second reads
+            fresh = RadicalNumber(a.terms)
+            assert str(a) == format_radical(fresh)
+            assert a._enclosure() == fresh._interval(radicals._START_BITS)
+            assert a.float_with_error() == reference_float_with_error(fresh, 53)
+            assert a.float_with_error(32) == reference_float_with_error(fresh, 32)
+        assert str(a) is str(a)
+        assert a._enclosure() is a._enclosure()
+        assert a.float_with_error() is a.float_with_error(53)
 
 
 # -- differential test of the integer-numerator kernel ------------------------
