@@ -21,13 +21,10 @@ __all__ = [
     "is_nontrivial",
     "is_minimal_edge",
     "delete_edge",
-    "add_edge",
-    "strip_isolated",
     "classify",
     "graph_name",
     "canonical_key",
     "canonical_form",
-    "canonical_graph",
     "graph_from_key",
     "is_isomorphic",
     "path_graph",
@@ -37,7 +34,6 @@ __all__ = [
     "complete_graph",
     "complete_bipartite_graph",
     "paw_graph",
-    "disjoint_union",
 ]
 
 CANONICAL_MAX_N = 9
@@ -179,12 +175,6 @@ def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
     return from_edge_list(len(vertices), pairs)
 
 
-def strip_isolated(g: Graph) -> Graph:
-    """Drop degree-0 vertices, relabeling the rest in ascending order."""
-    kept = [v for v in range(g.n) if g.deg[v] > 0]
-    return induced_subgraph(g, kept)
-
-
 def is_nontrivial(g: Graph) -> bool:
     """True when every connected component has at least two edges: no vertex
     is isolated and no edge is alone, with both endpoints of degree 1."""
@@ -218,10 +208,6 @@ def delete_edge(g: Graph, e: Edge) -> Graph:
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) not in graph")
     return from_edge_list(g.n, [p for p in g.edges if p != (u, v)])
-
-
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    return from_edge_list(g.n, list(g.edges) + [(u, v)])
 
 
 # -- structural classification -------------------------------------------
@@ -388,23 +374,35 @@ def graph_name(g: Graph) -> str | None:
 # -- canonical forms -------------------------------------------------------
 
 
-def canonical_key(g: Graph) -> tuple[int, ...]:
+def canonical_key(g: Graph | list[int]) -> tuple[int, ...]:
     """Minimum column-major upper-triangle encoding over all relabelings.
 
-    Entry ``k-1`` packs the adjacency bits between position ``k`` and positions
-    ``0..k-1`` (earlier position = more significant bit).  Minimizing this
-    tuple lexicographically is exact, so equal keys mean isomorphic graphs.
+    ``g`` is a :class:`Graph` or its neighbour bitmasks: bit ``w`` of
+    ``g[v]`` is set iff ``vw`` is an edge.  Entry ``k-1`` of the key packs
+    the adjacency bits between position ``k`` and positions ``0..k-1``
+    (earlier position = more significant bit).  Minimizing this tuple
+    lexicographically is exact, so equal keys mean isomorphic graphs.
 
-    The search places one vertex per position, depth first.  Each unplaced
-    vertex carries its column against the placed prefix, and placing ``v``
-    appends one bit to every other column.  Only vertices of minimum column
-    can come next.  Of twins (equal open or closed neighborhoods) one is
-    tried.  A branch whose prefix equals that of the best key found so far is
-    cut as soon as its next column is larger than the best key's; a complete
-    labeling that is smaller replaces it.  This is branch and bound on the
-    exact minimum, so the key is the same as that of a full search.
+    The search places one vertex per position, depth first.  The unplaced
+    vertices form cells, bitmasks of the vertices that share a column against
+    the placed prefix, kept in increasing column order.  Placing ``v`` splits
+    each cell into its non-neighbours of ``v`` (column ``col << 1``) and its
+    neighbours (``col << 1 | 1``), which keeps the order, so the first cell
+    holds the minimum column and only its members can come next.  Of twins
+    (equal open or closed neighborhoods) one is tried.  A branch whose prefix
+    equals that of the best key found so far is cut as soon as its next
+    column is larger than the best key's; a complete labeling that is
+    smaller replaces it.  This is branch and bound on the exact minimum, so
+    the key is the same as that of a full search.
     """
-    n = g.n
+    if isinstance(g, Graph):
+        masks = [0] * g.n
+        for u, v in g.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    else:
+        masks = g
+    n = len(masks)
     if n > CANONICAL_MAX_N:
         raise ValueError(
             "canonical form is exhaustive and limited to "
@@ -412,54 +410,82 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
         )
     if n <= 1:
         return ()
-    masks = [0] * n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    if not g.edges:
-        return (0,) * (n - 1)
-    if g.m == n * (n - 1) // 2:
-        return tuple((1 << k) - 1 for k in range(1, n))
 
     best: list[int] = []  # the smallest full column list so far
     prefix: list[int] = []
 
-    def search(cols: dict[int, int], tied: bool) -> None:
-        # ``cols`` maps each unplaced vertex to its column against ``prefix``;
-        # ``tied`` says that ``prefix`` equals the start of ``best``.
+    def split(cells: list[tuple[int, int]], mv: int) -> list[tuple[int, int]]:
+        # The cells after placing a vertex with neighbour mask ``mv``.
+        out: list[tuple[int, int]] = []
+        for col, cell in cells:
+            if cell & ~mv:
+                out.append((col << 1, cell & ~mv))
+            if cell & mv:
+                out.append((col << 1 | 1, cell & mv))
+        return out
+
+    def search(cells: list[tuple[int, int]], tied: bool) -> None:
+        # ``cells`` are the (column, cell) pairs of the unplaced vertices
+        # against ``prefix``; ``tied`` says that ``prefix`` equals the start
+        # of ``best``.  A lone candidate is placed in this frame.
         nonlocal best
-        cmin = min(cols.values())
-        if tied:
-            bound = best[len(prefix)]
-            if cmin > bound:
-                return
-            tied = cmin == bound
-        prefix.append(cmin)
-        if len(cols) == 1:
-            if not tied:
-                best = prefix.copy()
-        else:
+        depth = len(prefix)
+        while True:
+            if len(cells) == n - len(prefix):
+                # Every cell is a singleton, so the rest of the order is forced.
+                placed: list[int] = []
+                for col, cell in cells:
+                    v = cell.bit_length() - 1
+                    mv = masks[v]
+                    for u in placed:
+                        col = col << 1 | (mv >> u & 1)
+                    placed.append(v)
+                    if tied:
+                        bound = best[len(prefix)]
+                        if col > bound:
+                            break
+                        tied = col == bound
+                    prefix.append(col)
+                else:
+                    if not tied:
+                        best = prefix.copy()
+                break
+            cmin, first = cells[0]
+            if tied:
+                bound = best[len(prefix)]
+                if cmin > bound:
+                    break
+                tied = cmin == bound
+            prefix.append(cmin)
+            if first & (first - 1) == 0:
+                cells = split(cells[1:], masks[first.bit_length() - 1])
+                continue
+            rest = cells[1:]
             seen_open: set[int] = set()
             seen_closed: set[int] = set()
-            for v, col in cols.items():
-                if col != cmin:
-                    continue
+            candidates = first
+            while candidates:
+                bit = candidates & -candidates
+                candidates ^= bit
                 # Twins (same open or closed neighborhood) are interchangeable
                 # by an automorphism fixing everything else; explore one of each.
-                mv = masks[v]
-                closed = mv | (1 << v)
+                mv = masks[bit.bit_length() - 1]
+                closed = mv | bit
                 if mv in seen_open or closed in seen_closed:
                     continue
                 seen_open.add(mv)
                 seen_closed.add(closed)
-                child = {w: (c << 1) | ((mv >> w) & 1) for w, c in cols.items() if w != v}
+                child = split([(cmin, first ^ bit), *rest], mv)
+                if tied and child[0][0] > best[len(prefix)]:
+                    continue
                 search(child, tied)
                 # Now ``best`` starts with ``prefix``: either it already did,
                 # or the child, never cut, ended on a smaller leaf.
                 tied = True
-        prefix.pop()
+            break
+        del prefix[depth:]
 
-    search(dict.fromkeys(range(n), 0), False)
+    search([(0, (1 << n) - 1)], False)
     return tuple(best[1:])  # position 0 contributes no bits
 
 
@@ -468,11 +494,6 @@ def canonical_form(g: Graph) -> str:
     key = canonical_key(g)
     bits = "".join(format(col, f"0{k}b") for k, col in enumerate(key, start=1))
     return f"{g.n}:{bits}"
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically labeled representative of g's isomorphism class."""
-    return graph_from_key(g.n, canonical_key(g))
 
 
 def graph_from_key(n: int, key: tuple[int, ...]) -> Graph:
@@ -543,12 +564,3 @@ def complete_bipartite_graph(p: int, q: int) -> Graph:
 def paw_graph() -> Graph:
     """Triangle with one pendant edge."""
     return from_edge_list(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    pairs: list[Edge] = []
-    offset = 0
-    for g in graphs:
-        pairs.extend((u + offset, v + offset) for u, v in g.edges)
-        offset += g.n
-    return from_edge_list(offset, pairs)

@@ -54,23 +54,26 @@ class CheckReport:
         """The report as a ``text`` or ``csv`` row; ``json_rows`` writes the
         same keys for ``json``."""
 
-        def side(v: IndexValue) -> dict:
+        lhs_approx, lhs_error = self.lhs.estimate()
+        rhs_approx, rhs_error = self.rhs.estimate()
+
+        def side(v: IndexValue, approx: float, error: float) -> dict:
             return {
                 "exact": None if v.exact is None else str(v.exact),
-                "approx": v.approx,
-                "error": v.error,
+                "approx": approx,
+                "error": error,
             }
 
         return {
             "check_id": self.check_id,
             "relation": self.relation,
-            "lhs": side(self.lhs),
-            "rhs": side(self.rhs),
+            "lhs": side(self.lhs, lhs_approx, lhs_error),
+            "rhs": side(self.rhs, rhs_approx, rhs_error),
             "holds": self.holds,
             "equality": self.equality,
             "predicted_equality": self.predicted_equality,
             "characterization_consistent": self.characterization_consistent,
-            "slack": self.slack,
+            "slack": lhs_approx - rhs_approx,
             "preconditions_met": self.preconditions_met,
             "mode": self.mode,
             "notes": self.notes,
@@ -107,9 +110,9 @@ def _json_float(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _json_side(v: IndexValue) -> str:
+def _json_side(v: IndexValue, approx: float, error: float) -> str:
     exact = "null" if v.exact is None else encode_basestring_ascii(str(v.exact))
-    return _JSON_SIDE % (_json_float(v.approx), _json_float(v.error), exact)
+    return _JSON_SIDE % (_json_float(approx), _json_float(error), exact)
 
 
 def json_rows(reports: Iterable[CheckReport], graph6: str) -> list[str]:
@@ -118,29 +121,34 @@ def json_rows(reports: Iterable[CheckReport], graph6: str) -> list[str]:
     Each item is byte for byte what ``json.dump(rows, indent=2,
     sort_keys=True)`` writes for the row ``{**r.to_dict(), "graph6": graph6}``,
     filled into one fixed template instead of json's pure-Python indenting
-    encoder.  Strings go through json's own ASCII escaper.
+    encoder.  Strings go through json's own ASCII escaper.  Each side's
+    display pair is read once per row, and the slack is their difference.
     """
     g6 = encode_basestring_ascii(graph6)
     const = _JSON_CONST
-    return [
-        _JSON_ROW
-        % (
-            const[r.characterization_consistent],
-            encode_basestring_ascii(r.check_id),
-            const[r.equality],
-            g6,
-            const[r.holds],
-            _json_side(r.lhs),
-            encode_basestring_ascii(r.mode),
-            encode_basestring_ascii(r.notes),
-            const[r.preconditions_met],
-            const[r.predicted_equality],
-            encode_basestring_ascii(r.relation),
-            _json_side(r.rhs),
-            _json_float(r.slack),
+    rows = []
+    for r in reports:
+        lhs_approx, lhs_error = r.lhs.estimate()
+        rhs_approx, rhs_error = r.rhs.estimate()
+        rows.append(
+            _JSON_ROW
+            % (
+                const[r.characterization_consistent],
+                encode_basestring_ascii(r.check_id),
+                const[r.equality],
+                g6,
+                const[r.holds],
+                _json_side(r.lhs, lhs_approx, lhs_error),
+                encode_basestring_ascii(r.mode),
+                encode_basestring_ascii(r.notes),
+                const[r.preconditions_met],
+                const[r.predicted_equality],
+                encode_basestring_ascii(r.relation),
+                _json_side(r.rhs, rhs_approx, rhs_error),
+                _json_float(lhs_approx - rhs_approx),
+            )
         )
-        for r in reports
-    ]
+    return rows
 
 
 def _relation_outcome(relation: str, cmp: int) -> tuple[bool, bool]:

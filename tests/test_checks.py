@@ -38,13 +38,13 @@ from gaindex.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     double_star_graph,
     from_edge_list,
     path_graph,
     paw_graph,
     star_graph,
 )
+from graph_helpers import disjoint_union
 from gaindex.radicals import RadicalNumber, compare
 
 positive_rationals = st.fractions(

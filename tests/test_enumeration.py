@@ -141,6 +141,23 @@ class TestConstructionPathFilter:
         children = len(enumerate_connected(6)) * (2**6 - 1)
         assert len(expected) <= calls < children
 
+    def test_children_are_keyed_without_building_graphs(self, monkeypatch):
+        from gaindex import graphs
+
+        expected = enumerate_connected(7)  # also fills the cache below n = 7
+        built = 0
+        build = graphs.from_edge_list
+
+        def counted(n, pairs):
+            nonlocal built
+            built += 1
+            return build(n, pairs)
+
+        monkeypatch.setattr(graphs, "from_edge_list", counted)
+        monkeypatch.setattr(enumeration, "from_edge_list", counted)
+        assert enumeration._augmented_classes.__wrapped__(7, False) == expected
+        assert built == len(expected)  # one per representative
+
 
 class TestEnumerationCounts:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -167,7 +184,7 @@ class TestEnumerationCounts:
         assert all(g.is_connected for g in enumerate_connected(6))
 
     def test_representatives_are_canonically_labeled(self):
-        from gaindex.graphs import canonical_graph
+        from graph_helpers import canonical_graph
 
         for g in enumerate_connected(5):
             assert canonical_graph(g) == g

@@ -22,9 +22,7 @@ from gaindex.formats import (
 from gaindex.graphs import (
     Graph,
     GraphKind,
-    add_edge,
     canonical_form,
-    canonical_graph,
     canonical_key,
     classify,
     complete_bipartite_graph,
@@ -32,7 +30,6 @@ from gaindex.graphs import (
     components,
     cycle_graph,
     delete_edge,
-    disjoint_union,
     double_star_graph,
     from_edge_list,
     graph_name,
@@ -45,8 +42,8 @@ from gaindex.graphs import (
     path_graph,
     paw_graph,
     star_graph,
-    strip_isolated,
 )
+from graph_helpers import add_edge, canonical_graph, disjoint_union, strip_isolated
 
 try:
     import networkx as nx
@@ -391,6 +388,38 @@ class TestCanonicalForm:
     def test_order_limit(self):
         with pytest.raises(ValueError, match="n <= 9"):
             canonical_form(path_graph(10))
+
+    def test_order_limit_on_masks(self):
+        with pytest.raises(ValueError, match="n <= 9"):
+            canonical_key([0] * 10)
+
+    def test_masks_key_like_graphs_on_grown_graphs(self):
+        # Every child the enumeration builds for n <= 7, as the neighbour
+        # bitmasks it keys and as the graph they describe.
+        checked = 0
+        for n in range(2, 8):
+            new = n - 1
+            for g in _augmented_classes(new, trees=False):
+                old_masks = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+                for size in range(1, n):
+                    for joined in combinations(range(new), size):
+                        masks = old_masks.copy()
+                        for v in joined:
+                            masks[v] |= 1 << new
+                        masks.append(sum(1 << v for v in joined))
+                        grown = from_edge_list(n, g.edges + tuple((v, new) for v in joined))
+                        assert canonical_key(masks) == canonical_key(grown)
+                        checked += 1
+        assert checked == 1 + 3 + 14 + 90 + 651 + 7056
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_edgeless_and_complete_keys(self, n):
+        edgeless = (0,) * (n - 1)
+        complete = tuple((1 << k) - 1 for k in range(1, n))
+        assert canonical_key(from_edge_list(n, [])) == edgeless
+        assert canonical_key([0] * n) == edgeless
+        assert canonical_key(complete_graph(n)) == complete
+        assert canonical_key([((1 << n) - 1) ^ (1 << v) for v in range(n)]) == complete
 
 
 @st.composite

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from gaindex.graphs import (
     complete_bipartite_graph,
     cycle_graph,
-    disjoint_union,
     from_edge_list,
     path_graph,
     paw_graph,
     star_graph,
 )
+from graph_helpers import disjoint_union
 from gaindex.indices import (
     MAX_EXACT_EXPONENT,
     NotRadicalError,

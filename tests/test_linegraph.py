@@ -13,15 +13,14 @@ from gaindex.graphs import (
     canonical_form,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     from_edge_list,
     is_isomorphic,
     is_nontrivial,
     path_graph,
     paw_graph,
     star_graph,
-    strip_isolated,
 )
+from graph_helpers import disjoint_union, strip_isolated
 from gaindex.indices import m1
 from gaindex.linegraph import (
     GraphFacts,
