@@ -17,7 +17,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .checks import CHECK_IDS, DEFAULT_ALPHAS, run_checks
-from .enumeration import census_rows, enumerate_connected, extremal_search
+from .enumeration import (
+    ENUMERATION_MAX_N,
+    census_rows,
+    enumerate_connected,
+    extremal_search,
+)
 from .formats import (
     Graph6Error,
     iter_graph6,
@@ -241,8 +246,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.nmax > 7:
-        raise UsageError("sweep supports --nmax at most 7 (enumeration limit)")
     alphas = tuple(args.alpha) if args.alpha else DEFAULT_ALPHAS
     result = exhaustive_sweep(args.nmax, alphas=alphas)
     if args.trials:
@@ -291,8 +294,10 @@ def cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    if args.nmax > 7:
-        raise UsageError("census supports --nmax at most 7 (enumeration limit)")
+    if args.nmax > ENUMERATION_MAX_N:
+        raise UsageError(
+            f"census supports --nmax <= ENUMERATION_MAX_N = {ENUMERATION_MAX_N}"
+        )
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for n in range(1, args.nmax + 1):
@@ -357,7 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_check)
 
     sub = subs.add_parser("sweep", help="exhaustive plus random verification campaign")
-    sub.add_argument("--nmax", type=int, default=6, help="exhaustive order bound (<= 7)")
+    sub.add_argument(
+        "--nmax",
+        type=int,
+        default=6,
+        help=f"exhaustive order bound (<= {ENUMERATION_MAX_N})",
+    )
     sub.add_argument("--trials", type=int, default=0, help="random graphs to test")
     sub.add_argument("--seed", type=int, default=42, help="seed for the random part")
     sub.add_argument(
@@ -380,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_extremal)
 
     sub = subs.add_parser("census", help="write per-order census files (graph6 + CSV)")
-    sub.add_argument("--nmax", type=int, default=7, help="largest order (<= 7)")
+    sub.add_argument(
+        "--nmax", type=int, default=7, help=f"largest order (<= {ENUMERATION_MAX_N})"
+    )
     sub.add_argument("--output", default="census", help="output directory")
     sub.set_defaults(func=cmd_census)
 

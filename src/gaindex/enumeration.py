@@ -17,7 +17,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 
+from .formats import MAX_EDGES
 from .graphs import (
     Graph,
     GraphKind,
@@ -65,6 +67,8 @@ __all__ = [
 ]
 
 ENUMERATION_MAX_N = 8
+# The largest random order whose complete graph keeps within the input limit.
+_RANDOM_MAX_N = (1 + isqrt(1 + 8 * MAX_EDGES)) // 2
 
 
 def enumerate_trees(n: int) -> tuple[Graph, ...]:
@@ -160,6 +164,10 @@ def _new_vertex_is_minimal(masks: list[int]) -> bool:
 
 def connected_with_edges(n_max: int) -> list[Graph]:
     """All connected graphs with at least one edge and order up to n_max."""
+    if n_max > ENUMERATION_MAX_N:  # refused before any order is enumerated
+        raise ValueError(
+            f"enumeration supports n_max <= ENUMERATION_MAX_N = {ENUMERATION_MAX_N}"
+        )
     out: list[Graph] = []
     for n in range(2, n_max + 1):
         out.extend(enumerate_connected(n))
@@ -295,8 +303,10 @@ def line_graph_preimages(target: Graph) -> list[Graph]:
     A preimage must have exactly as many edges as the target has vertices,
     which bounds its order by that count plus one; the search is exhaustive.
     """
-    if target.n > 6:
-        raise ValueError("preimage search is supported for targets with n <= 6")
+    if target.n >= ENUMERATION_MAX_N:
+        raise ValueError(
+            f"preimage targets need n < ENUMERATION_MAX_N = {ENUMERATION_MAX_N}"
+        )
     m_needed = target.n
     target_key = canonical_key(target)
     out = []
@@ -410,7 +420,12 @@ def extremal_search(
 def random_connected(rng: random.Random, n_high: int = 12) -> Graph:
     """Seeded random connected graph on 3..n_high vertices via edge
     probability, retried until connected (with a spanning-tree fallback so it
-    always terminates)."""
+    always terminates).  n_high is checked before any draw."""
+    if not 3 <= n_high <= _RANDOM_MAX_N:
+        raise ValueError(
+            f"random graphs need 3 <= n_high <= {_RANDOM_MAX_N} "
+            f"(MAX_EDGES = {MAX_EDGES}), got {n_high}"
+        )
     n = rng.randint(3, n_high)
     p = rng.uniform(0.25, 0.75)
     for _ in range(100):
@@ -438,9 +453,13 @@ def census_rows(n: int) -> list[dict[str, object]]:
     rows = []
     for g in enumerate_connected(n):
         value = ga1(g) if g.m else None
+        # A representative is graph_from_key(n, key) for its lexmin key, so
+        # its own upper triangle, column by column, is its canonical_form.
+        edges = set(g.edges)
+        bits = "".join("01"[(j, k) in edges] for k in range(1, n) for j in range(k))
         rows.append(
             {
-                "canonical_form": canonical_form(g),
+                "canonical_form": f"{n}:{bits}",
                 "name": graph_name(g) or "",
                 "n": g.n,
                 "m": g.m,

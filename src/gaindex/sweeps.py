@@ -82,10 +82,9 @@ def exhaustive_sweep(
 
     Also reproduces the small-value bucket lists and spot-checks the two
     graph-free inequalities on a rational grid.  A graph's failure source is
-    ``exhaustive:<graph6>``, which reproduces the graph.
+    ``exhaustive:<graph6>``, which reproduces the graph.  An n_max above
+    ``ENUMERATION_MAX_N`` raises ``ValueError`` before any graph is checked.
     """
-    if n_max > 7:
-        raise ValueError("exhaustive sweeps support n_max <= 7")
     result = SweepResult()
     for g in connected_with_edges(n_max):
         result.absorb(f"exhaustive:{to_graph6(g)}", run_checks(g, alphas=alphas))

@@ -16,12 +16,14 @@ from pathlib import Path
 import pytest
 
 import gaindex
+from gaindex import cli
 from gaindex.checks import DEFAULT_ALPHAS, run_checks
 from gaindex.cli import main
 from gaindex.enumeration import enumerate_connected
 from gaindex.formats import parse_graph6, parse_graph_spec, to_graph6
 from gaindex.indices import IndexValue
 from gaindex.report import float_report, json_rows
+from gaindex.sweeps import SweepResult
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -329,8 +331,34 @@ class TestSweep:
         assert out1 == out2
 
     def test_nmax_guard(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--nmax", "9")
+        (line,) = err.splitlines()
+        assert code == 2 and out == ""
+        assert line.startswith("error:") and "ENUMERATION_MAX_N = 8" in line
+
+    def test_nmax_8_reaches_the_exhaustive_sweep(self, capsys, monkeypatch):
+        # Tier-1 runs no n = 8 sweep; the stand-in records the order asked for.
+        asked = []
+
+        def fake_sweep(n_max, alphas):
+            asked.append(n_max)
+            return SweepResult()
+
+        monkeypatch.setattr(cli, "exhaustive_sweep", fake_sweep)
         code, _, err = run_cli(capsys, "sweep", "--nmax", "8")
-        assert code == 2 and "at most 7" in err
+        assert code == 0 and err == "" and asked == [8]
+
+    @pytest.mark.parametrize("n_high", ["2", "448", "100000"])
+    def test_random_nmax_out_of_range(self, capsys, n_high):
+        code, out, err = run_cli(
+            capsys, "sweep", "--nmax", "2", "--trials", "1", "--random-nmax", n_high
+        )
+        (line,) = err.splitlines()
+        assert code == 2 and out == ""
+        assert line == (
+            f"error: random graphs need 3 <= n_high <= 447 (MAX_EDGES = 100000), "
+            f"got {n_high}"
+        )
 
 
 class TestExtremal:
@@ -368,9 +396,11 @@ class TestCensus:
 
     def test_nmax_guard_writes_nothing(self, capsys, tmp_path):
         code, out, err = run_cli(
-            capsys, "census", "--nmax", "8", "--output", str(tmp_path)
+            capsys, "census", "--nmax", "9", "--output", str(tmp_path)
         )
-        assert code == 2 and out == "" and "at most 7" in err
+        (line,) = err.splitlines()
+        assert code == 2 and out == ""
+        assert line.startswith("error:") and "ENUMERATION_MAX_N = 8" in line
         assert list(tmp_path.iterdir()) == []
 
 

@@ -279,8 +279,8 @@ class TestPreimages:
         assert len(pre) == 1 and is_isomorphic(pre[0], cycle_graph(5))
 
     def test_target_size_guard(self):
-        with pytest.raises(ValueError):
-            line_graph_preimages(path_graph(7))
+        with pytest.raises(ValueError, match="ENUMERATION_MAX_N = 8"):
+            line_graph_preimages(path_graph(8))
 
 
 class TestWorkedFamilies:
@@ -372,6 +372,20 @@ class TestRandomGeneration:
             g = random_connected(rng, n_high=12)
             assert g.is_connected and 3 <= g.n <= 12
 
+    @pytest.mark.parametrize("n_high", [2, 448, 100_000])
+    def test_order_bound_refused_before_any_draw(self, n_high):
+        # 447 is the largest order whose complete graph has <= MAX_EDGES edges.
+        rng = random.Random(7)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=r"3 <= n_high <= 447 \(MAX_EDGES"):
+            random_connected(rng, n_high=n_high)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("n_high", [3, 447])
+    def test_order_bound_ends_are_accepted(self, n_high):
+        g = random_connected(random.Random(7), n_high=n_high)
+        assert g.is_connected and 3 <= g.n <= n_high
+
 
 class TestCensusRows:
     def test_rows_n3(self):
@@ -386,12 +400,27 @@ class TestCensusRows:
         rows = census_rows(1)
         assert rows[0]["ga1_exact"] == ""
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_canonical_form_column_matches_search(self, n):
+        # census_rows reads each representative's own labeling; the search
+        # over all relabelings must give the same string.
+        forms = [row["canonical_form"] for row in census_rows(n)]
+        assert forms == [canonical_form(g) for g in enumerate_connected(n)]
+
 
 class TestHelperIterators:
     def test_connected_with_edges_excludes_k1(self):
         graphs = connected_with_edges(4)
         assert all(g.m >= 1 for g in graphs)
         assert len(graphs) == 1 + 2 + 6
+
+    def test_order_limit_refused_before_enumerating(self, monkeypatch):
+        def fail(n):
+            raise AssertionError(f"enumerated order {n}")
+
+        monkeypatch.setattr(enumeration, "enumerate_connected", fail)
+        with pytest.raises(ValueError, match="ENUMERATION_MAX_N = 8"):
+            connected_with_edges(9)
 
     def test_connected_nontrivial_excludes_p2(self):
         graphs = connected_nontrivial(4)
