@@ -296,7 +296,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
 def cmd_census(args: argparse.Namespace) -> int:
     if args.nmax > ENUMERATION_MAX_N:
         raise UsageError(
-            f"census supports --nmax <= ENUMERATION_MAX_N = {ENUMERATION_MAX_N}"
+            f"--nmax {args.nmax} exceeds ENUMERATION_MAX_N = {ENUMERATION_MAX_N}"
         )
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)

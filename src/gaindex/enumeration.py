@@ -165,9 +165,7 @@ def _new_vertex_is_minimal(masks: list[int]) -> bool:
 def connected_with_edges(n_max: int) -> list[Graph]:
     """All connected graphs with at least one edge and order up to n_max."""
     if n_max > ENUMERATION_MAX_N:  # refused before any order is enumerated
-        raise ValueError(
-            f"enumeration supports n_max <= ENUMERATION_MAX_N = {ENUMERATION_MAX_N}"
-        )
+        raise ValueError(f"order {n_max} exceeds ENUMERATION_MAX_N = {ENUMERATION_MAX_N}")
     out: list[Graph] = []
     for n in range(2, n_max + 1):
         out.extend(enumerate_connected(n))
@@ -305,7 +303,7 @@ def line_graph_preimages(target: Graph) -> list[Graph]:
     """
     if target.n >= ENUMERATION_MAX_N:
         raise ValueError(
-            f"preimage targets need n < ENUMERATION_MAX_N = {ENUMERATION_MAX_N}"
+            f"target order {target.n} >= ENUMERATION_MAX_N = {ENUMERATION_MAX_N}"
         )
     m_needed = target.n
     target_key = canonical_key(target)

@@ -356,7 +356,7 @@ class TestSweep:
         (line,) = err.splitlines()
         assert code == 2 and out == ""
         assert line == (
-            f"error: random graphs need 3 <= n_high <= 447 (MAX_EDGES = 100000), "
+            "error: random graphs need 3 <= n_high <= 447 (MAX_EDGES = 100000), "
             f"got {n_high}"
         )
 
