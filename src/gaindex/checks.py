@@ -1,19 +1,21 @@
-"""One checker per inequality/identity, each returning verdict reports.
+"""One checker per statement of the paper, each returning verdict reports.
 
-Checkers validate their own hypotheses (reported as ``preconditions_met``
-rather than raised) and decide exactly whenever both sides live in the
-radical span.  Each reads its graph through a :class:`GraphFacts`; a plain
-``Graph`` is accepted too, and ``run_checks`` builds one ``GraphFacts`` per
-graph so that every checker shares its components, indices and line graph.
-Quotient bounds are decided exactly by cross-multiplication, so equality
-characterizations never depend on floating point.
+Every inequality, identity and worked family that gaindex checks is stated
+here, and each verdict is built once by ``exact_report``, ``float_report`` or
+``skipped_report``.  Checkers validate their own hypotheses (a skipped report,
+``preconditions_met`` false, rather than an error) and decide exactly whenever
+both sides live in the radical span.  Each reads its graph through a
+:class:`GraphFacts`; a plain ``Graph`` is accepted too, and ``run_checks``
+builds one ``GraphFacts`` per graph so that every checker shares its
+components, indices and line graph.  Quotient bounds are decided exactly by
+cross-multiplication, so equality characterizations never depend on floating
+point.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -21,6 +23,10 @@ from typing import Callable, Iterable, Sequence
 
 from .graphs import (
     Graph,
+    GraphKind,
+    classify,
+    complete_bipartite_graph,
+    double_star_graph,
     is_biregular,
     is_minimal_edge,
     is_path_component,
@@ -28,13 +34,7 @@ from .graphs import (
     is_star,
 )
 from .indices import NotRadicalError, _exact_pow, _ga1_exact, _power_sum, _snap_exponent
-from .linegraph import (
-    GraphFacts,
-    line_regularity_characterization,
-    line_tree_characterization,
-    line_zagreb_identity,
-    regular_line_condition,
-)
+from .linegraph import GraphFacts, regular_line_condition
 from .radicals import RadicalNumber, compare, radical_sqrt
 from .report import CheckReport, exact_report, float_report, skipped_report
 
@@ -54,12 +54,17 @@ __all__ = [
     "check_line_order_bound",
     "check_line_sqrt_bound",
     "check_line_zagreb_lower",
+    "check_line_zagreb_identity",
+    "check_line_regular_iff",
+    "check_line_tree_iff",
     "check_variable_zagreb_bound",
     "check_line_variable_zagreb_bound",
     "check_three_half_zagreb_bound",
     "check_line_three_half_zagreb_bound",
     "check_term_shift_inequality",
     "check_sqrt_shift_superadditivity",
+    "check_double_star_rational",
+    "check_complete_bipartite_integer",
     "CHECK_IDS",
     "DEFAULT_ALPHAS",
     "run_checks",
@@ -271,17 +276,19 @@ def check_rationality(g: Graph | GraphFacts) -> list[CheckReport]:
     ga = f.ga1
     value_rational = ga.is_rational
     all_square = all(radical_sqrt(a * b)[1] == 1 for a, b in f.degree_pairs)
-    report = exact_report(
-        "rationality",
-        "==",
-        ga,
-        RadicalNumber(ga.rational_part),
-        predicted_equality=all_square,
-        notes=f"value rational: {value_rational}; "
-        f"every degree product a perfect square: {all_square}",
-    )
-    # The statement under test is the equivalence itself.
-    return [replace(report, holds=report.characterization_consistent is True)]
+    return [
+        exact_report(
+            "rationality",
+            "==",
+            ga,
+            RadicalNumber(ga.rational_part),
+            predicted_equality=all_square,
+            notes=f"value rational: {value_rational}; "
+            f"every degree product a perfect square: {all_square}",
+            # The statement under test is the equivalence itself.
+            holds=value_rational == all_square,
+        )
+    ]
 
 
 # -- checkers involving the line graph --------------------------------------
@@ -425,6 +432,84 @@ def check_line_zagreb_lower(g: Graph | GraphFacts) -> list[CheckReport]:
             "line_zagreb_lower", ">=", RadicalNumber(f.line.m1), RadicalNumber(rhs)
         )
     ]
+
+
+def check_line_zagreb_identity(g: Graph | GraphFacts) -> list[CheckReport]:
+    """M1(L(G)) = 4m - 4*M1(G) + 2*M2(G) + F(G), exactly, in integers."""
+    f = GraphFacts.of(g)
+    if f.nontrivial_reason:
+        return [skipped_report("line_zagreb_identity", "==", f.nontrivial_reason)]
+    rhs = 4 * f.graph.m - 4 * f.m1 + 2 * f.m2 + f.forgotten
+    return [
+        exact_report(
+            "line_zagreb_identity",
+            "==",
+            RadicalNumber(f.line.m1),
+            RadicalNumber(rhs),
+            notes="M1 of the line graph vs 4m - 4*M1 + 2*M2 + F",
+        )
+    ]
+
+
+def check_line_regular_iff(g: Graph | GraphFacts) -> list[CheckReport]:
+    """Line graph regular iff every component is regular-or-biregular with
+    constant degree sum; both directions checked by construction."""
+    f = GraphFacts.of(g)
+    if f.nontrivial_reason:
+        return [skipped_report("line_regular_iff", "==", f.nontrivial_reason)]
+    actual = f.line.regular
+    predicted = regular_line_condition(f)
+    per_comp = ", ".join(
+        f"({c.max_degree},{c.min_degree})" for c in f.components
+    )
+    return [
+        exact_report(
+            "line_regular_iff",
+            "==",
+            RadicalNumber(1 if actual else 0),
+            RadicalNumber(1 if predicted else 0),
+            notes=f"line graph regular: {actual}; "
+            f"component degree extremes: {per_comp}",
+        )
+    ]
+
+
+def check_line_tree_iff(g: Graph | GraphFacts) -> list[CheckReport]:
+    """For connected non-trivial g: line graph is a tree iff g is a path.
+
+    Also reports the size monotonicity m <= m(L(G)) for non-paths.
+    """
+    f = GraphFacts.of(g)
+    reason = f.nontrivial_reason
+    if reason is None and not f.connected:
+        reason = "requires a connected graph"
+    if reason:
+        return [skipped_report("line_tree_iff", "==", reason)]
+    g, lg = f.graph, f.line.graph
+    # G is connected here, and so is its line graph.
+    lg_is_tree = lg.m == lg.n - 1
+    g_is_path = is_path_component(g)
+    reports = [
+        exact_report(
+            "line_tree_iff",
+            "==",
+            RadicalNumber(1 if lg_is_tree else 0),
+            RadicalNumber(1 if g_is_path else 0),
+            notes=f"line graph tree: {lg_is_tree}; input is a path: {g_is_path}",
+        )
+    ]
+    if not g_is_path:
+        reports.append(
+            exact_report(
+                "line_size_monotone",
+                "<=",
+                RadicalNumber(g.m),
+                RadicalNumber(lg.m),
+                notes="edge count does not drop when passing to the line graph "
+                "of a connected non-path",
+            )
+        )
+    return reports
 
 
 # -- alpha-parameterized bounds ---------------------------------------------
@@ -695,28 +780,70 @@ def check_sqrt_shift_superadditivity(xs: Sequence[Rational]) -> CheckReport:
     return exact_report(check_id, ">=", lhs, rhs)
 
 
+# -- worked families ----------------------------------------------------------
+
+_BIPARTITE_K_MAX = 40  # K(200, 800) has 160,000 edges
+
+
+def check_double_star_rational(n1: int, n2: int) -> CheckReport:
+    """Double star on leaf counts n1^2-1 and n2^2-1: rational GA1, not biregular.
+
+    Verifies the closed form
+    2(n1^2-1)n1/(n1^2+1) + 2(n2^2-1)n2/(n2^2+1) + 2*n1*n2/(n1^2+n2^2) exactly.
+    With n1 or n2 equal to 1 a center has no leaves and the graph is a star,
+    which the statement does not cover.
+    """
+    check_id = "double_star_rational"
+    if n1 < 1 or n2 < 1:
+        raise ValueError("both parameters must be positive integers")
+    if n1 == n2:
+        raise ValueError("parameters must be different")
+    if min(n1, n2) == 1:
+        return skipped_report(
+            check_id, "==", "degenerate: a center has no leaves (graph is a star)"
+        )
+    f = GraphFacts(double_star_graph(n1 * n1 - 1, n2 * n2 - 1))
+    closed = RadicalNumber(
+        Fraction(2 * (n1 * n1 - 1) * n1, n1 * n1 + 1)
+        + Fraction(2 * (n2 * n2 - 1) * n2, n2 * n2 + 1)
+        + Fraction(2 * n1 * n2, n1 * n1 + n2 * n2)
+    )
+    return exact_report(
+        check_id,
+        "==",
+        f.ga1,
+        closed,
+        notes=f"rational: {f.ga1.is_rational}; biregular: {f.biregular}",
+        # Equal to the rational closed form, hence rational.
+        holds=f.ga1 == closed and not f.biregular,
+    )
+
+
+def check_complete_bipartite_integer(k: int) -> CheckReport:
+    """K(5k,20k): GA1 is exactly the integer 80*k^2 although the graph is
+    not regular."""
+    check_id = "complete_bipartite_integer"
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if k > _BIPARTITE_K_MAX:
+        raise ValueError(f"k={k} exceeds the size guard {_BIPARTITE_K_MAX}")
+    f = GraphFacts(complete_bipartite_graph(5 * k, 20 * k))
+    expected = RadicalNumber(80 * k * k)
+    kind = classify(f.graph).kind
+    return exact_report(
+        check_id,
+        "==",
+        f.ga1,
+        expected,
+        notes=f"integer: {f.ga1.is_integer}; classified: {kind.value}; "
+        f"regular: {f.regular}",
+        holds=f.ga1 == expected
+        and kind is GraphKind.COMPLETE_BIPARTITE
+        and not f.regular,
+    )
+
+
 # -- registry ----------------------------------------------------------------
-
-
-def _wrap_line_zagreb_identity(f: GraphFacts) -> list[CheckReport]:
-    if f.nontrivial_reason:
-        return [skipped_report("line_zagreb_identity", "==", f.nontrivial_reason)]
-    return [line_zagreb_identity(f)]
-
-
-def _wrap_line_regular_iff(f: GraphFacts) -> list[CheckReport]:
-    if f.nontrivial_reason:
-        return [skipped_report("line_regular_iff", "==", f.nontrivial_reason)]
-    return [line_regularity_characterization(f)]
-
-
-def _wrap_line_tree_iff(f: GraphFacts) -> list[CheckReport]:
-    reason = f.nontrivial_reason
-    if reason is None and not f.connected:
-        reason = "requires a connected graph"
-    if reason:
-        return [skipped_report("line_tree_iff", "==", reason)]
-    return line_tree_characterization(f)
 
 
 _PLAIN_CHECKS: dict[str, Callable[[GraphFacts], list[CheckReport]]] = {
@@ -735,9 +862,9 @@ _PLAIN_CHECKS: dict[str, Callable[[GraphFacts], list[CheckReport]]] = {
     "line_zagreb_lower": check_line_zagreb_lower,
     "three_half_zagreb_bound": check_three_half_zagreb_bound,
     "line_three_half_zagreb_bound": check_line_three_half_zagreb_bound,
-    "line_zagreb_identity": _wrap_line_zagreb_identity,
-    "line_regular_iff": _wrap_line_regular_iff,
-    "line_tree_iff": _wrap_line_tree_iff,
+    "line_zagreb_identity": check_line_zagreb_identity,
+    "line_regular_iff": check_line_regular_iff,
+    "line_tree_iff": check_line_tree_iff,
 }
 
 _ALPHA_CHECKS: dict[str, Callable[..., list[CheckReport]]] = {

@@ -16,12 +16,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .checks import CHECK_IDS, DEFAULT_ALPHAS, run_checks
+from .checks import CHECK_IDS, DEFAULT_ALPHAS, check_line_zagreb_identity, run_checks
 from .enumeration import (
     ENUMERATION_MAX_N,
     census_rows,
     enumerate_connected,
     extremal_search,
+    validate_order,
+    validate_random_order,
 )
 from .formats import (
     Graph6Error,
@@ -33,7 +35,7 @@ from .formats import (
 )
 from .graphs import Graph, canonical_form, classify, graph_name
 from .indices import all_indices, chi_alpha, m1_alpha, m2_alpha
-from .linegraph import GraphFacts, line_zagreb_identity, verify_degree_identity
+from .linegraph import GraphFacts, verify_degree_identity
 from .report import json_rows
 from .sweeps import exhaustive_sweep, random_sweep
 
@@ -190,7 +192,7 @@ def cmd_linegraph(args: argparse.Namespace) -> int:
                 "line_max_degree": lg.max_degree,
                 "line_min_degree": lg.min_degree,
                 "degree_identity": verify_degree_identity(f),
-                "zagreb_identity": line_zagreb_identity(f).holds,
+                "zagreb_identity": check_line_zagreb_identity(f)[0].holds,
             }
         )
     _emit_rows(rows, args.format, sys.stdout)
@@ -246,6 +248,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # Both parts' arguments are refused before either part runs.
+    if args.trials < 0:
+        raise UsageError(f"--trials must be at least 0, got {args.trials}")
+    validate_order(args.nmax)
+    if args.trials:
+        validate_random_order(args.random_nmax)
     alphas = tuple(args.alpha) if args.alpha else DEFAULT_ALPHAS
     result = exhaustive_sweep(args.nmax, alphas=alphas)
     if args.trials:
@@ -294,9 +302,10 @@ def cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    if args.nmax > ENUMERATION_MAX_N:
+    if not 1 <= args.nmax <= ENUMERATION_MAX_N:
         raise UsageError(
-            f"--nmax {args.nmax} exceeds ENUMERATION_MAX_N = {ENUMERATION_MAX_N}"
+            f"--nmax must be between 1 and ENUMERATION_MAX_N = {ENUMERATION_MAX_N}, "
+            f"got {args.nmax}"
         )
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -391,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("census", help="write per-order census files (graph6 + CSV)")
     sub.add_argument(
-        "--nmax", type=int, default=7, help=f"largest order (<= {ENUMERATION_MAX_N})"
+        "--nmax", type=int, default=7, help=f"largest order (1 to {ENUMERATION_MAX_N})"
     )
     sub.add_argument("--output", default="census", help="output directory")
     sub.set_defaults(func=cmd_census)

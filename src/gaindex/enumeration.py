@@ -13,8 +13,7 @@ canonical construction path filter), which leaves about two keys per class.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import isqrt
@@ -22,19 +21,14 @@ from math import isqrt
 from .formats import MAX_EDGES
 from .graphs import (
     Graph,
-    GraphKind,
     canonical_key,
     canonical_form,
-    classify,
-    complete_bipartite_graph,
     cycle_graph,
     double_star_graph,
     from_edge_list,
     graph_from_key,
     graph_name,
-    is_biregular,
     is_nontrivial,
-    is_regular,
     path_graph,
     paw_graph,
     star_graph,
@@ -42,7 +36,6 @@ from .graphs import (
 from .indices import ga1
 from .linegraph import line_graph
 from .radicals import RadicalNumber, compare
-from .report import CheckReport, exact_report
 
 __all__ = [
     "ENUMERATION_MAX_N",
@@ -50,6 +43,7 @@ __all__ = [
     "BucketMember",
     "enumerate_connected",
     "enumerate_trees",
+    "validate_order",
     "connected_with_edges",
     "connected_nontrivial",
     "classify_small_values",
@@ -59,9 +53,8 @@ __all__ = [
     "buckets_match_families",
     "line_graph_preimages",
     "verify_no_preimage",
-    "check_double_star_rational",
-    "check_complete_bipartite_integer",
     "extremal_search",
+    "validate_random_order",
     "random_connected",
     "census_rows",
 ]
@@ -162,10 +155,16 @@ def _new_vertex_is_minimal(masks: list[int]) -> bool:
     return True
 
 
+def validate_order(n_max: int) -> None:
+    """Raise ``ValueError`` if ``connected_with_edges(n_max)`` would refuse
+    n_max; nothing is enumerated."""
+    if n_max > ENUMERATION_MAX_N:
+        raise ValueError(f"order {n_max} exceeds ENUMERATION_MAX_N = {ENUMERATION_MAX_N}")
+
+
 def connected_with_edges(n_max: int) -> list[Graph]:
     """All connected graphs with at least one edge and order up to n_max."""
-    if n_max > ENUMERATION_MAX_N:  # refused before any order is enumerated
-        raise ValueError(f"order {n_max} exceeds ENUMERATION_MAX_N = {ENUMERATION_MAX_N}")
+    validate_order(n_max)
     out: list[Graph] = []
     for n in range(2, n_max + 1):
         out.extend(enumerate_connected(n))
@@ -321,67 +320,6 @@ def verify_no_preimage(target: Graph) -> bool:
     return not line_graph_preimages(target)
 
 
-# -- worked families ------------------------------------------------------------
-
-_BIPARTITE_K_MAX = 40  # K(200, 800) has 160,000 edges
-
-
-def check_double_star_rational(n1: int, n2: int) -> CheckReport:
-    """Double star on leaf counts n1^2-1 and n2^2-1: rational GA1, not biregular.
-
-    Verifies the closed form
-    2(n1^2-1)n1/(n1^2+1) + 2(n2^2-1)n2/(n2^2+1) + 2*n1*n2/(n1^2+n2^2) exactly.
-    """
-    check_id = "double_star_rational"
-    if n1 < 1 or n2 < 1:
-        raise ValueError("both parameters must be positive integers")
-    if n1 == n2:
-        raise ValueError("parameters must be different")
-    a, b = n1 * n1 - 1, n2 * n2 - 1
-    g = double_star_graph(a, b)
-    value = ga1(g).exact
-    assert value is not None
-    closed = RadicalNumber(
-        Fraction(2 * (n1 * n1 - 1) * n1, n1 * n1 + 1)
-        + Fraction(2 * (n2 * n2 - 1) * n2, n2 * n2 + 1)
-        + Fraction(2 * n1 * n2, n1 * n1 + n2 * n2)
-    )
-    degenerate = min(a, b) == 0
-    notes = (
-        f"rational: {value.is_rational}; biregular: {is_biregular(g)}"
-        + ("; degenerate: a center has no leaves (graph is a star)" if degenerate else "")
-    )
-    report = exact_report(check_id, "==", value, closed, notes=notes)
-    holds = report.equality and value.is_rational and (degenerate or not is_biregular(g))
-    return replace(report, holds=holds, preconditions_met=not degenerate)
-
-
-def check_complete_bipartite_integer(k: int) -> CheckReport:
-    """K(5k,20k): GA1 is exactly the integer 80*k^2 although the graph is
-    not regular."""
-    check_id = "complete_bipartite_integer"
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if k > _BIPARTITE_K_MAX:
-        raise ValueError(f"k={k} exceeds the size guard {_BIPARTITE_K_MAX}")
-    g = complete_bipartite_graph(5 * k, 20 * k)
-    value = ga1(g).exact
-    assert value is not None
-    kind = classify(g).kind
-    notes = (
-        f"integer: {value.is_integer}; classified: {kind.value}; "
-        f"regular: {is_regular(g)}"
-    )
-    report = exact_report(check_id, "==", value, RadicalNumber(80 * k * k), notes=notes)
-    holds = (
-        report.equality
-        and value.is_integer
-        and kind is GraphKind.COMPLETE_BIPARTITE
-        and not is_regular(g)
-    )
-    return replace(report, holds=holds)
-
-
 # -- extremal search -------------------------------------------------------------
 
 
@@ -415,15 +353,21 @@ def extremal_search(
 # -- random generation ------------------------------------------------------------
 
 
-def random_connected(rng: random.Random, n_high: int = 12) -> Graph:
-    """Seeded random connected graph on 3..n_high vertices via edge
-    probability, retried until connected (with a spanning-tree fallback so it
-    always terminates).  n_high is checked before any draw."""
+def validate_random_order(n_high: int) -> None:
+    """Raise ``ValueError`` if ``random_connected`` would refuse n_high; no
+    graph is drawn."""
     if not 3 <= n_high <= _RANDOM_MAX_N:
         raise ValueError(
             f"random graphs need 3 <= n_high <= {_RANDOM_MAX_N} "
             f"(MAX_EDGES = {MAX_EDGES}), got {n_high}"
         )
+
+
+def random_connected(rng: random.Random, n_high: int = 12) -> Graph:
+    """Seeded random connected graph on 3..n_high vertices via edge
+    probability, retried until connected (with a spanning-tree fallback so it
+    always terminates).  n_high is checked before any draw."""
+    validate_random_order(n_high)
     n = rng.randint(3, n_high)
     p = rng.uniform(0.25, 0.75)
     for _ in range(100):

@@ -31,7 +31,8 @@ __all__ = [
 _HEADER = ">>graph6<<"
 _PLUS_63 = bytes((i + 63) % 256 for i in range(256))  # 6-bit value -> graph6 char
 # Inputs from outside are checked against these before any graph is built,
-# so an oversized spec or header fails at once instead of exhausting memory.
+# so an oversized spec, header or graph6 line fails at once instead of
+# exhausting memory.
 MAX_VERTICES = 10_000
 MAX_EDGES = 100_000
 
@@ -81,6 +82,7 @@ def parse_graph6(text: str) -> Graph:
     else:
         n = first - 63
         body_at = 1
+    _check_size(n, 0)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     got = len(s) - body_at
@@ -89,6 +91,8 @@ def parse_graph6(text: str) -> Graph:
             f"expected {need} data characters for n={n}, found {got}", body_at
         )
     values = _data_values(s, body_at)
+    # One set bit per edge (padding bits are zero, checked below).
+    _check_size(n, sum(map(int.bit_count, values)))
     pairs = []
     idx = 0
     for k in range(1, n):

@@ -1,4 +1,4 @@
-"""Line graph construction and the structural identities that come with it.
+"""Line graph construction and the per-graph facts the checkers share.
 
 The line graph of G has one vertex per edge of G, with two vertices adjacent
 exactly when the underlying edges share an endpoint.  Every operation here
@@ -21,20 +21,15 @@ from .graphs import (
     from_edge_list,
     is_biregular,
     is_nontrivial,
-    is_path_component,
     is_regular,
 )
 from .indices import _degree_pairs, _ga1_exact
 from .radicals import RadicalNumber
-from .report import CheckReport, exact_report
 
 __all__ = [
     "GraphFacts",
     "line_graph",
     "verify_degree_identity",
-    "line_zagreb_identity",
-    "line_regularity_characterization",
-    "line_tree_characterization",
 ]
 
 
@@ -157,22 +152,6 @@ def verify_degree_identity(g: Graph | GraphFacts) -> bool:
     return True
 
 
-def line_zagreb_identity(g: Graph | GraphFacts) -> CheckReport:
-    """First Zagreb index of the line graph from indices of the base graph.
-
-    M1(L(G)) = 4m - 4*M1(G) + 2*M2(G) + F(G), exactly, in integers.
-    """
-    f = GraphFacts.of(g)
-    rhs = 4 * f.graph.m - 4 * f.m1 + 2 * f.m2 + f.forgotten
-    return exact_report(
-        "line_zagreb_identity",
-        "==",
-        RadicalNumber(f.line.m1),
-        RadicalNumber(rhs),
-        notes="M1 of the line graph vs 4m - 4*M1 + 2*M2 + F",
-    )
-
-
 def regular_line_condition(g: Graph | GraphFacts) -> bool:
     """Structural condition equivalent to the line graph being regular.
 
@@ -187,57 +166,3 @@ def regular_line_condition(g: Graph | GraphFacts) -> bool:
         if comp.max_degree + comp.min_degree != target:
             return False
     return True
-
-
-def line_regularity_characterization(g: Graph | GraphFacts) -> CheckReport:
-    """Line graph regular iff every component is regular-or-biregular with
-    constant degree sum; both directions checked by construction."""
-    f = GraphFacts.of(g)
-    actual = f.line.regular
-    predicted = regular_line_condition(f)
-    per_comp = ", ".join(
-        f"({c.max_degree},{c.min_degree})" for c in f.components
-    )
-    return exact_report(
-        "line_regular_iff",
-        "==",
-        RadicalNumber(1 if actual else 0),
-        RadicalNumber(1 if predicted else 0),
-        notes=f"line graph regular: {actual}; component degree extremes: {per_comp}",
-    )
-
-
-def line_tree_characterization(g: Graph | GraphFacts) -> list[CheckReport]:
-    """For connected non-trivial g: line graph is a tree iff g is a path.
-
-    Also reports the size monotonicity m <= m(L(G)) for non-paths.
-    """
-    f = GraphFacts.of(g)
-    g = f.graph
-    if not f.connected:
-        raise ValueError("tree characterization requires a connected graph")
-    lg = f.line.graph
-    # G is connected here, and so is its line graph.
-    lg_is_tree = lg.m == lg.n - 1
-    g_is_path = is_path_component(g)
-    reports = [
-        exact_report(
-            "line_tree_iff",
-            "==",
-            RadicalNumber(1 if lg_is_tree else 0),
-            RadicalNumber(1 if g_is_path else 0),
-            notes=f"line graph tree: {lg_is_tree}; input is a path: {g_is_path}",
-        )
-    ]
-    if not g_is_path:
-        reports.append(
-            exact_report(
-                "line_size_monotone",
-                "<=",
-                RadicalNumber(g.m),
-                RadicalNumber(lg.m),
-                notes="edge count does not drop when passing to the line graph "
-                "of a connected non-path",
-            )
-        )
-    return reports

@@ -174,10 +174,13 @@ def exact_report(
     predicted_equality: bool | None = None,
     notes: str = "",
     rhs_den: RadicalNumber | None = None,
+    holds: bool | None = None,
 ) -> CheckReport:
     """Exact verdict on ``lhs relation rhs``.
 
-    With a positive ``rhs_den`` the right side is the quotient
+    ``holds`` is the verdict for a statement that is more than its relation,
+    such as an equivalence or a conjunction; it defaults to the relation's
+    outcome.  With a positive ``rhs_den`` the right side is the quotient
     ``rhs / rhs_den``.  Radicals divide only by rationals, so the quotient is
     decided by cross-multiplication, ``lhs * rhs_den`` against ``rhs``, and
     displayed as a float only; :func:`compare` forms that product only when
@@ -189,7 +192,7 @@ def exact_report(
     else:
         cmp = compare(lhs, rhs, rhs_den)
         rhs_val = IndexValue.of_quotient(rhs, rhs_den)
-    holds, equality = _relation_outcome(relation, cmp)
+    outcome, equality = _relation_outcome(relation, cmp)
     lhs_val = IndexValue.of_exact(lhs)
     consistent = None if predicted_equality is None else equality == predicted_equality
     return CheckReport(
@@ -197,7 +200,7 @@ def exact_report(
         relation=relation,
         lhs=lhs_val,
         rhs=rhs_val,
-        holds=holds,
+        holds=outcome if holds is None else holds,
         equality=equality,
         predicted_equality=predicted_equality,
         characterization_consistent=consistent,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .checks import (
@@ -22,7 +22,8 @@ from .enumeration import (
     random_connected,
 )
 from .formats import to_graph6
-from .report import CheckReport, skipped_report
+from .radicals import RadicalNumber
+from .report import CheckReport, exact_report
 
 __all__ = ["CheckAggregate", "SweepResult", "exhaustive_sweep", "random_sweep"]
 
@@ -101,10 +102,15 @@ def exhaustive_sweep(
             result.notes.append(f"{label} reproduced exactly")
         else:
             result.notes.append(f"{label} MISMATCH")
-            mismatch = skipped_report(which, "==", "bucket membership mismatch")
-            result.failures.append(
-                ("buckets", replace(mismatch, preconditions_met=True, holds=False))
+            # Not reproduced (0) against 1, truth values as the iff checks write them.
+            mismatch = exact_report(
+                which,
+                "==",
+                RadicalNumber(0),
+                RadicalNumber(1),
+                notes="bucket membership mismatch",
             )
+            result.failures.append(("buckets", mismatch))
 
     for delta in (1, 2, 3, 5):
         for t in (0, Fraction(1, 2), 1, Fraction(7, 3), 5):

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import time
 
-from gaindex.checks import run_checks, check_edge_deletion_drop, check_rationality
-from gaindex.enumeration import (
-    buckets_match_families,
+from gaindex.checks import (
     check_complete_bipartite_integer,
     check_double_star_rational,
+    check_edge_deletion_drop,
+    check_line_zagreb_identity,
+    check_rationality,
+    run_checks,
+)
+from gaindex.enumeration import (
+    buckets_match_families,
     classify_line_small_values,
     classify_small_values,
     connected_nontrivial,
@@ -34,7 +39,7 @@ from gaindex.graphs import (
     star_graph,
 )
 from gaindex.indices import ga1, m1
-from gaindex.linegraph import line_graph, line_zagreb_identity, verify_degree_identity
+from gaindex.linegraph import line_graph, verify_degree_identity
 from gaindex.radicals import parse_radical, radical_sqrt
 import random
 
@@ -119,7 +124,7 @@ def test_criterion_3_identity_suite():
         assert m1g is not None
         assert 2 * lg.m == int(m1g.as_fraction()) - 2 * g.m
         assert verify_degree_identity(g)
-        report = line_zagreb_identity(g)
+        (report,) = check_line_zagreb_identity(g)
         assert report.holds and report.mode == "exact"
         count += 1
     assert count == 994  # connected non-trivial classes with n <= 7

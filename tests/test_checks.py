@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from gaindex.checks import (
     CHECK_IDS,
     check_edge_deletion_drop,
+    check_complete_bipartite_integer,
+    check_double_star_rational,
     check_extreme_degree_bounds,
     check_line_ga_bounds,
     check_line_ga_ratio_bound,
@@ -34,6 +36,7 @@ from gaindex.checks import (
     ga_ratio_curve,
     run_checks,
 )
+from gaindex.enumeration import enumerate_connected
 from gaindex.graphs import (
     complete_bipartite_graph,
     complete_graph,
@@ -813,3 +816,34 @@ class TestExhaustiveSweepSources:
         for (source, _), g in zip(result.failures, swept):
             assert source.startswith("exhaustive:")
             assert parse_graph6(source[len("exhaustive:"):]) == g
+
+    def test_bucket_mismatch_is_one_failing_exact_record(self, monkeypatch):
+        import gaindex.sweeps
+
+        monkeypatch.setattr(
+            gaindex.sweeps, "expected_small_value_families", lambda: {}
+        )
+        result = gaindex.sweeps.exhaustive_sweep(6)
+        ((source, report),) = result.failures
+        assert source == "buckets" and report.check_id == "small_value_buckets"
+        assert report.mode == "exact" and report.preconditions_met
+        assert report.violated and report.notes == "bucket membership mismatch"
+
+
+class TestRecordInvariant:
+    def test_skipped_exactly_when_preconditions_fail(self):
+        # Every connected graph with n <= 6, K1, 2K2 and P3 + C3, and both
+        # worked families, including the degenerate double star.
+        graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+        graphs += [
+            disjoint_union(path_graph(2), path_graph(2)),
+            disjoint_union(path_graph(3), cycle_graph(3)),
+        ]
+        reports = [r for g in graphs for r in run_checks(g)]
+        reports += [
+            check_double_star_rational(1, 2),
+            check_double_star_rational(2, 3),
+            check_complete_bipartite_integer(1),
+        ]
+        for r in reports:
+            assert (r.mode == "skipped") == (not r.preconditions_met), r

@@ -361,6 +361,49 @@ class TestSweep:
         )
 
 
+    @pytest.mark.parametrize(
+        "argv,unreached,message",
+        [
+            (
+                ["--nmax", "9", "--trials", "1"],
+                "random_sweep",
+                "error: order 9 exceeds ENUMERATION_MAX_N = 8",
+            ),
+            (
+                ["--nmax", "8", "--trials", "1", "--random-nmax", "2"],
+                "exhaustive_sweep",
+                "error: random graphs need 3 <= n_high <= 447 "
+                "(MAX_EDGES = 100000), got 2",
+            ),
+            (
+                ["--trials", "-5", "--random-nmax", "100000"],
+                "exhaustive_sweep",
+                "error: --trials must be at least 0, got -5",
+            ),
+        ],
+        ids=["nmax", "random-nmax", "trials"],
+    )
+    def test_bad_arguments_refused_before_either_part(
+        self, capsys, monkeypatch, argv, unreached, message
+    ):
+        def must_not_run(*args, **kwargs):
+            pytest.fail(f"{unreached} ran before the arguments were checked")
+
+        monkeypatch.setattr(cli, unreached, must_not_run)
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 2 and out == "" and err.splitlines() == [message]
+
+    def test_bucket_mismatch_exits_1(self, capsys, monkeypatch):
+        import gaindex.sweeps
+
+        monkeypatch.setattr(
+            gaindex.sweeps, "expected_small_value_families", lambda: {}
+        )
+        code, out, _ = run_cli(capsys, "sweep", "--nmax", "6")
+        assert code == 1
+        assert "  buckets: small_value_buckets: bucket membership mismatch\n" in out
+
+
 class TestExtremal:
     def test_tree_min(self, capsys):
         code, out, _ = run_cli(
@@ -402,6 +445,15 @@ class TestCensus:
         assert code == 2 and out == ""
         assert line.startswith("error:") and "ENUMERATION_MAX_N = 8" in line
         assert list(tmp_path.iterdir()) == []
+
+    def test_nmax_0_refused_before_any_file(self, capsys, tmp_path):
+        outdir = tmp_path / "census"
+        code, out, err = run_cli(
+            capsys, "census", "--nmax", "0", "--output", str(outdir)
+        )
+        (line,) = err.splitlines()
+        assert code == 2 and out == "" and line.startswith("error:")
+        assert not outdir.exists()
 
 
 class TestPrecisionConfig:
@@ -548,6 +600,14 @@ class TestInputSizeLimits:
         code, out, err = run_cli(capsys, "check", "-i", str(path))
         assert code == 2 and out == ""
         assert "MAX_VERTICES" in err
+
+    def test_oversized_graph6_file_exits_2(self, capsys, tmp_path):
+        # K600 as one graph6 line: 179,700 edges, every data bit set.
+        path = tmp_path / "k600.g6"
+        path.write_text("~?HW" + "~" * (600 * 599 // 12) + "\n")
+        code, out, err = run_cli(capsys, "compute", "-i", str(path))
+        assert code == 2 and out == ""
+        assert "179700 edges exceed the input limit MAX_EDGES" in err
 
     @pytest.mark.parametrize("command", ["check", "linegraph"])
     def test_oversized_line_graph_exits_2(self, capsys, monkeypatch, command):

@@ -12,11 +12,10 @@ from pathlib import Path
 import pytest
 
 from gaindex import enumeration
+from gaindex.checks import check_complete_bipartite_integer, check_double_star_rational
 from gaindex.enumeration import (
     buckets_match_families,
     census_rows,
-    check_complete_bipartite_integer,
-    check_double_star_rational,
     classify_line_small_values,
     classify_small_values,
     connected_nontrivial,
@@ -297,10 +296,11 @@ class TestWorkedFamilies:
         assert report.lhs.exact is not None and report.lhs.exact.is_rational
 
     def test_double_star_degenerate_flagged(self):
+        # n1 = 1 leaves a center without leaves: a star, outside the statement.
         report = check_double_star_rational(1, 2)
-        assert not report.preconditions_met
+        assert report.mode == "skipped" and not report.preconditions_met
         assert "degenerate" in report.notes
-        assert report.equality  # the closed form still matches
+        assert not report.violated
 
     def test_double_star_equal_parameters_rejected(self):
         with pytest.raises(ValueError, match="different"):

@@ -561,6 +561,23 @@ class TestGraph6:
         graphs = iter_graph6("A_\n\nBw\n")
         assert [g.n for g in graphs] == [2, 3]
 
+    @pytest.mark.parametrize(
+        "line,limit",
+        [
+            # 10,001 vertices: refused at the size field, before the data.
+            ("~A[P", "MAX_VERTICES"),
+            # K448, 100,128 edges: every data bit set.
+            ("~?F?" + "~" * (448 * 447 // 12), "MAX_EDGES"),
+        ],
+        ids=["n10001", "K448"],
+    )
+    def test_oversized_graph6_rejected_before_building(
+        self, line, limit, monkeypatch
+    ):
+        refuse_builders(monkeypatch)
+        with pytest.raises(ValueError, match=limit):
+            parse_graph6(line)
+
 
 class TestEdgeListFormat:
     def test_roundtrip(self):

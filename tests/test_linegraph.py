@@ -21,13 +21,15 @@ from gaindex.graphs import (
     star_graph,
 )
 from graph_helpers import disjoint_union, strip_isolated
+from gaindex.checks import (
+    check_line_regular_iff,
+    check_line_tree_iff,
+    check_line_zagreb_identity,
+)
 from gaindex.indices import m1
 from gaindex.linegraph import (
     GraphFacts,
     line_graph,
-    line_regularity_characterization,
-    line_tree_characterization,
-    line_zagreb_identity,
     regular_line_condition,
     verify_degree_identity,
 )
@@ -125,7 +127,7 @@ class TestIdentities:
         ],
     )
     def test_zagreb_identity_values(self, builder, expected_m1_line):
-        report = line_zagreb_identity(builder)
+        (report,) = check_line_zagreb_identity(builder)
         assert report.holds and report.equality
         assert report.lhs.exact == RadicalNumber(expected_m1_line)
 
@@ -133,23 +135,23 @@ class TestIdentities:
         rng = random.Random(73)
         for _ in range(50):
             g = random_nontrivial_connected(rng, rng.randint(3, 10))
-            assert line_zagreb_identity(g).holds
+            assert check_line_zagreb_identity(g)[0].holds
 
 
 class TestRegularityCharacterization:
     def test_two_triangles(self):
         g = disjoint_union(cycle_graph(3), cycle_graph(3))
-        report = line_regularity_characterization(g)
+        (report,) = check_line_regular_iff(g)
         assert report.holds and regular_line_condition(g)
 
     def test_star_is_covered(self):
-        report = line_regularity_characterization(star_graph(4))
+        (report,) = check_line_regular_iff(star_graph(4))
         assert report.holds and regular_line_condition(star_graph(4))
 
     def test_mixed_cycle_union(self):
         # Components with equal degree sums: the line graph stays regular.
         g = disjoint_union(cycle_graph(3), cycle_graph(4))
-        report = line_regularity_characterization(g)
+        (report,) = check_line_regular_iff(g)
         assert report.holds
         lg = line_graph(g)
         assert lg.max_degree == lg.min_degree
@@ -160,7 +162,7 @@ class TestRegularityCharacterization:
         assert regular_line_condition(g)
         lg = line_graph(g)
         assert lg.max_degree == lg.min_degree
-        assert line_regularity_characterization(g).holds
+        assert check_line_regular_iff(g)[0].holds
 
     def test_mismatched_sums(self):
         # (2,2) and (4,1): sums 4 vs 5, so the line graph cannot be regular.
@@ -168,45 +170,46 @@ class TestRegularityCharacterization:
         assert not regular_line_condition(g)
         lg = line_graph(g)
         assert lg.max_degree != lg.min_degree
-        assert line_regularity_characterization(g).holds
+        assert check_line_regular_iff(g)[0].holds
 
     def test_both_directions_random(self):
         rng = random.Random(74)
         for _ in range(50):
             g = random_nontrivial_connected(rng, rng.randint(3, 9))
-            assert line_regularity_characterization(g).holds
+            assert check_line_regular_iff(g)[0].holds
 
 
 class TestTreeCharacterization:
     def test_path5(self):
-        reports = line_tree_characterization(path_graph(5))
+        reports = check_line_tree_iff(path_graph(5))
         assert all(r.holds for r in reports)
         lg = line_graph(path_graph(5))
         assert lg.is_connected and lg.m == lg.n - 1
 
     def test_cycle5(self):
-        reports = line_tree_characterization(cycle_graph(5))
+        reports = check_line_tree_iff(cycle_graph(5))
         assert all(r.holds for r in reports)
         by_id = {r.check_id: r for r in reports}
         assert by_id["line_size_monotone"].equality  # m == m(L) for cycles
 
     def test_star4(self):
-        reports = line_tree_characterization(star_graph(4))
+        reports = check_line_tree_iff(star_graph(4))
         by_id = {r.check_id: r for r in reports}
         assert by_id["line_tree_iff"].holds
         assert by_id["line_size_monotone"].holds
 
     def test_disconnected_rejected(self):
-        with pytest.raises(ValueError, match="connected"):
-            line_tree_characterization(
-                disjoint_union(cycle_graph(3), cycle_graph(3))
-            )
+        (report,) = check_line_tree_iff(
+            disjoint_union(cycle_graph(3), cycle_graph(3))
+        )
+        assert report.mode == "skipped" and not report.preconditions_met
+        assert report.notes == "requires a connected graph"
 
     def test_iff_random(self):
         rng = random.Random(75)
         for _ in range(50):
             g = random_nontrivial_connected(rng, rng.randint(3, 9))
-            assert all(r.holds for r in line_tree_characterization(g))
+            assert all(r.holds for r in check_line_tree_iff(g))
 
 
 @st.composite
