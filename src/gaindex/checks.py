@@ -39,8 +39,6 @@ from .radicals import RadicalNumber, compare, radical_sqrt
 from .report import CheckReport, exact_report, float_report, skipped_report
 
 __all__ = [
-    "ga_edge_term",
-    "ga_ratio_curve",
     "check_extreme_degree_bounds",
     "check_order_size_bounds",
     "check_star_lower_bound",
@@ -75,23 +73,7 @@ DEFAULT_ALPHAS: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1), Fraction(2)
 Rational = int | Fraction
 
 
-# -- helper functions behind most of the bounds ----------------------------
-
-
-def ga_ratio_curve(t: Rational) -> Fraction:
-    """2t/(1+t^2): increases on [0,1], decreases on [1,inf), peaks at t=1."""
-    frac = Fraction(t)
-    if frac < 0:
-        raise ValueError("defined for t >= 0")
-    return 2 * frac / (1 + frac * frac)
-
-
-def ga_edge_term(x: Rational, y: Rational) -> RadicalNumber:
-    """2*sqrt(xy)/(x+y), the per-edge term of the geometric-arithmetic index."""
-    fx, fy = Fraction(x), Fraction(y)
-    if fx <= 0 or fy <= 0:
-        raise ValueError("defined for positive arguments")
-    return RadicalNumber.sqrt_fraction(fx * fy) * Fraction(2, 1) / (fx + fy)
+# -- helpers behind the bounds ---------------------------------------------
 
 
 def _sqrt_scaled(radicand: int, num: int, den: int) -> RadicalNumber:

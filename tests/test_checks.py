@@ -32,8 +32,6 @@ from gaindex.checks import (
     check_term_shift_inequality,
     check_three_half_zagreb_bound,
     check_variable_zagreb_bound,
-    ga_edge_term,
-    ga_ratio_curve,
     run_checks,
 )
 from gaindex.enumeration import enumerate_connected
@@ -47,7 +45,7 @@ from gaindex.graphs import (
     paw_graph,
     star_graph,
 )
-from graph_helpers import disjoint_union
+from graph_helpers import disjoint_union, ga_edge_term, ga_ratio_curve
 from gaindex.radicals import RadicalNumber, compare
 
 positive_rationals = st.fractions(

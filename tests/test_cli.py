@@ -380,8 +380,18 @@ class TestSweep:
                 "exhaustive_sweep",
                 "error: --trials must be at least 0, got -5",
             ),
+            (
+                ["--nmax", "-3", "--format", "csv"],
+                "exhaustive_sweep",
+                "error: order -3 is below 2, the least order with an edge",
+            ),
+            (
+                ["--nmax", "1", "--trials", "0"],
+                "exhaustive_sweep",
+                "error: order 1 is below 2, the least order with an edge",
+            ),
         ],
-        ids=["nmax", "random-nmax", "trials"],
+        ids=["nmax", "random-nmax", "trials", "nmax-negative", "nmax-1"],
     )
     def test_bad_arguments_refused_before_either_part(
         self, capsys, monkeypatch, argv, unreached, message

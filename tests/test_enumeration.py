@@ -99,6 +99,33 @@ def reference_augmented_classes(n: int, trees: bool) -> tuple[Graph, ...]:
     return tuple(graph_from_key(n, key) for key in ordered)
 
 
+def stabilizer_chain_order(masks: list[int], gens: list[tuple[int, ...]]) -> int:
+    """The product over k of the orbit of k under the generators that fix
+    0..k-1, after checking that each generator is an automorphism of the
+    graph with neighbour bitmasks ``masks``.  The product is at most the
+    order of the group the generators generate, so it equals the order of
+    the automorphism group only if they generate all of it."""
+    n = len(masks)
+    for sigma in gens:
+        assert sorted(sigma) == list(range(n))
+        for v in range(n):
+            image = sum(1 << sigma[w] for w in range(n) if masks[v] >> w & 1)
+            assert image == masks[sigma[v]]
+    order = 1
+    for k in range(n):
+        fixing = [sigma for sigma in gens if sigma[:k] == tuple(range(k))]
+        orbit = {k}
+        frontier = [k]
+        while frontier:
+            x = frontier.pop()
+            for sigma in fixing:
+                if sigma[x] not in orbit:
+                    orbit.add(sigma[x])
+                    frontier.append(sigma[x])
+        order *= len(orbit)
+    return order
+
+
 class TestConstructionPathFilter:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_connected_match_reference(self, n):
@@ -139,6 +166,38 @@ class TestConstructionPathFilter:
         assert enumeration._augmented_classes.__wrapped__(7, False) == expected
         children = len(enumerate_connected(6)) * (2**6 - 1)
         assert len(expected) <= calls < children
+
+    def test_one_join_set_per_orbit_is_keyed(self, monkeypatch):
+        # Without the orbit pruning, 1,797 keys give the 853 classes.
+        expected = enumerate_connected(7)  # also fills the cache below n = 7
+        calls = 0
+
+        def counted(g):
+            nonlocal calls
+            calls += 1
+            return canonical_key(g)
+
+        monkeypatch.setattr(enumeration, "canonical_key", counted)
+        assert enumeration._augmented_classes.__wrapped__(7, False) == expected
+        assert calls < 1.1 * len(expected)
+
+    @pytest.mark.skipif(nx is None, reason="networkx unavailable")
+    def test_automorphism_generators_generate_the_whole_group(self):
+        rng = random.Random(16)
+        for n in range(1, 8):
+            for g in enumerate_connected(n):
+                h = nx.Graph()
+                h.add_nodes_from(range(n))
+                h.add_edges_from(g.edges)
+                matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
+                size = sum(1 for _ in matcher.isomorphisms_iter())
+                for relabel in [list(range(n))] + [rng.sample(range(n), n) for _ in range(2)]:
+                    masks = [0] * n
+                    for u, v in g.edges:
+                        masks[relabel[u]] |= 1 << relabel[v]
+                        masks[relabel[v]] |= 1 << relabel[u]
+                    gens = enumeration._automorphism_generators(masks)
+                    assert stabilizer_chain_order(masks, gens) == size, (to_graph6(g), relabel)
 
     def test_children_are_keyed_without_building_graphs(self, monkeypatch):
         from gaindex import graphs
