@@ -7,7 +7,7 @@ here, and each verdict is built once by ``exact_report``, ``float_report`` or
 both sides live in the radical span.  Each reads its graph through a
 :class:`GraphFacts`; a plain ``Graph`` is accepted too, and ``run_checks``
 builds one ``GraphFacts`` per graph so that every checker shares its
-components, indices and line graph.  Quotient bounds are decided exactly by
+components, indices and line-graph facts.  Quotient bounds are decided exactly by
 cross-multiplication, so equality characterizations never depend on floating
 point.
 """
@@ -34,7 +34,7 @@ from .graphs import (
     is_star,
 )
 from .indices import NotRadicalError, _exact_pow, _ga1_exact, _power_sum, _snap_exponent
-from .linegraph import GraphFacts, regular_line_condition
+from .linegraph import GraphFacts, LineFacts, regular_line_condition
 from .radicals import RadicalNumber, compare, radical_sqrt
 from .report import CheckReport, exact_report, float_report, skipped_report
 
@@ -71,6 +71,9 @@ __all__ = [
 DEFAULT_ALPHAS: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 Rational = int | Fraction
+
+_THREE_HALVES = Fraction(3, 2)
+_CROSS_MULTIPLIED = "decided exactly by cross-multiplication"
 
 
 # -- helpers behind the bounds ---------------------------------------------
@@ -467,9 +470,9 @@ def check_line_tree_iff(g: Graph | GraphFacts) -> list[CheckReport]:
         reason = "requires a connected graph"
     if reason:
         return [skipped_report("line_tree_iff", "==", reason)]
-    g, lg = f.graph, f.line.graph
+    g, line = f.graph, f.line
     # G is connected here, and so is its line graph.
-    lg_is_tree = lg.m == lg.n - 1
+    lg_is_tree = line.m == line.n - 1
     g_is_path = is_path_component(g)
     reports = [
         exact_report(
@@ -486,7 +489,7 @@ def check_line_tree_iff(g: Graph | GraphFacts) -> list[CheckReport]:
                 "line_size_monotone",
                 "<=",
                 RadicalNumber(g.m),
-                RadicalNumber(lg.m),
+                RadicalNumber(line.m),
                 notes="edge count does not drop when passing to the line graph "
                 "of a connected non-path",
             )
@@ -512,10 +515,11 @@ def _alpha_reason(alpha: float | Rational) -> str | None:
 
 def _power_bound(
     check_id: str,
-    facts: GraphFacts,
+    facts: GraphFacts | LineFacts,
     rhs: Callable[..., tuple],
     alpha: float | Rational,
-    float_notes: str,
+    exact_notes: str,
+    float_notes: str = "",
     predicted_equality: bool | None = None,
 ) -> CheckReport:
     """Decide ``GA1 >= num / den`` for the graph of ``facts``, at exponent alpha.
@@ -531,7 +535,7 @@ def _power_bound(
     skipped where a side leaves the float range.  ``rhs`` takes its root
     factor first, so that an exponent without exact powers fails before any
     large power such as d^(1-a) is computed.  The exact report alone carries
-    ``predicted_equality``.
+    ``predicted_equality``; each mode has its own notes.
     """
     snapped = _snap_exponent(alpha)
     if snapped:
@@ -549,7 +553,7 @@ def _power_bound(
                 num,
                 predicted_equality=predicted_equality,
                 rhs_den=den,
-                notes=f"alpha={alpha}; decided exactly by cross-multiplication",
+                notes=exact_notes,
             )
 
     def evaluate(power):
@@ -604,6 +608,7 @@ def check_variable_zagreb_bound(
             f,
             rhs,
             alpha,
+            f"alpha={alpha}; {_CROSS_MULTIPLIED}",
             f"alpha={alpha}; float mode, tight exactly for regular graphs at "
             "every alpha",
             predicted_equality=f.regular,
@@ -661,7 +666,16 @@ def check_line_variable_zagreb_bound(
         chi = power_sum(chi_terms, (q - p, q))
         return num, den * power(chi, (q, 2 * p))
 
-    return [_power_bound(check_id, f.line, rhs, alpha, f"alpha={alpha}; float mode")]
+    return [
+        _power_bound(
+            check_id,
+            f.line,
+            rhs,
+            alpha,
+            f"alpha={alpha}; {_CROSS_MULTIPLIED}",
+            f"alpha={alpha}; float mode",
+        )
+    ]
 
 
 def check_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckReport]:
@@ -671,19 +685,16 @@ def check_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     if f.edge_reason:
         return [skipped_report(check_id, ">=", f.edge_reason)]
     g = f.graph
-    var = sum(cnt * _exact_pow(d, (3, 2)) for d, cnt in Counter(g.deg).items())
-    rhs_cmp = RadicalNumber.sqrt_int(g.min_degree) * (2 * g.m * g.m)
-    return [
-        exact_report(
-            check_id,
-            ">=",
-            f.ga1,
-            rhs_cmp,
-            predicted_equality=f.regular,
-            rhs_den=var,
-            notes="decided exactly by cross-multiplication",
-        )
-    ]
+    degs = Counter(g.deg)
+
+    def rhs(p, q, power, power_sum):  # a = p/q = 3/2
+        num = power(g.min_degree, (1, 2)) * (2 * g.m * g.m)
+        return num, power_sum(degs.items(), (p, q))
+
+    bound = _power_bound(
+        check_id, f, rhs, _THREE_HALVES, _CROSS_MULTIPLIED, predicted_equality=f.regular
+    )
+    return [bound]
 
 
 def check_line_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckReport]:
@@ -708,24 +719,12 @@ def check_line_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckRepor
     sums: Counter[int] = Counter()
     for (u, v), cnt in f.degree_pairs.items():
         sums[u + v] += cnt
-    chi = sum(cnt * _exact_pow(s, (3, 2)) for s, cnt in sums.items())
-    multiplier = 2 * (big - 1) * RadicalNumber.sqrt_int(big - 1) * chi
-    rhs_cmp = (
-        RadicalNumber.sqrt_int(2 * small - 2)
-        * big
-        * RadicalNumber.sqrt_int(big)
-        * (growth * growth)
-    )
-    return [
-        exact_report(
-            check_id,
-            ">=",
-            f.line.ga1,
-            rhs_cmp,
-            rhs_den=multiplier,
-            notes="decided exactly by cross-multiplication",
-        )
-    ]
+
+    def rhs(p, q, power, power_sum):  # a = p/q = 3/2
+        num = power(2 * small - 2, (1, 2)) * power(big, (p, q)) * (growth * growth)
+        return num, 2 * power(big - 1, (p, q)) * power_sum(sums.items(), (p, q))
+
+    return [_power_bound(check_id, f.line, rhs, _THREE_HALVES, _CROSS_MULTIPLIED)]
 
 
 # -- graph-free technical inequalities --------------------------------------
@@ -857,8 +856,8 @@ _ALPHA_CHECKS: dict[str, Callable[..., list[CheckReport]]] = {
 CHECK_IDS: tuple[str, ...] = tuple(list(_PLAIN_CHECKS) + list(_ALPHA_CHECKS))
 
 # Ids that read the line graph whenever its preconditions hold.  When one is
-# selected, the line graph is built before any checker runs, so that one over
-# MAX_EDGES fails at once instead of after the other checkers.
+# selected, its facts are made before any checker runs, so that a line graph
+# over MAX_EDGES fails at once instead of after the other checkers.
 _LINE_CHECK_IDS = frozenset(
     {
         "line_ga_bounds",

@@ -197,14 +197,32 @@ def _exact_pow(base: int | Fraction | RadicalNumber, alpha: Exponent) -> Radical
 def _power_sum(terms: Iterable[tuple[int, int]], alpha: Exponent) -> RadicalNumber:
     """Exact sum of ``count * base**alpha`` over pairs ``(base, count)``.
 
-    A nonnegative integer exponent is summed in integers and converted once,
-    so at alpha = 0 the sum is the total count.
+    Every base is a nonnegative integer: the callers pass degrees, degree
+    products and degree sums.  Each term is then ``count * c * sqrt(q) / r``
+    in integers, with ``r`` a power of the base for a negative exponent, and
+    the terms are added over one common denominator and normalized once, as
+    in :func:`_ga1_exact`.  At alpha = 0 the sum is the total count.
     """
     num, den = _half_integer(alpha)
-    if den == 1 and num >= 0:
-        return RadicalNumber(sum(count * base**num for base, count in terms))
-    powers = (count * _exact_pow(base, (num, den)) for base, count in terms)
-    return sum(powers, RadicalNumber(0))
+    k, half = divmod(abs(num), den)  # |alpha| = k + half/2
+    scaled: list[tuple[int, int, int]] = []
+    for base, count in terms:
+        if not isinstance(base, int) or base < 0:
+            raise ValueError(f"power sums take integer bases >= 0, got {base!r}")
+        if num < 0 and not base:
+            raise ZeroDivisionError(f"zero to the power {num}/{den}")
+        s, q = 1, 1
+        if half:  # sqrt(base) == s*sqrt(q)
+            s, q = radical_sqrt(base) if base else (0, 1)
+        if num >= 0:  # base**k * s*sqrt(q)
+            scaled.append((count * s * base**k, q, 1))
+        else:  # s*sqrt(q) / base**(k + half)
+            scaled.append((count * s, q, base ** (k + half)))
+    common = math.lcm(*(r for _, _, r in scaled))
+    numerators: dict[int, int] = {}
+    for c, q, r in scaled:
+        numerators[q] = numerators.get(q, 0) + c * (common // r)
+    return RadicalNumber._raw(numerators, common)
 
 
 def _sum_powers(counts: Counter[int], alpha: float | Fraction) -> IndexValue:

@@ -1,16 +1,20 @@
 """Line graph construction and the per-graph facts the checkers share.
 
-The line graph of G has one vertex per edge of G, with two vertices adjacent
-exactly when the underlying edges share an endpoint.  Every operation here
-requires a non-trivial input (each component with at least two edges): the
-line graph of a single edge is an isolated vertex, which the index machinery
-rejects.
+The line graph L(G) has one vertex per edge of G, with two vertices adjacent
+exactly when the underlying edges share an endpoint, so the vertex uv has
+degree du + dv - 2.  The checkers read L(G) only through :class:`LineFacts`,
+whose order, size, degree pairs, GA1, M1 and regularity are read off G's
+edges and degrees; only :func:`line_graph` builds L(G) as a ``Graph``, for
+``gaindex linegraph`` and :func:`verify_degree_identity`.  Every operation
+here requires a non-trivial input (each component with at least two edges):
+the line graph of a single edge is an isolated vertex, which the index
+machinery rejects.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -28,6 +32,7 @@ from .radicals import RadicalNumber
 
 __all__ = [
     "GraphFacts",
+    "LineFacts",
     "line_graph",
     "verify_degree_identity",
 ]
@@ -41,8 +46,9 @@ def _require_nontrivial(g: Graph) -> None:
         )
 
 
-def line_graph(g: Graph) -> Graph:
-    """The line graph; vertex i is the edge ``g.edges[i]``."""
+def _line_size(g: Graph) -> int:
+    """Edge count of the line graph, sum of C(deg, 2); raises unless ``g`` is
+    non-trivial and the count is within ``MAX_EDGES``."""
     _require_nontrivial(g)
     line_m = sum(d * (d - 1) // 2 for d in g.deg)
     if line_m > MAX_EDGES:
@@ -50,6 +56,12 @@ def line_graph(g: Graph) -> Graph:
             f"the line graph would have {line_m} edges, over the limit "
             f"MAX_EDGES = {MAX_EDGES}"
         )
+    return line_m
+
+
+def line_graph(g: Graph) -> Graph:
+    """The line graph; vertex i is the edge ``g.edges[i]``."""
+    _line_size(g)
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(g.edges):
         incident[u].append(i)
@@ -129,9 +141,72 @@ class GraphFacts:
         return sum(d**3 for d in self.graph.deg)
 
     @cached_property
-    def line(self) -> GraphFacts:
+    def line(self) -> LineFacts:
         """The facts of the line graph (raises unless the graph is non-trivial)."""
-        return GraphFacts(line_graph(self.graph))
+        return LineFacts(self)
+
+
+@dataclass(frozen=True)
+class LineFacts:
+    """The facts of L(G) that the checkers read, each read off G's edges and
+    degrees on first read; ``graph`` builds L(G) itself.
+
+    Each equals the same fact of ``GraphFacts(line_graph(g))``, the order of
+    ``degree_pairs`` included.  Construction raises, as :func:`line_graph`
+    does, unless G is non-trivial and L(G) has at most ``MAX_EDGES`` edges.
+    """
+
+    base: GraphFacts
+    m: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _line_size(self.base.graph))
+
+    @property
+    def n(self) -> int:
+        return self.base.graph.m
+
+    @cached_property
+    def graph(self) -> Graph:
+        return line_graph(self.base.graph)
+
+    @cached_property
+    def degree_pairs(self) -> Counter[tuple[int, int]]:
+        """Edge count per (smaller, larger) degree pair of L(G).
+
+        Keys first appear in the order of :func:`_degree_pairs` on the built
+        line graph, whose edges (i, j), i < j, are sorted; float mode sums
+        the pairs in that order.  G's edges are sorted with u < v, so the
+        edges j > i that meet edge i = (u, v) are u's edges after v in
+        ``adj[u]``, then v's edges after u in ``adj[v]``, in increasing j.
+        """
+        g = self.base.graph
+        deg = g.deg
+        # The L-degrees of each vertex's edges, in the order of adj.
+        at = [[d + deg[w] - 2 for w in g.adj[x]] for x, d in enumerate(deg)]
+        passed = [0] * g.n  # edges at each vertex up to the current one
+        pairs: dict[tuple[int, int], int] = {}  # counts faster than a Counter
+        for u, v in g.edges:
+            passed[u] += 1
+            passed[v] += 1
+            a = deg[u] + deg[v] - 2
+            for b in at[u][passed[u]:] + at[v][passed[v]:]:
+                key = (a, b) if a <= b else (b, a)
+                pairs[key] = pairs.get(key, 0) + 1
+        return Counter(pairs)
+
+    @cached_property
+    def ga1(self) -> RadicalNumber:
+        return _ga1_exact(self.degree_pairs)
+
+    @cached_property
+    def m1(self) -> int:
+        pairs = self.base.degree_pairs
+        return sum(count * (a + b - 2) ** 2 for (a, b), count in pairs.items())
+
+    @cached_property
+    def regular(self) -> bool:
+        return len({a + b for a, b in self.base.degree_pairs}) == 1
 
 
 def verify_degree_identity(g: Graph | GraphFacts) -> bool:

@@ -514,18 +514,19 @@ class TestThreeHalfZagrebBounds:
     def test_line_version_one_power_per_degree_sum(self, monkeypatch):
         import gaindex.checks
         from gaindex.formats import parse_graph6
-        from gaindex.indices import _exact_pow
+        from gaindex.indices import _power_sum
 
         bases = []
 
-        def counting(base, alpha):
-            bases.append(base)
-            return _exact_pow(base, alpha)
+        def counting(terms, alpha):
+            terms = list(terms)
+            bases.extend(base for base, _ in terms)
+            return _power_sum(terms, alpha)
 
         # Degree pairs (2,3), (2,4), (3,3) and (3,4): (2,4) and (3,3) share u+v = 6.
         g = parse_graph6("DL{")
         expected = check_line_three_half_zagreb_bound(g)[0].to_dict()
-        monkeypatch.setattr(gaindex.checks, "_exact_pow", counting)
+        monkeypatch.setattr(gaindex.checks, "_power_sum", counting)
         assert check_line_three_half_zagreb_bound(g)[0].to_dict() == expected
         assert sorted(bases) == [5, 6, 7]
 
@@ -736,8 +737,30 @@ class TestSharedFacts:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting)
         reports = run_checks(petersen_graph())
-        assert calls == {"components": 1, "line_graph": 1}
+        assert calls == {"components": 1, "line_graph": 0}
         assert len(reports) > 20 and not any(r.violated for r in reports)
+
+    def test_no_line_graph_is_built(self, monkeypatch):
+        import gaindex.linegraph
+        from gaindex.enumeration import random_connected
+
+        graphs = [petersen_graph()]
+        rng = random.Random(17)
+        while len(graphs) < 2:
+            g = random_connected(rng, 12)
+            if g.n == 12 and g.min_degree > 1:
+                graphs.append(g)
+
+        def refuse(*args):
+            raise AssertionError("run_checks built a line graph")
+
+        for name in ("line_graph", "from_edge_list"):
+            monkeypatch.setattr(gaindex.linegraph, name, refuse)
+        for g in graphs:
+            reports = run_checks(g)
+            ran = {r.check_id for r in reports if r.preconditions_met}
+            assert {"line_ga_bounds.upper", "line_tree_iff", "line_zagreb_lower"} <= ran
+            assert not any(r.violated for r in reports)
 
 
 class TestFloatPathAgreesWithExact:

@@ -210,6 +210,26 @@ class TestPowerSum:
         twice = list(counts.items()) * 2
         assert _power_sum(twice, Fraction(doubled, 2)) == expected * 2
 
+    def test_every_exponent_matches_the_powers_term_by_term(self):
+        # Bases sharing a squarefree part (2, 8, 18, ...) add into one radical.
+        rng = random.Random(23)
+        for _ in range(20):
+            terms = [(rng.randint(1, 60), rng.randint(1, 30)) for _ in range(12)]
+            terms += [(2 * k * k, rng.randint(1, 5)) for k in range(1, 5)]
+            for doubled in range(-6, 7):
+                alpha = Fraction(doubled, 2)
+                expected = sum(
+                    (count * _exact_pow(base, alpha) for base, count in terms),
+                    RadicalNumber(0),
+                )
+                assert _power_sum(terms, alpha) == expected, (terms, alpha)
+
+    @pytest.mark.parametrize("base", [-2, Fraction(1, 2), 2.0, RadicalNumber(2)])
+    def test_integer_bases_only(self, base):
+        for alpha in (2, Fraction(1, 2)):
+            with pytest.raises(ValueError, match="integer bases"):
+                _power_sum([(base, 1)], alpha)
+
     def test_integer_exponents_give_rationals(self):
         degrees = {3: 2, 2: 5}  # two vertices of degree 3, five of degree 2
         assert _power_sum(degrees.items(), 0) == RadicalNumber(7)

@@ -223,6 +223,30 @@ def nontrivial_graphs(draw):
     return g
 
 
+def assert_line_facts_match_built_line_graph(g):
+    line, built = GraphFacts(g).line, GraphFacts(line_graph(g))
+    # Float mode sums the degree pairs in this order, so it is compared too.
+    assert list(line.degree_pairs.items()) == list(built.degree_pairs.items())
+    assert line.ga1 == built.ga1
+    assert (line.m1, line.regular) == (built.m1, built.regular)
+    assert (line.n, line.m) == (built.graph.n, built.graph.m)
+
+
+class TestLineFacts:
+    def test_match_the_built_line_graph_up_to_seven_vertices(self):
+        from gaindex.enumeration import connected_nontrivial
+
+        graphs = connected_nontrivial(7)
+        for g in graphs:
+            assert_line_facts_match_built_line_graph(g)
+        assert len(graphs) == 994
+
+    @settings(max_examples=200, deadline=None)
+    @given(nontrivial_graphs())
+    def test_match_the_built_line_graph(self, g):
+        assert_line_facts_match_built_line_graph(g)
+
+
 @pytest.mark.skipif(nx is None, reason="networkx unavailable")
 class TestNetworkxOracle:
     def to_nx(self, g):
