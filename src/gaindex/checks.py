@@ -35,7 +35,7 @@ from .graphs import (
 )
 from .indices import NotRadicalError, _exact_pow, _ga1_exact, _power_sum, _snap_exponent
 from .linegraph import GraphFacts, LineFacts, regular_line_condition
-from .radicals import RadicalNumber, compare, radical_sqrt
+from .radicals import RadicalNumber, compare, radical_sqrt, radical_sum
 from .report import CheckReport, exact_report, float_report, skipped_report
 
 __all__ = [
@@ -76,18 +76,6 @@ _THREE_HALVES = Fraction(3, 2)
 _CROSS_MULTIPLIED = "decided exactly by cross-multiplication"
 
 
-# -- helpers behind the bounds ---------------------------------------------
-
-
-def _sqrt_scaled(radicand: int, num: int, den: int) -> RadicalNumber:
-    """``num / den * sqrt(radicand)`` for ``den > 0``, tolerating radicand == 0;
-    radicand 1 gives the rational ``num / den``."""
-    if radicand == 0:
-        return RadicalNumber(0)
-    s, q = radical_sqrt(radicand)
-    return RadicalNumber._raw({q: s * num}, den)
-
-
 # -- checkers over the base graph ------------------------------------------
 
 
@@ -102,7 +90,7 @@ def check_extreme_degree_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
         ]
     g = f.graph
     big, small = g.max_degree, g.min_degree
-    lower = _sqrt_scaled(big * small, 2 * g.m, big + small)
+    lower = radical_sum([(2 * g.m, big * small, big + small)])
     return [
         exact_report(
             "extreme_degree_bounds.lower",
@@ -139,13 +127,13 @@ def check_order_size_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
             "order_size_bounds.order",
             ">=",
             f.ga1,
-            _sqrt_scaled(n - 1, 2 * (n - 1), n),
+            radical_sum([(2 * (n - 1), n - 1, n)]),
         ),
         exact_report(
             "order_size_bounds.size",
             ">=",
             f.ga1,
-            _sqrt_scaled(1, 2 * g.m, n),
+            radical_sum([(2 * g.m, 1, n)]),
         ),
     ]
 
@@ -156,7 +144,7 @@ def check_star_lower_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     if f.edge_reason:
         return [skipped_report("star_lower_bound", ">=", f.edge_reason)]
     g = f.graph
-    bound = _sqrt_scaled(g.n - 1, 2 * g.m, g.n)
+    bound = radical_sum([(2 * g.m, g.n - 1, g.n)])
     return [
         exact_report(
             "star_lower_bound", ">=", f.ga1, bound, predicted_equality=is_star(g)
@@ -177,7 +165,7 @@ def check_no_universal_vertex_bound(g: Graph | GraphFacts) -> list[CheckReport]:
             skipped_report("no_universal_vertex_bound.strict", ">", reason),
             skipped_report("no_universal_vertex_bound.tail", ">=", reason),
         ]
-    bound = _sqrt_scaled(g.n - 2, 2 * g.m, g.n - 1)
+    bound = radical_sum([(2 * g.m, g.n - 2, g.n - 1)])
     out = [exact_report("no_universal_vertex_bound.strict", ">", f.ga1, bound)]
     if g.m >= g.n - 1:
         out.append(
@@ -185,7 +173,7 @@ def check_no_universal_vertex_bound(g: Graph | GraphFacts) -> list[CheckReport]:
                 "no_universal_vertex_bound.tail",
                 ">=",
                 bound,
-                _sqrt_scaled(g.n - 2, 2, 1),
+                radical_sum([(2, g.n - 2, 1)]),
             )
         )
     else:
@@ -238,7 +226,7 @@ def check_edge_deletion_drop(g: Graph | GraphFacts) -> list[CheckReport]:
                 )
             )
             continue
-        term = _sqrt_scaled(g.deg[u] * g.deg[v], 2, g.deg[u] + g.deg[v])
+        term = radical_sum([(2, g.deg[u] * g.deg[v], g.deg[u] + g.deg[v])])
         out.append(
             exact_report(
                 "edge_deletion_drop",
@@ -290,7 +278,7 @@ def check_line_ga_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
     g = f.graph
     big, small = g.max_degree, g.min_degree
     radicand = (big - 1) * (small - 1)
-    lower = _sqrt_scaled(radicand, f.m1 - 2 * g.m, big + small - 2)
+    lower = radical_sum([(f.m1 - 2 * g.m, radicand, big + small - 2)])
     notes_lower = "vacuous: bound is zero (min degree 1)" if radicand == 0 else ""
     return [
         exact_report(
@@ -305,7 +293,7 @@ def check_line_ga_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
             "line_ga_bounds.upper",
             "<=",
             f.line.ga1,
-            _sqrt_scaled(1, f.m1 - 2 * g.m, 2),
+            radical_sum([(f.m1 - 2 * g.m, 1, 2)]),
             predicted_equality=regular_line_condition(f),
             notes="upper bound tight exactly when the line graph is regular",
         ),
@@ -322,7 +310,7 @@ def check_nordhaus_gaddum(g: Graph | GraphFacts) -> list[CheckReport]:
         ]
     total = f.ga1 + f.line.ga1
     big, small = f.graph.max_degree, f.graph.min_degree
-    lower = _sqrt_scaled((big - 1) * (small - 1), f.m1, big + small - 2)
+    lower = radical_sum([(f.m1, (big - 1) * (small - 1), big + small - 2)])
     return [
         exact_report(
             "nordhaus_gaddum.lower", "<=", lower, total, predicted_equality=f.regular
@@ -331,7 +319,7 @@ def check_nordhaus_gaddum(g: Graph | GraphFacts) -> list[CheckReport]:
             "nordhaus_gaddum.upper",
             "<=",
             total,
-            _sqrt_scaled(1, f.m1, 2),
+            radical_sum([(f.m1, 1, 2)]),
             predicted_equality=f.regular,
         ),
     ]
@@ -345,8 +333,8 @@ def check_line_ga_ratio_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     g = f.graph
     hi = 2 * g.max_degree - 2
     lo = max(2 * g.min_degree - 2, 1)
-    candidate = _sqrt_scaled(hi * lo, 2, hi + lo)
-    path_factor = _sqrt_scaled(2, 3, 8)  # 3/(4*sqrt(2))
+    candidate = radical_sum([(2, hi * lo, hi + lo)])
+    path_factor = radical_sum([(3, 2, 8)])  # 3/(4*sqrt(2))
     factor = path_factor if compare(path_factor, candidate) <= 0 else candidate
     rhs = factor * f.ga1
     return [
@@ -389,7 +377,7 @@ def check_line_order_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     if f.nontrivial_reason:
         return [skipped_report("line_order_bound", ">=", f.nontrivial_reason)]
     m = f.graph.m
-    bound = _sqrt_scaled(m - 1, 2 * (m - 1), m)
+    bound = radical_sum([(2 * (m - 1), m - 1, m)])
     return [exact_report("line_order_bound", ">=", f.line.ga1, bound)]
 
 
@@ -401,7 +389,7 @@ def check_line_sqrt_bound(g: Graph | GraphFacts) -> list[CheckReport]:
         reason = "a component is a path on at most 6 vertices"
     if reason:
         return [skipped_report("line_sqrt_bound", ">=", reason)]
-    bound = _sqrt_scaled(f.graph.m - 1, 2, 1)
+    bound = radical_sum([(2, f.graph.m - 1, 1)])
     return [exact_report("line_sqrt_bound", ">=", f.line.ga1, bound)]
 
 

@@ -92,21 +92,21 @@ def _resolve_precision(args: argparse.Namespace) -> int:
     return bits
 
 
+def _read_graphs(text: str) -> list[Graph]:
+    """The graphs of an ``--input`` file or of stdin: one edge list, or
+    graph6 lines."""
+    if looks_like_edge_list(text):
+        return [read_edge_list(text)]
+    return list(iter_graph6(text))
+
+
 def _load_graphs(args: argparse.Namespace) -> list[Graph]:
     graphs: list[Graph] = []
     if args.input:
-        text = Path(args.input).read_text()
-        if looks_like_edge_list(text):
-            graphs.append(read_edge_list(text))
-        else:
-            graphs.extend(iter_graph6(text))
+        graphs.extend(_read_graphs(Path(args.input).read_text()))
     for spec in args.graphs:
         if spec == "-":
-            text = sys.stdin.read()
-            if looks_like_edge_list(text):
-                graphs.append(read_edge_list(text))
-            else:
-                graphs.extend(iter_graph6(text))
+            graphs.extend(_read_graphs(sys.stdin.read()))
         else:
             graphs.append(parse_graph_spec(spec))
     if not graphs:

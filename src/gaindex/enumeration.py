@@ -35,7 +35,7 @@ from .graphs import (
     star_graph,
 )
 from .indices import ga1
-from .linegraph import line_graph
+from .linegraph import GraphFacts, line_graph
 from .radicals import RadicalNumber, compare
 
 __all__ = [
@@ -333,12 +333,8 @@ def classify_line_small_values(n_max: int) -> list[Bucket]:
     """
     if n_max < 7:
         raise ValueError("n_max >= 7 is required to cover every possible member")
-    pairs = []
-    for g in connected_nontrivial(n_max):
-        value = ga1(line_graph(g)).exact
-        assert value is not None
-        pairs.append((g, value))
-    return _bucketize(pairs)
+    graphs = connected_nontrivial(n_max)
+    return _bucketize([(g, GraphFacts(g).line.ga1) for g in graphs])
 
 
 def expected_small_value_families() -> dict[tuple[int, int], list[Graph]]:

@@ -18,7 +18,7 @@ from operator import add
 from typing import Callable, Iterable
 
 from .graphs import Graph
-from .radicals import RadicalNumber, radical_sqrt
+from .radicals import RadicalNumber, radical_sum
 
 __all__ = [
     "IndexValue",
@@ -109,12 +109,7 @@ def _degree_pairs(g: Graph) -> Counter[tuple[int, int]]:
 
 def _ga1_exact(pairs: Counter[tuple[int, int]]) -> RadicalNumber:
     """GA1 from the degree-pair counts of :func:`_degree_pairs`."""
-    den = math.lcm(*(a + b for a, b in pairs))
-    terms: dict[int, int] = {}
-    for (a, b), count in pairs.items():
-        s, q = radical_sqrt(a * b)
-        terms[q] = terms.get(q, 0) + 2 * count * s * (den // (a + b))
-    return RadicalNumber._raw(terms, den)
+    return radical_sum([(2 * count, a * b, a + b) for (a, b), count in pairs.items()])
 
 
 def ga1(g: Graph) -> IndexValue:
@@ -164,6 +159,18 @@ def _half_integer(alpha: Exponent) -> tuple[int, int]:
     return num, den
 
 
+def _power_term(p: int, r: int, num: int, den: int) -> tuple[int, int, int]:
+    """``(p/r) ** (num/den)`` as one triple ``(c, k, r)`` of :func:`radical_sum`,
+    for integers ``p >= 0`` and ``r > 0`` and ``den`` 1 or 2."""
+    if num < 0:  # (p/r)**-x == (r/p)**x
+        if not p:
+            raise ZeroDivisionError(f"zero to the power {num}/{den}")
+        p, r, num = r, p, -num
+    k, half = divmod(num, den)
+    # (p/r)**(k + half/2) == p**k * sqrt((p*r)**half) / r**(k + half)
+    return p**k, (p * r) ** half, r ** (k + half)
+
+
 def _exact_pow(base: int | Fraction | RadicalNumber, alpha: Exponent) -> RadicalNumber:
     """Exact ``base ** alpha`` where it is known to be a radical.
 
@@ -181,48 +188,25 @@ def _exact_pow(base: int | Fraction | RadicalNumber, alpha: Exponent) -> Radical
         base = base.rational_part
     if base < 0:
         raise NotRadicalError(f"negative base {base}")
-    p, r = base.numerator, base.denominator
-    if num < 0:  # base**-x == (1/base)**x
-        if not p:
-            raise ZeroDivisionError(f"zero to the power {num}/{den}")
-        p, r, num = r, p, -num
-    k = num // den
-    if den == 1:
-        return RadicalNumber._raw({1: p**k}, r**k)
-    # (p/r)**(k + 1/2) == p**k * s*sqrt(q) / r**(k+1), where p*r == s*s*q
-    s, q = radical_sqrt(p * r) if p else (0, 1)
-    return RadicalNumber._raw({q: s * p**k}, r ** (k + 1))
+    return radical_sum([_power_term(base.numerator, base.denominator, num, den)])
 
 
 def _power_sum(terms: Iterable[tuple[int, int]], alpha: Exponent) -> RadicalNumber:
     """Exact sum of ``count * base**alpha`` over pairs ``(base, count)``.
 
     Every base is a nonnegative integer: the callers pass degrees, degree
-    products and degree sums.  Each term is then ``count * c * sqrt(q) / r``
-    in integers, with ``r`` a power of the base for a negative exponent, and
-    the terms are added over one common denominator and normalized once, as
-    in :func:`_ga1_exact`.  At alpha = 0 the sum is the total count.
+    products and degree sums.  Each term is one triple of
+    :func:`_power_term`, scaled by its count, and :func:`radical_sum` adds
+    them all and normalizes once.  At alpha = 0 the sum is the total count.
     """
     num, den = _half_integer(alpha)
-    k, half = divmod(abs(num), den)  # |alpha| = k + half/2
-    scaled: list[tuple[int, int, int]] = []
+    scaled = []
     for base, count in terms:
         if not isinstance(base, int) or base < 0:
             raise ValueError(f"power sums take integer bases >= 0, got {base!r}")
-        if num < 0 and not base:
-            raise ZeroDivisionError(f"zero to the power {num}/{den}")
-        s, q = 1, 1
-        if half:  # sqrt(base) == s*sqrt(q)
-            s, q = radical_sqrt(base) if base else (0, 1)
-        if num >= 0:  # base**k * s*sqrt(q)
-            scaled.append((count * s * base**k, q, 1))
-        else:  # s*sqrt(q) / base**(k + half)
-            scaled.append((count * s, q, base ** (k + half)))
-    common = math.lcm(*(r for _, _, r in scaled))
-    numerators: dict[int, int] = {}
-    for c, q, r in scaled:
-        numerators[q] = numerators.get(q, 0) + c * (common // r)
-    return RadicalNumber._raw(numerators, common)
+        c, k, r = _power_term(base, 1, num, den)
+        scaled.append((count * c, k, r))
+    return radical_sum(scaled)
 
 
 def _sum_powers(counts: Counter[int], alpha: float | Fraction) -> IndexValue:

@@ -5,8 +5,10 @@ denominator ``den`` and a map ``q -> n_q`` of nonzero integer numerators, with
 every key a squarefree positive integer and ``den`` coprime to the numerators
 taken together.  Square roots of distinct squarefree integers are linearly
 independent over the rationals, so this is a canonical form: two values are
-equal exactly when their denominators and maps coincide.  Each operation works
-on integers and divides out one gcd at the end.  A product of two radicands
+equal exactly when their denominators and maps coincide.  :func:`radical_sum`
+builds a value from integer terms ``c * sqrt(k) / r`` of any radicand, so no
+other module needs to know this form.  Each operation works on integers and
+divides out one gcd at the end.  A product of two radicands
 splits without factoring: with ``g = gcd(q1, q2)``,
 ``sqrt(q1*q2) = g * sqrt((q1/g) * (q2/g))``, and that radicand is squarefree.
 Order is decided in integers.  Every value keeps one integer enclosure at
@@ -24,10 +26,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from typing import Iterable
 
 __all__ = [
     "RadicalNumber",
     "radical_sqrt",
+    "radical_sum",
     "compare",
     "format_radical",
     "parse_radical",
@@ -92,15 +96,14 @@ class RadicalNumber:
             n, d = _ratio(value)
             self._set({1: n}, d)
             return
-        den = lcm(*(_ratio(c)[1] for c in value.values()))
-        num: dict[int, int] = {}
+        terms = []
         for q, c in value.items():
             if not isinstance(q, int) or q < 1:
                 raise ValueError(f"radicand must be a positive integer, got {q!r}")
-            if c:
-                s, qf = radical_sqrt(q)
-                num[qf] = num.get(qf, 0) + c.numerator * s * (den // c.denominator)
-        self._set(num, den)
+            n, d = _ratio(c)
+            terms.append((n, q, d))
+        total = radical_sum(terms)
+        self._set(total._num, total._den)
 
     def _set(self, num: dict[int, int], den: int) -> "RadicalNumber":
         """Store ``sum num[q] * sqrt(q) / den`` in lowest terms and return self;
@@ -123,9 +126,8 @@ class RadicalNumber:
 
     @classmethod
     def sqrt_int(cls, k: int) -> "RadicalNumber":
-        """Exact ``sqrt(k)`` for a positive integer ``k``."""
-        s, q = radical_sqrt(k)
-        return cls._raw({q: s}, 1)
+        """Exact ``sqrt(k)`` for an integer ``k >= 0``."""
+        return radical_sum([(1, k, 1)])
 
     @classmethod
     def sqrt_fraction(cls, r: Rational) -> "RadicalNumber":
@@ -133,9 +135,7 @@ class RadicalNumber:
         n, d = _ratio(r)
         if n < 0:
             raise ValueError(f"cannot take a real square root of {Fraction(n, d)}")
-        # sqrt(n/d) = sqrt(n*d)/d
-        s, q = radical_sqrt(n * d) if n else (0, 1)
-        return cls._raw({q: s}, d)
+        return radical_sum([(1, n * d, d)])  # sqrt(n/d) = sqrt(n*d)/d
 
     @property
     def terms(self) -> dict[int, Fraction]:
@@ -343,6 +343,26 @@ class RadicalNumber:
 
     def __repr__(self) -> str:
         return f"RadicalNumber({format_radical(self)!r})"
+
+
+def radical_sum(terms: Iterable[tuple[int, int, int]]) -> RadicalNumber:
+    """Exact ``sum c * sqrt(k) / r`` over integer triples ``(c, k, r)`` with
+    ``k >= 0`` and ``r > 0``.
+
+    Each ``k`` is split by :func:`radical_sqrt`, every term is put over the
+    lcm of the ``r`` and the sum is normalized once.  The keys of a value
+    are squarefree by construction, so callers need not split them.
+    """
+    split = []
+    for c, k, r in terms:
+        if c and k:
+            s, q = radical_sqrt(k)
+            split.append((c * s, q, r))
+    den = lcm(*[r for _, _, r in split])
+    num: dict[int, int] = {}
+    for c, q, r in split:
+        num[q] = num.get(q, 0) + c * (den // r)
+    return RadicalNumber._raw(num, den)
 
 
 def compare(

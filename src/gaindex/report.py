@@ -45,11 +45,6 @@ class CheckReport:
     def violated(self) -> bool:
         return self.preconditions_met and not self.holds
 
-    @property
-    def slack(self) -> float:
-        """``lhs - rhs`` in display floats; NaN when skipped."""
-        return self.lhs.approx - self.rhs.approx
-
     def to_dict(self) -> dict:
         """The report as a ``text`` or ``csv`` row; ``json_rows`` writes the
         same keys for ``json``."""

@@ -19,6 +19,7 @@ from gaindex.radicals import (
     format_radical,
     parse_radical,
     radical_sqrt,
+    radical_sum,
 )
 
 
@@ -644,6 +645,37 @@ class TestIntegerKernel:
         assert hash(RadicalNumber(Fraction(-7, 3))) == hash(Fraction(-7, 3))
         assert hash(RadicalNumber(0)) == hash(0)
         assert RadicalNumber({2: 1}) - RadicalNumber.sqrt_int(8) / 2 in {0}
+
+
+# Small radicands repeat within a list, and 0 is among them.
+sum_terms = st.lists(
+    st.tuples(
+        st.integers(min_value=-(10**6), max_value=10**6),
+        st.one_of(st.integers(min_value=0, max_value=12), any_radicands),
+        st.integers(min_value=1, max_value=10**6),
+    ),
+    max_size=8,
+)
+
+
+class TestRadicalSum:
+    @given(sum_terms)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_reference(self, terms):
+        ref = FractionRadical(0)
+        for c, k, r in terms:
+            if k:
+                ref = ref + FractionRadical({k: Fraction(c, r)})
+        assert_matches(radical_sum(terms), ref)
+        assert radical_sum(iter(terms)) == radical_sum(terms)
+
+    def test_zero_terms_and_shared_radicals(self):
+        assert radical_sum([]) == 0
+        assert radical_sum([(0, 7, 3), (5, 0, 2)]) == 0
+        assert radical_sum([(1, 8, 1), (-2, 2, 1)]) == 0
+        assert radical_sum([(3, 12, 4), (1, 3, 2), (1, 9, 6)]) == RadicalNumber(
+            {1: Fraction(1, 2), 3: 2}
+        )
 
 
 class TestDisplayFormat:
