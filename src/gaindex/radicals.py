@@ -353,16 +353,17 @@ def radical_sum(terms: Iterable[tuple[int, int, int]]) -> RadicalNumber:
     lcm of the ``r`` and the sum is normalized once.  The keys of a value
     are squarefree by construction, so callers need not split them.
     """
-    split = []
+    terms = list(terms)
+    den = 1
+    for _, _, r in terms:
+        if den % r:
+            den = lcm(den, r)
+    num: dict[int, int] = {}
     for c, k, r in terms:
         if c and k:
-            s, q = radical_sqrt(k)
-            split.append((c * s, q, r))
-    den = lcm(*[r for _, _, r in split])
-    num: dict[int, int] = {}
-    for c, q, r in split:
-        num[q] = num.get(q, 0) + c * (den // r)
-    return RadicalNumber._raw(num, den)
+            s, q = radical_sqrt(k) if k != 1 else (1, 1)
+            num[q] = num.get(q, 0) + c * s * (den // r)
+    return RadicalNumber.__new__(RadicalNumber)._set(num, den)
 
 
 def compare(
