@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .graphs import (
@@ -28,13 +28,13 @@ from .graphs import (
     complete_bipartite_graph,
     double_star_graph,
     is_biregular,
-    is_minimal_edge,
     is_path_component,
     is_regular,
     is_star,
+    minimal_edges,
 )
-from .indices import NotRadicalError, _exact_pow, _ga1_exact, _power_sum, _snap_exponent
-from .linegraph import GraphFacts, LineFacts, regular_line_condition
+from .indices import NotRadicalError, _power_factor, _power_sum, _snap_exponent
+from .linegraph import GraphFacts, LineFacts
 from .radicals import RadicalNumber, compare, radical_sqrt, radical_sum
 from .report import CheckReport, exact_report, float_report, skipped_report
 
@@ -187,17 +187,17 @@ def check_no_universal_vertex_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     return out
 
 
-def _pairs_without_edge(f: GraphFacts, u: int, v: int) -> Counter[tuple[int, int]]:
-    """Degree-pair counts of G - uv; only the edges at u and v change."""
-    deg = f.graph.deg
-    pairs = f.degree_pairs.copy()
-    pairs[tuple(sorted((deg[u], deg[v])))] -= 1
+def _deletion_loss(f: GraphFacts, u: int, v: int) -> RadicalNumber:
+    """What the other edges at u and v lose from GA1 when uv is deleted:
+    each keeps its far endpoint's degree and loses one at u or v."""
+    deg, adj = f.graph.deg, f.graph.adj
+    terms = []
     for a, b in ((u, v), (v, u)):
-        for w in f.graph.adj[a]:
-            if w != b:
-                pairs[tuple(sorted((deg[a], deg[w])))] -= 1
-                pairs[tuple(sorted((deg[a] - 1, deg[w])))] += 1
-    return +pairs
+        da = deg[a]
+        for dw, cnt in Counter(deg[w] for w in adj[a] if w != b).items():
+            terms.append((2 * cnt, da * dw, da + dw))
+            terms.append((-2 * cnt, (da - 1) * dw, da - 1 + dw))
+    return radical_sum(terms)
 
 
 def check_edge_deletion_drop(g: Graph | GraphFacts) -> list[CheckReport]:
@@ -205,18 +205,16 @@ def check_edge_deletion_drop(g: Graph | GraphFacts) -> list[CheckReport]:
 
     A minimal edge that is its own component is excluded: deletion then
     removes exactly its term and the strict drop fails, so the statement
-    implicitly needs a surviving edge next to the deleted one.
+    implicitly needs a surviving edge next to the deleted one.  GA1(G - uv)
+    is GA1 less the term of uv and less :func:`_deletion_loss`.
     """
     f = GraphFacts.of(g)
     if f.edge_reason:
         return [skipped_report("edge_deletion_drop", "<", f.edge_reason)]
-    g = f.graph
+    deg = f.graph.deg
     out: list[CheckReport] = []
-    for e in g.edges:
-        if not is_minimal_edge(g, e):
-            continue
-        u, v = e
-        if g.deg[u] == g.deg[v] == 1:
+    for u, v in minimal_edges(f.graph):
+        if deg[u] == deg[v] == 1:
             out.append(
                 skipped_report(
                     "edge_deletion_drop",
@@ -226,13 +224,13 @@ def check_edge_deletion_drop(g: Graph | GraphFacts) -> list[CheckReport]:
                 )
             )
             continue
-        term = radical_sum([(2, g.deg[u] * g.deg[v], g.deg[u] + g.deg[v])])
+        rest = f.ga1 - radical_sum([(2, deg[u] * deg[v], deg[u] + deg[v])])
         out.append(
             exact_report(
                 "edge_deletion_drop",
                 "<",
-                _ga1_exact(_pairs_without_edge(f, u, v)),
-                f.ga1 - term,
+                rest - _deletion_loss(f, u, v),
+                rest,
                 notes=f"deleted minimal edge ({u},{v})",
             )
         )
@@ -294,7 +292,7 @@ def check_line_ga_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
             "<=",
             f.line.ga1,
             radical_sum([(f.m1 - 2 * g.m, 1, 2)]),
-            predicted_equality=regular_line_condition(f),
+            predicted_equality=f.regular_line_condition,
             notes="upper bound tight exactly when the line graph is regular",
         ),
     ]
@@ -431,7 +429,7 @@ def check_line_regular_iff(g: Graph | GraphFacts) -> list[CheckReport]:
     if f.nontrivial_reason:
         return [skipped_report("line_regular_iff", "==", f.nontrivial_reason)]
     actual = f.line.regular
-    predicted = regular_line_condition(f)
+    predicted = f.regular_line_condition
     per_comp = ", ".join(
         f"({c.max_degree},{c.min_degree})" for c in f.components
     )
@@ -501,10 +499,34 @@ def _alpha_reason(alpha: float | Rational) -> str | None:
     return None
 
 
+def _exact_product(
+    factors: Iterable[int | tuple[int, int, int] | RadicalNumber],
+) -> RadicalNumber:
+    """The product of integers, triples ``(c, k, r)`` of :func:`radical_sum`
+    and values.
+
+    The integers and triples multiply in integers into one triple, ``(c1*c2,
+    k1*k2, r1*r2)``, built as one value; only a value among the factors, a
+    power sum, costs a product of values.
+    """
+    c = k = r = 1
+    value = None
+    for x in factors:
+        if isinstance(x, int):
+            c *= x
+        elif isinstance(x, tuple):
+            c, k, r = c * x[0], k * x[1], r * x[2]
+        else:
+            value = x if value is None else value * x
+    if value is None:
+        return radical_sum([(c, k, r)])
+    return value if c == k == r == 1 else value * radical_sum([(c, k, r)])
+
+
 def _power_bound(
     check_id: str,
     facts: GraphFacts | LineFacts,
-    rhs: Callable[..., tuple],
+    rhs: Callable[..., tuple[list, list]],
     alpha: float | Rational,
     exact_notes: str,
     float_notes: str = "",
@@ -513,23 +535,28 @@ def _power_bound(
     """Decide ``GA1 >= num / den`` for the graph of ``facts``, at exponent alpha.
 
     ``rhs(p, q, power, power_sum)`` evaluates the bound at exponent a = p/q
-    and returns ``(num, den)``, den > 0.  Each exponent i/j is passed as the
-    pair ``(i, j)`` of expressions in p and q, to ``power(x, (i, j))`` and to
-    ``power_sum(terms, (i, j))``, the sum of ``count * base**(i/j)`` over
-    pairs ``(base, count)``.  Where alpha snaps to a nonzero half-integer p/q
-    and every power is a radical, the bound is decided exactly by
-    cross-multiplying with ``den``; otherwise in float mode, with
-    ``p = float(alpha)``, ``q = 1`` and the float ``i / j`` as exponent,
-    skipped where a side leaves the float range.  ``rhs`` takes its root
-    factor first, so that an exponent without exact powers fails before any
-    large power such as d^(1-a) is computed.  The exact report alone carries
-    ``predicted_equality``; each mode has its own notes.
+    and returns ``(num, den)`` as two lists of factors, den > 0.  Each
+    exponent i/j is passed as the pair ``(i, j)`` of expressions in p and q,
+    to ``power(x, (i, j))`` and to ``power_sum(terms, (i, j))``, the sum of
+    ``count * base**(i/j)`` over pairs ``(base, count)``.  Where alpha snaps
+    to a nonzero half-integer p/q and every power is a radical, the bound is
+    decided exactly by cross-multiplying with ``den``.  There ``power`` is
+    :func:`_power_factor`: a triple of :func:`radical_sum` for a rational
+    base, and a power sum itself at exponent 1.  ``power_sum`` is
+    :func:`_power_sum`, a value, and each side is one :func:`_exact_product`.
+    Otherwise the bound is decided in float mode, with ``p = float(alpha)``,
+    ``q = 1``, the float ``i / j`` as exponent and each side's factors
+    multiplied left to right, skipped where a side leaves the float range.
+    ``rhs`` takes its root factor first, so that an exponent without exact
+    powers fails before any large power such as d^(1-a) is computed.  The
+    exact report alone carries ``predicted_equality``; each mode has its own
+    notes.
     """
     snapped = _snap_exponent(alpha)
     if snapped:
         try:
             num, den = rhs(
-                snapped.numerator, snapped.denominator, _exact_pow, _power_sum
+                snapped.numerator, snapped.denominator, _power_factor, _power_sum
             )
         except NotRadicalError:
             pass
@@ -538,9 +565,9 @@ def _power_bound(
                 check_id,
                 ">=",
                 facts.ga1,
-                num,
+                _exact_product(num),
                 predicted_equality=predicted_equality,
-                rhs_den=den,
+                rhs_den=_exact_product(den),
                 notes=exact_notes,
             )
 
@@ -557,7 +584,7 @@ def _power_bound(
             return reduce(add, (cnt * pair_power(b, e) for b, cnt in terms), 0)
 
         num, den = rhs(float(alpha), 1, pair_power, power_sum)
-        return lhs, num / den
+        return lhs, reduce(mul, num) / reduce(mul, den)
 
     try:
         return float_report(check_id, ">=", evaluate, notes=float_notes)
@@ -579,16 +606,15 @@ def check_variable_zagreb_bound(
         return [skipped_report(check_id, ">=", reason)]
     g = f.graph
     big, small, m = g.max_degree, g.min_degree, g.m
-    degs = Counter(g.deg)
 
     def rhs(p, q, power, power_sum):  # a = p/q
-        num = (
-            power(2, (q, 2 * p))
-            * power(small, (1, 2))
-            * power(m, (2 * p + q, 2 * p))
-        )
-        var_zagreb = power_sum(degs.items(), (q - p, q))
-        return num, big * power(var_zagreb, (q, 2 * p))
+        num = [
+            power(2, (q, 2 * p)),
+            power(small, (1, 2)),
+            power(m, (2 * p + q, 2 * p)),
+        ]
+        var_zagreb = power_sum(f.degree_counts.items(), (q - p, q))
+        return num, [big, power(var_zagreb, (q, 2 * p))]
 
     return [
         _power_bound(
@@ -637,22 +663,22 @@ def check_line_variable_zagreb_bound(
 
     def rhs(p, q, power, power_sum):  # a = p/q
         if p <= q:
-            num = (
-                power(2 * small - 2, (1, 2))
-                * power(big, (q - p, 2 * p))
-                * power(growth, (2 * p + q, 2 * p))
-            )
-            den = 4 * power(big - 1, (q + p, 2 * p))
+            num = [
+                power(2 * small - 2, (1, 2)),
+                power(big, (q - p, 2 * p)),
+                power(growth, (2 * p + q, 2 * p)),
+            ]
+            den = [4, power(big - 1, (q + p, 2 * p))]
         else:
-            num = (
-                power(2, (1, 2))
-                * power(small - 1, (2 * p - q, 2 * p))
-                * power(small, (q - p, 2 * p))
-                * power(growth, (2 * p + q, 2 * p))
-            )
-            den = 4 * (big - 1)
+            num = [
+                power(2, (1, 2)),
+                power(small - 1, (2 * p - q, 2 * p)),
+                power(small, (q - p, 2 * p)),
+                power(growth, (2 * p + q, 2 * p)),
+            ]
+            den = [4 * (big - 1)]
         chi = power_sum(chi_terms, (q - p, q))
-        return num, den * power(chi, (q, 2 * p))
+        return num, den + [power(chi, (q, 2 * p))]
 
     return [
         _power_bound(
@@ -673,11 +699,10 @@ def check_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     if f.edge_reason:
         return [skipped_report(check_id, ">=", f.edge_reason)]
     g = f.graph
-    degs = Counter(g.deg)
 
     def rhs(p, q, power, power_sum):  # a = p/q = 3/2
-        num = power(g.min_degree, (1, 2)) * (2 * g.m * g.m)
-        return num, power_sum(degs.items(), (p, q))
+        num = [power(g.min_degree, (1, 2)), 2 * g.m * g.m]
+        return num, [power_sum(f.degree_counts.items(), (p, q))]
 
     bound = _power_bound(
         check_id, f, rhs, _THREE_HALVES, _CROSS_MULTIPLIED, predicted_equality=f.regular
@@ -709,8 +734,8 @@ def check_line_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckRepor
         sums[u + v] += cnt
 
     def rhs(p, q, power, power_sum):  # a = p/q = 3/2
-        num = power(2 * small - 2, (1, 2)) * power(big, (p, q)) * (growth * growth)
-        return num, 2 * power(big - 1, (p, q)) * power_sum(sums.items(), (p, q))
+        num = [power(2 * small - 2, (1, 2)), power(big, (p, q)), growth * growth]
+        return num, [2, power(big - 1, (p, q)), power_sum(sums.items(), (p, q))]
 
     return [_power_bound(check_id, f.line, rhs, _THREE_HALVES, _CROSS_MULTIPLIED)]
 

@@ -20,6 +20,7 @@ __all__ = [
     "components",
     "is_nontrivial",
     "is_minimal_edge",
+    "minimal_edges",
     "delete_edge",
     "classify",
     "graph_name",
@@ -200,6 +201,22 @@ def is_minimal_edge(g: Graph, e: Edge) -> bool:
             if w != b and g.deg[a] > g.deg[w]:
                 return False
     return True
+
+
+def minimal_edges(g: Graph) -> list[Edge]:
+    """The edges for which :func:`is_minimal_edge` holds, in ``g.edges`` order.
+
+    One pass counts each vertex's neighbors of lower degree; ``uv`` is
+    minimal when ``v`` is the only such neighbor of ``u`` or there is none,
+    and symmetrically for ``v``.
+    """
+    deg = g.deg
+    lower = [sum(deg[w] < d for w in g.adj[x]) for x, d in enumerate(deg)]
+    return [
+        (u, v)
+        for u, v in g.edges
+        if lower[u] == (deg[v] < deg[u]) and lower[v] == (deg[u] < deg[v])
+    ]
 
 
 def delete_edge(g: Graph, e: Edge) -> Graph:

@@ -171,8 +171,12 @@ def _power_term(p: int, r: int, num: int, den: int) -> tuple[int, int, int]:
     return p**k, (p * r) ** half, r ** (k + half)
 
 
-def _exact_pow(base: int | Fraction | RadicalNumber, alpha: Exponent) -> RadicalNumber:
-    """Exact ``base ** alpha`` where it is known to be a radical.
+def _power_factor(
+    base: int | Fraction | RadicalNumber, alpha: Exponent
+) -> tuple[int, int, int] | RadicalNumber:
+    """Exact ``base ** alpha`` where it is known to be a radical: a
+    ``RadicalNumber`` base itself at alpha == 1, else one triple of
+    :func:`radical_sum`.
 
     That is a rational base >= 0 with alpha in Z or Z + 1/2, or a
     ``RadicalNumber`` base with alpha == 1 or a rational value.  ``alpha`` is
@@ -188,7 +192,13 @@ def _exact_pow(base: int | Fraction | RadicalNumber, alpha: Exponent) -> Radical
         base = base.rational_part
     if base < 0:
         raise NotRadicalError(f"negative base {base}")
-    return radical_sum([_power_term(base.numerator, base.denominator, num, den)])
+    return _power_term(base.numerator, base.denominator, num, den)
+
+
+def _exact_pow(base: int | Fraction | RadicalNumber, alpha: Exponent) -> RadicalNumber:
+    """:func:`_power_factor` as a value."""
+    power = _power_factor(base, alpha)
+    return power if isinstance(power, RadicalNumber) else radical_sum([power])
 
 
 def _power_sum(terms: Iterable[tuple[int, int]], alpha: Exponent) -> RadicalNumber:

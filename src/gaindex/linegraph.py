@@ -87,6 +87,11 @@ class GraphFacts:
         return _degree_pairs(self.graph)
 
     @cached_property
+    def degree_counts(self) -> Counter[int]:
+        """Vertex count per degree."""
+        return Counter(self.graph.deg)
+
+    @cached_property
     def components(self) -> tuple[Graph, ...]:
         return tuple(components(self.graph))
 
@@ -139,6 +144,18 @@ class GraphFacts:
     @cached_property
     def forgotten(self) -> int:
         return sum(d**3 for d in self.graph.deg)
+
+    @cached_property
+    def regular_line_condition(self) -> bool:
+        """Every component regular or biregular, with the same max+min degree
+        sum across components: equivalent to the line graph being regular."""
+        target = self.graph.max_degree + self.graph.min_degree
+        for c in self.components:
+            if not (is_regular(c) or is_biregular(c)):
+                return False
+            if c.max_degree + c.min_degree != target:
+                return False
+        return True
 
     @cached_property
     def line(self) -> LineFacts:
@@ -226,18 +243,3 @@ def verify_degree_identity(g: Graph | GraphFacts) -> bool:
         return False
     return True
 
-
-def regular_line_condition(g: Graph | GraphFacts) -> bool:
-    """Structural condition equivalent to the line graph being regular.
-
-    Every component regular or biregular, with the same max+min degree sum
-    across components.
-    """
-    f = GraphFacts.of(g)
-    target = f.graph.max_degree + f.graph.min_degree
-    for comp in f.components:
-        if not (is_regular(comp) or is_biregular(comp)):
-            return False
-        if comp.max_degree + comp.min_degree != target:
-            return False
-    return True

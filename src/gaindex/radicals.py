@@ -350,10 +350,23 @@ def radical_sum(terms: Iterable[tuple[int, int, int]]) -> RadicalNumber:
     ``k >= 0`` and ``r > 0``.
 
     Each ``k`` is split by :func:`radical_sqrt`, every term is put over the
-    lcm of the ``r`` and the sum is normalized once.  The keys of a value
-    are squarefree by construction, so callers need not split them.
+    lcm of the ``r`` and the sum is normalized once; a single term needs no
+    lcm and divides out one gcd.  The keys of a value are squarefree by
+    construction, so callers need not split them.
     """
     terms = list(terms)
+    if len(terms) == 1:
+        ((c, k, r),) = terms
+        if not (c and k):
+            return RadicalNumber.__new__(RadicalNumber)._set({}, 1)
+        s, q = radical_sqrt(k) if k != 1 else (1, 1)
+        c *= s
+        g = gcd(c, r)
+        # In lowest terms already, so stored as _set would store it.
+        value = RadicalNumber.__new__(RadicalNumber)
+        value._num, value._den = {q: c // g}, r // g
+        value._bounds = value._display = value._text = None
+        return value
     den = 1
     for _, _, r in terms:
         if den % r:

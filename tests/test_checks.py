@@ -35,6 +35,7 @@ from gaindex.checks import (
     run_checks,
 )
 from gaindex.enumeration import enumerate_connected
+from gaindex.indices import _power_term
 from gaindex.graphs import (
     complete_bipartite_graph,
     complete_graph,
@@ -45,7 +46,7 @@ from gaindex.graphs import (
     paw_graph,
     star_graph,
 )
-from graph_helpers import disjoint_union, ga_edge_term, ga_ratio_curve
+from graph_helpers import disjoint_union, ga_edge_term, ga_ratio_curve, strip_isolated
 from gaindex.radicals import RadicalNumber, compare
 
 positive_rationals = st.fractions(
@@ -211,9 +212,9 @@ class TestEdgeDeletion:
         assert "single-edge component" in reports[0].notes
 
     def test_pairs_after_deletion_match_rebuilt_graph(self):
-        from gaindex.checks import _pairs_without_edge
+        from gaindex.checks import _deletion_loss
         from gaindex.graphs import delete_edge
-        from gaindex.indices import _degree_pairs
+        from gaindex.indices import _degree_pairs, _ga1_exact
         from gaindex.linegraph import GraphFacts
 
         rng = random.Random(21)
@@ -224,9 +225,52 @@ class TestEdgeDeletion:
                 (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
             ]
             f = GraphFacts(from_edge_list(n, pairs))
+            deg = f.graph.deg
             for u, v in f.graph.edges:
-                expected = _degree_pairs(delete_edge(f.graph, (u, v)))
-                assert _pairs_without_edge(f, u, v) == +expected
+                term = ga_edge_term(deg[u], deg[v])
+                expected = _ga1_exact(_degree_pairs(delete_edge(f.graph, (u, v))))
+                assert f.ga1 - term - _deletion_loss(f, u, v) == expected
+
+    @staticmethod
+    def deletion_graphs():
+        """Every connected graph with 2 <= n <= 7, then 200 seeded random
+        graphs with at least one edge and no isolated vertex."""
+        for n in range(2, 8):
+            yield from enumerate_connected(n)
+        rng = random.Random(19)
+        made = 0
+        while made < 200:
+            n = rng.randint(2, 12)
+            p = rng.uniform(0.15, 0.85)
+            pairs = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ]
+            if pairs:
+                made += 1
+                yield strip_isolated(from_edge_list(n, pairs))
+
+    def test_minimal_edges_and_lhs_match_rebuilt_graph(self):
+        from gaindex.graphs import delete_edge, is_minimal_edge, minimal_edges
+        from gaindex.indices import ga1
+
+        deleted = 0
+        for g in self.deletion_graphs():
+            edges = minimal_edges(g)
+            assert edges == [e for e in g.edges if is_minimal_edge(g, e)]
+            reports = check_edge_deletion_drop(g)
+            if not edges:
+                assert [r.notes for r in reports] == ["no minimal edge"]
+                continue
+            assert len(reports) == len(edges)
+            for (u, v), report in zip(edges, reports):
+                if not report.preconditions_met:
+                    assert g.deg[u] == g.deg[v] == 1
+                    continue
+                assert report.notes == f"deleted minimal edge ({u},{v})"
+                rebuilt = strip_isolated(delete_edge(g, (u, v)))
+                assert report.lhs.exact == ga1(rebuilt).exact, (g.edges, (u, v))
+                deleted += 1
+        assert deleted == 2575  # exact reports checked against a rebuilt graph
 
 
 class TestRationality:
@@ -421,6 +465,52 @@ class TestLineZagrebLower:
         assert report.holds and report.mode == "exact"
 
 
+plain_triples = st.tuples(
+    st.integers(-30, 30), st.integers(0, 60), st.integers(1, 30)
+)
+# (p/r)**(-num/den) as _power_factor splits it: a triple with p and r swapped.
+negative_power_triples = st.builds(
+    lambda p, r, num, den: _power_term(p, r, -num, den),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(1, 5),
+    st.sampled_from([1, 2]),
+)
+
+
+class TestExactProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(plain_triples | negative_power_triples | st.integers(-9, 9), max_size=5),
+        st.none() | st.lists(plain_triples, min_size=1, max_size=4),
+    )
+    def test_one_term_equals_product_of_values(self, factors, value_terms):
+        from gaindex.checks import _exact_product
+        from gaindex.radicals import radical_sum
+
+        expected = RadicalNumber(1)
+        for x in factors:
+            expected = expected * (x if isinstance(x, int) else radical_sum([x]))
+        if value_terms is not None:
+            value = radical_sum(value_terms)
+            factors = factors + [value]
+            expected = expected * value
+        assert _exact_product(factors) == expected
+        assert str(_exact_product(factors)) == str(expected)
+
+    def test_fixed_cases(self):
+        from gaindex.checks import _exact_product
+        from gaindex.radicals import radical_sum
+
+        assert _exact_product([]) == RadicalNumber(1)
+        assert _exact_product([(0, 5, 3), (2, 7, 1)]) == RadicalNumber(0)
+        assert _exact_product([(4, 0, 1), 3]) == RadicalNumber(0)
+        assert _exact_product([(-1, 2, 3), (1, 8, 1)]) == RadicalNumber(Fraction(-4, 3))
+        value = radical_sum([(1, 2, 1), (1, 1, 1)])
+        assert _exact_product([value]) is value
+        assert _exact_product([(1, 3, 2), value, 2]) == radical_sum([(1, 6, 1), (1, 3, 1)])
+
+
 class TestVariableZagrebBound:
     def test_cycle4_alpha_one_equality(self):
         report = check_variable_zagreb_bound(cycle_graph(4), 1)[0]
@@ -455,7 +545,7 @@ class TestVariableZagrebBound:
         def broken(base, alpha):
             raise ValueError("broken power")
 
-        monkeypatch.setattr(gaindex.checks, "_exact_pow", broken)
+        monkeypatch.setattr(gaindex.checks, "_power_factor", broken)
         with pytest.raises(ValueError, match="broken power"):
             checker(complete_graph(4), 1)
 

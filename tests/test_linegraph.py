@@ -30,7 +30,6 @@ from gaindex.indices import m1
 from gaindex.linegraph import (
     GraphFacts,
     line_graph,
-    regular_line_condition,
     verify_degree_identity,
 )
 from gaindex.radicals import RadicalNumber
@@ -142,11 +141,11 @@ class TestRegularityCharacterization:
     def test_two_triangles(self):
         g = disjoint_union(cycle_graph(3), cycle_graph(3))
         (report,) = check_line_regular_iff(g)
-        assert report.holds and regular_line_condition(g)
+        assert report.holds and GraphFacts(g).regular_line_condition
 
     def test_star_is_covered(self):
         (report,) = check_line_regular_iff(star_graph(4))
-        assert report.holds and regular_line_condition(star_graph(4))
+        assert report.holds and GraphFacts(star_graph(4)).regular_line_condition
 
     def test_mixed_cycle_union(self):
         # Components with equal degree sums: the line graph stays regular.
@@ -159,7 +158,7 @@ class TestRegularityCharacterization:
     def test_cycle_plus_star_same_sum(self):
         # (2,2) and (3,1): both sums are 4, so the line graph is regular.
         g = disjoint_union(cycle_graph(3), star_graph(4))
-        assert regular_line_condition(g)
+        assert GraphFacts(g).regular_line_condition
         lg = line_graph(g)
         assert lg.max_degree == lg.min_degree
         assert check_line_regular_iff(g)[0].holds
@@ -167,7 +166,7 @@ class TestRegularityCharacterization:
     def test_mismatched_sums(self):
         # (2,2) and (4,1): sums 4 vs 5, so the line graph cannot be regular.
         g = disjoint_union(cycle_graph(4), star_graph(5))
-        assert not regular_line_condition(g)
+        assert not GraphFacts(g).regular_line_condition
         lg = line_graph(g)
         assert lg.max_degree != lg.min_degree
         assert check_line_regular_iff(g)[0].holds
