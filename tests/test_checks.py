@@ -35,7 +35,6 @@ from gaindex.checks import (
     run_checks,
 )
 from gaindex.enumeration import enumerate_connected
-from gaindex.indices import _power_term
 from gaindex.graphs import (
     complete_bipartite_graph,
     complete_graph,
@@ -46,6 +45,7 @@ from gaindex.graphs import (
     paw_graph,
     star_graph,
 )
+from gaindex.indices import _power_term
 from graph_helpers import disjoint_union, ga_edge_term, ga_ratio_curve, strip_isolated
 from gaindex.radicals import RadicalNumber, compare
 
