@@ -410,7 +410,9 @@ def canonical_key(g: Graph | list[int]) -> tuple[int, ...]:
     equals that of the best key found so far is cut as soon as its next
     column is larger than the best key's; a complete labeling that is
     smaller replaces it.  This is branch and bound on the exact minimum, so
-    the key is the same as that of a full search.
+    the key is the same as that of a full search.  A candidate's head column,
+    ``col << 1`` if another member of the first cell misses it and
+    ``col << 1 | 1`` if not, is compared before its cells are built.
     """
     if isinstance(g, Graph):
         masks = [0] * g.n
@@ -430,16 +432,6 @@ def canonical_key(g: Graph | list[int]) -> tuple[int, ...]:
 
     best: list[int] = []  # the smallest full column list so far
     prefix: list[int] = []
-
-    def split(cells: list[tuple[int, int]], mv: int) -> list[tuple[int, int]]:
-        # The cells after placing a vertex with neighbour mask ``mv``.
-        out: list[tuple[int, int]] = []
-        for col, cell in cells:
-            if cell & ~mv:
-                out.append((col << 1, cell & ~mv))
-            if cell & mv:
-                out.append((col << 1 | 1, cell & mv))
-        return out
 
     def search(cells: list[tuple[int, int]], tied: bool) -> None:
         # ``cells`` are the (column, cell) pairs of the unplaced vertices
@@ -475,26 +467,47 @@ def canonical_key(g: Graph | list[int]) -> tuple[int, ...]:
                 tied = cmin == bound
             prefix.append(cmin)
             if first & (first - 1) == 0:
-                cells = split(cells[1:], masks[first.bit_length() - 1])
+                mv = masks[first.bit_length() - 1]
+                child = []
+                for col, cell in cells[1:]:
+                    low = cell & ~mv
+                    if low:
+                        child.append((col << 1, low))
+                    if low != cell:
+                        child.append((col << 1 | 1, cell ^ low))
+                cells = child
                 continue
             rest = cells[1:]
-            seen_open: set[int] = set()
-            seen_closed: set[int] = set()
+            head = cmin << 1
+            at = len(prefix)
+            # Twins (same open or closed neighborhood) are interchangeable by
+            # an automorphism fixing everything else; explore one of each.
+            # ``twins`` holds open masks and complemented, so negative, closed ones.
+            twins: set[int] = set()
             candidates = first
             while candidates:
                 bit = candidates & -candidates
                 candidates ^= bit
-                # Twins (same open or closed neighborhood) are interchangeable
-                # by an automorphism fixing everything else; explore one of each.
                 mv = masks[bit.bit_length() - 1]
-                closed = mv | bit
-                if mv in seen_open or closed in seen_closed:
+                closed = ~(mv | bit)
+                if mv in twins or closed in twins:
                     continue
-                seen_open.add(mv)
-                seen_closed.add(closed)
-                child = split([(cmin, first ^ bit), *rest], mv)
-                if tied and child[0][0] > best[len(prefix)]:
+                twins.add(mv)
+                twins.add(closed)
+                left = first ^ bit  # nonempty, as ``first`` has two members
+                low = left & ~mv
+                # The child's head column decides the cut before it is built.
+                if tied and (head if low else head | 1) > best[at]:
                     continue
+                child = [(head, low)] if low else []
+                if low != left:
+                    child.append((head | 1, left ^ low))
+                for col, cell in rest:
+                    low = cell & ~mv
+                    if low:
+                        child.append((col << 1, low))
+                    if low != cell:
+                        child.append((col << 1 | 1, cell ^ low))
                 search(child, tied)
                 # Now ``best`` starts with ``prefix``: either it already did,
                 # or the child, never cut, ended on a smaller leaf.

@@ -14,6 +14,7 @@ import pytest
 from gaindex import enumeration
 from gaindex.checks import check_complete_bipartite_integer, check_double_star_rational
 from gaindex.enumeration import (
+    ENUMERATION_MAX_N,
     buckets_match_families,
     census_rows,
     classify_line_small_values,
@@ -40,10 +41,12 @@ from gaindex.graphs import (
     graph_from_key,
     graph_name,
     is_isomorphic,
+    is_nontrivial,
     path_graph,
     star_graph,
 )
 from gaindex.indices import ga1
+from gaindex.linegraph import line_graph
 from gaindex.radicals import RadicalNumber
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,6 +129,22 @@ def stabilizer_chain_order(masks: list[int], gens: list[tuple[int, ...]]) -> int
     return order
 
 
+def new_vertex_is_minimal_oracle(g: Graph) -> bool:
+    """Oracle for ``_new_vertex_is_minimal``: f(v) = (deg v, sorted degrees
+    of v's neighbours) for every vertex, non-cut vertices found by deleting
+    each vertex and testing what is left for connectivity."""
+    def f(v: int) -> tuple[int, list[int]]:
+        return g.deg[v], sorted(g.deg[w] for w in g.adj[v])
+
+    def non_cut(v: int) -> bool:
+        shift = [w - (w > v) for w in range(g.n)]
+        rest = [(shift[a], shift[b]) for a, b in g.edges if v not in (a, b)]
+        return from_edge_list(g.n - 1, rest).is_connected
+
+    new = g.n - 1
+    return all(f(v) >= f(new) for v in range(new) if non_cut(v))
+
+
 class TestConstructionPathFilter:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_connected_match_reference(self, n):
@@ -152,6 +171,26 @@ class TestConstructionPathFilter:
             + [(0, 3), (3, 4)],
         )
         assert enumeration._new_vertex_is_minimal(masks(k4_pair))
+
+    def test_new_vertex_filter_matches_oracle(self):
+        # Every child the enumeration can build for n <= 7: each class one
+        # vertex smaller plus a new vertex joined to any nonempty set.
+        verdicts = []
+        for n in range(2, 8):
+            new = n - 1
+            for g in enumerate_connected(new):
+                old_masks = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+                for joined in range(1, 1 << new):
+                    masks = [m | 1 << new if joined >> v & 1 else m for v, m in enumerate(old_masks)]
+                    masks.append(joined)
+                    child = from_edge_list(
+                        n, g.edges + tuple((v, new) for v in range(new) if joined >> v & 1)
+                    )
+                    verdict = enumeration._new_vertex_is_minimal(masks)
+                    assert verdict == new_vertex_is_minimal_oracle(child), to_graph6(child)
+                    verdicts.append(verdict)
+        assert len(verdicts) == 1 + 3 + 14 + 90 + 651 + 7056
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_filter_skips_keys(self, monkeypatch):
         expected = enumerate_connected(7)  # also fills the cache below n = 7
@@ -335,6 +374,43 @@ class TestPreimages:
     def test_cycles_are_their_own_preimage(self):
         pre = line_graph_preimages(cycle_graph(5))
         assert len(pre) == 1 and is_isomorphic(pre[0], cycle_graph(5))
+
+    def test_preimages_match_keying_every_candidate(self):
+        # Targets: every connected graph with n <= 6, and two disconnected
+        # ones.  The reference keys the line graph of every connected
+        # non-trivial graph with as many edges as the target has vertices.
+        by_line_key = defaultdict(list)
+        for n in range(2, 8):
+            for g in enumerate_connected(n):
+                if g.m <= 6 and is_nontrivial(g):
+                    by_line_key[g.m, canonical_key(line_graph(g))].append(g)
+        targets = [g for n in range(1, 7) for g in enumerate_connected(n)]
+        targets += [
+            from_edge_list(4, [(0, 1), (2, 3)]),
+            from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+        ]
+        found = 0
+        for target in targets:
+            expected = by_line_key.get((target.n, canonical_key(target)), [])
+            assert line_graph_preimages(target) == expected, to_graph6(target)
+            found += len(expected)
+        assert found > 50
+
+    @pytest.mark.parametrize("target, sized", [(star_graph(7), 1), (cycle_graph(7), 5)])
+    def test_only_candidates_of_the_target_size_are_keyed(self, monkeypatch, target, sized):
+        # 79 connected non-trivial graphs have 7 edges; of those, 1 has a
+        # line graph with the 6 edges of S7, and 5 with the 7 edges of C7.
+        enumerate_connected(ENUMERATION_MAX_N)  # fill the cache before counting
+        calls = 0
+
+        def counted(g):
+            nonlocal calls
+            calls += 1
+            return canonical_key(g)
+
+        monkeypatch.setattr(enumeration, "canonical_key", counted)
+        line_graph_preimages(target)
+        assert calls == 1 + sized  # the target's key, then one per candidate
 
     def test_target_size_guard(self):
         with pytest.raises(ValueError, match="ENUMERATION_MAX_N = 8"):

@@ -421,6 +421,37 @@ class TestCanonicalForm:
         assert canonical_key(complete_graph(n)) == complete
         assert canonical_key([((1 << n) - 1) ^ (1 << v) for v in range(n)]) == complete
 
+    def test_matches_reference_at_the_order_limit(self):
+        # The hypothesis test above stops at n = 8.
+        rng = random.Random(9)
+        for _ in range(200):
+            g = random_graph(rng, 9, rng.uniform(0.1, 0.9))
+            assert canonical_key(g) == reference_canonical_key(g), g
+
+    @pytest.mark.parametrize(
+        "name", ["C9", "K3 box K3", "K3,3,3", "K4,5", "complement of C9"]
+    )
+    def test_symmetric_graphs_at_the_order_limit_keep_their_key(self, name):
+        # Vertex- or part-transitive graphs tie the best prefix on many
+        # branches, which is where a wrong cut would show.
+        pairs = list(combinations(range(9), 2))
+        c9 = cycle_graph(9)
+        g = {
+            "C9": c9,
+            "K3 box K3": from_edge_list(
+                9, [(u, v) for u, v in pairs if (u // 3 == v // 3) != (u % 3 == v % 3)]
+            ),
+            "K3,3,3": from_edge_list(9, [(u, v) for u, v in pairs if u // 3 != v // 3]),
+            "K4,5": complete_bipartite_graph(4, 5),
+            "complement of C9": from_edge_list(9, [p for p in pairs if not c9.has_edge(*p)]),
+        }[name]
+        key = canonical_key(g)
+        assert key == reference_canonical_key(g)
+        assert sum(map(int.bit_count, key)) == g.m
+        rng = random.Random(name)
+        for _ in range(30):
+            assert canonical_key(relabel(g, rng.sample(range(9), 9))) == key
+
 
 @st.composite
 def graph_with_relabelling_and_rival(draw):
