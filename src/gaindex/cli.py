@@ -20,7 +20,6 @@ from .checks import CHECK_IDS, DEFAULT_ALPHAS, check_line_zagreb_identity, run_c
 from .enumeration import (
     ENUMERATION_MAX_N,
     census_rows,
-    enumerate_connected,
     extremal_search,
     validate_order,
     validate_random_order,
@@ -310,10 +309,9 @@ def cmd_census(args: argparse.Namespace) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for n in range(1, args.nmax + 1):
-        graphs = enumerate_connected(n)
-        g6_path = outdir / f"census_n{n}.g6"
-        g6_path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
         rows = census_rows(n)
+        g6_path = outdir / f"census_n{n}.g6"
+        g6_path.write_text("".join(row.pop("graph6") + "\n" for row in rows))
         csv_path = outdir / f"census_n{n}.csv"
         with csv_path.open("w", newline="") as handle:
             writer = csv.DictWriter(
@@ -322,7 +320,7 @@ def cmd_census(args: argparse.Namespace) -> int:
             )
             writer.writeheader()
             writer.writerows(rows)
-        sys.stdout.write(f"n={n}: {len(graphs)} graphs -> {g6_path}, {csv_path}\n")
+        sys.stdout.write(f"n={n}: {len(rows)} graphs -> {g6_path}, {csv_path}\n")
     return 0
 
 

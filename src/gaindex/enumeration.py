@@ -10,22 +10,31 @@ parent maps onto each other only one is tried, and a child is keyed only
 when a cheap degree invariant says its new vertex could be the one chosen
 for removal (a canonical construction path filter).  That leaves about 1.05
 keys per class at n = 7 and 8.
+
+A level is kept as the sorted canonical keys of its classes, and the next
+level reads its parents' neighbour bitmasks straight from those keys, so
+only the representatives a caller asks for become :class:`Graph` values.
+Sweeps and the census decode one graph at a time.  n = 7 takes about
+0.08 s and n = 8 about 1.7 s, each from the order below it, on 2 cores with
+Python 3.11.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .formats import MAX_EDGES
+from .formats import MAX_EDGES, to_graph6
 from .graphs import (
     Graph,
     canonical_key,
     canonical_form,
     cycle_graph,
     double_star_graph,
+    format_key,
     from_edge_list,
     graph_from_key,
     graph_name,
@@ -69,7 +78,7 @@ def enumerate_trees(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of trees on n vertices."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    return _augmented_classes(n, trees=True)
+    return tuple(graph_from_key(n, key) for key in _level_keys(n, True))
 
 
 def enumerate_connected(n: int) -> tuple[Graph, ...]:
@@ -77,21 +86,57 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
 
     Exhaustive and exact; bounded because canonical keys are an exhaustive
     search.  Each child is keyed straight from the neighbour bitmasks it is
-    built as, by the ordered-cell search of :func:`canonical_key`, and only
-    the representatives become :class:`Graph` values.  n = 7 (853 classes)
-    takes about 0.08 s and n = 8 (11,117 classes) about 1.7 s, each built
-    from the order below it, on 2 cores with Python 3.11.
+    built as, by the ordered-cell search of :func:`canonical_key`, each level
+    is kept as keys, and only the representatives become :class:`Graph`
+    values, decoded as they are returned.  n = 7 (853 classes) takes about
+    0.08 s and n = 8 (11,117 classes) about 1.7 s, each built from the order
+    below it, on 2 cores with Python 3.11.
     """
+    return tuple(graph_from_key(n, key) for key in _connected_keys(n))
+
+
+def _connected_keys(n: int) -> tuple[tuple[int, ...], ...]:
+    """The canonical keys of the connected graphs on n vertices, in the
+    order :func:`enumerate_connected` returns them."""
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
-    return _augmented_classes(n, trees=False)
+    return _level_keys(n, False)
+
+
+def _size(key: tuple[int, ...]) -> int:
+    """The number of edges of the graph a key encodes: one bit per edge."""
+    return sum(map(int.bit_count, key))
+
+
+def _key_masks(n: int, key: tuple[int, ...]) -> list[int]:
+    """The neighbour bitmasks of ``graph_from_key(n, key)``: bit ``b`` of
+    column ``k`` (entry ``k-1`` of the key) is the edge between positions
+    ``k`` and ``k-1-b``."""
+    masks = [0] * n
+    for k, col in enumerate(key, start=1):
+        while col:
+            low = col & -col
+            col ^= low
+            j = k - low.bit_length()
+            masks[j] |= 1 << k
+            masks[k] |= 1 << j
+    return masks
 
 
 @lru_cache(maxsize=None)
-def _augmented_classes(n: int, trees: bool) -> tuple[Graph, ...]:
-    """Every class on n - 1 vertices plus a vertex n - 1 joined to a nonempty
-    set of old vertices (one old vertex for trees), deduplicated by canonical
-    key and sorted by (m, key).
+def _level_keys(n: int, trees: bool) -> tuple[tuple[int, ...], ...]:
+    """The canonical keys of every class on n - 1 vertices plus a vertex
+    n - 1 joined to a nonempty set of old vertices (one old vertex for
+    trees), sorted by (m, key).  Each parent's neighbour bitmasks are read
+    from its key, so no :class:`Graph` is built here.
+
+    The cache holds keys only, about 1.3 MB for every level up to n = 8.  It
+    is kept because callers ask for the same orders again and again: each
+    line-graph preimage search walks every order up to its target's size,
+    and each order is built from the one below it.  Without it the test
+    suite took about 1.5 times as long.  Every caller passes both arguments
+    by position, since the cache keys ``(7, False)`` and ``(7, trees=False)``
+    apart.
 
     A child gets a key only if its new vertex minimises
     f(v) = (deg v, sorted degrees of v's neighbours) over its non-cut
@@ -112,12 +157,12 @@ def _augmented_classes(n: int, trees: bool) -> tuple[Graph, ...]:
     isomorphism, so the two children pass or fail together and give one key.
     """
     if n == 1:
-        return (from_edge_list(1, []),)
+        return ((),)
     new = n - 1
     bit = 1 << new
     found: set[tuple[int, ...]] = set()
-    for g in _augmented_classes(new, trees=trees):
-        old_masks = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+    for parent in _level_keys(new, trees):
+        old_masks = _key_masks(new, parent)
         images = [_join_images(sigma) for sigma in _automorphism_generators(old_masks)]
         tried = bytearray(bit)
         for joined in [1 << v for v in range(new)] if trees else range(1, bit):
@@ -138,9 +183,7 @@ def _augmented_classes(n: int, trees: bool) -> tuple[Graph, ...]:
             masks.append(joined)
             if _new_vertex_is_minimal(masks):
                 found.add(canonical_key(masks))
-    # A key has one bit per edge, so its popcount is m.
-    ordered = sorted(found, key=lambda key: (sum(map(int.bit_count, key)), key))
-    return tuple(graph_from_key(n, key) for key in ordered)
+    return tuple(sorted(found, key=lambda key: (_size(key), key)))
 
 
 def _automorphism_generators(masks: list[int]) -> list[tuple[int, ...]]:
@@ -212,7 +255,7 @@ def _join_images(sigma: tuple[int, ...]) -> list[int]:
 
 def _new_vertex_is_minimal(masks: list[int]) -> bool:
     """Whether no non-cut vertex v has f(v) < f(last vertex), for the
-    invariant f of :func:`_augmented_classes`; ``masks`` are neighbour
+    invariant f of :func:`_level_keys`; ``masks`` are neighbour
     bitmasks of a connected graph whose last vertex is non-cut."""
     n = len(masks)
     deg = [mask.bit_count() for mask in masks]
@@ -258,18 +301,17 @@ def validate_order(n_max: int) -> None:
         raise ValueError(f"order {n_max} exceeds ENUMERATION_MAX_N = {ENUMERATION_MAX_N}")
 
 
-def connected_with_edges(n_max: int) -> list[Graph]:
-    """All connected graphs with at least one edge and order up to n_max."""
+def connected_with_edges(n_max: int) -> Iterator[Graph]:
+    """All connected graphs with at least one edge and order up to n_max,
+    decoded one at a time; n_max is checked before anything is enumerated."""
     validate_order(n_max)
-    out: list[Graph] = []
-    for n in range(2, n_max + 1):
-        out.extend(enumerate_connected(n))
-    return out
+    return (graph_from_key(n, key) for n in range(2, n_max + 1) for key in _connected_keys(n))
 
 
-def connected_nontrivial(n_max: int) -> list[Graph]:
-    """All connected graphs with at least two edges and order up to n_max."""
-    return [g for g in connected_with_edges(n_max) if g.m >= 2]
+def connected_nontrivial(n_max: int) -> Iterator[Graph]:
+    """All connected graphs with at least two edges and order up to n_max,
+    decoded one at a time; n_max is checked before anything is enumerated."""
+    return (g for g in connected_with_edges(n_max) if g.m >= 2)
 
 
 # -- small-value classification ----------------------------------------------
@@ -401,8 +443,11 @@ def line_graph_preimages(target: Graph) -> list[Graph]:
     target_key = canonical_key(target)
     out = []
     for n in range(2, m_needed + 2):
-        for g in enumerate_connected(n):
-            if g.m != m_needed or not is_nontrivial(g):
+        for key in _connected_keys(n):
+            if _size(key) != m_needed:
+                continue
+            g = graph_from_key(n, key)
+            if not is_nontrivial(g):
                 continue
             if sum(d * (d - 1) // 2 for d in g.deg) != target.m:
                 continue
@@ -429,7 +474,7 @@ def extremal_search(
         raise ValueError("objective must be 'min' or 'max'")
     if not (n - 1 <= m <= n * (n - 1) // 2):
         raise ValueError(f"no connected graph has n={n}, m={m}")
-    candidates = [g for g in enumerate_connected(n) if g.m == m]
+    candidates = [graph_from_key(n, key) for key in _connected_keys(n) if _size(key) == m]
     if not candidates:
         raise ValueError(f"no connected graph has n={n}, m={m}")
     values = []
@@ -486,17 +531,16 @@ def random_connected(rng: random.Random, n_high: int = 12) -> Graph:
 
 
 def census_rows(n: int) -> list[dict[str, object]]:
-    """Per-class census rows for order n, ready for CSV output."""
+    """Per-class census rows for order n, from one walk of its keys: each
+    row holds the class's graph6, for the ``.g6`` file, and its CSV columns."""
     rows = []
-    for g in enumerate_connected(n):
+    for key in _connected_keys(n):
+        g = graph_from_key(n, key)
         value = ga1(g) if g.m else None
-        # A representative is graph_from_key(n, key) for its lexmin key, so
-        # its own upper triangle, column by column, is its canonical_form.
-        edges = set(g.edges)
-        bits = "".join("01"[(j, k) in edges] for k in range(1, n) for j in range(k))
         rows.append(
             {
-                "canonical_form": f"{n}:{bits}",
+                "graph6": to_graph6(g),
+                "canonical_form": format_key(n, key),
                 "name": graph_name(g) or "",
                 "n": g.n,
                 "m": g.m,

@@ -26,6 +26,7 @@ __all__ = [
     "graph_name",
     "canonical_key",
     "canonical_form",
+    "format_key",
     "graph_from_key",
     "is_isomorphic",
     "path_graph",
@@ -521,9 +522,13 @@ def canonical_key(g: Graph | list[int]) -> tuple[int, ...]:
 
 def canonical_form(g: Graph) -> str:
     """Canonical key rendered as a bitstring, prefixed by the order."""
-    key = canonical_key(g)
+    return format_key(g.n, canonical_key(g))
+
+
+def format_key(n: int, key: tuple[int, ...]) -> str:
+    """The order and a :func:`canonical_key`'s columns as one bitstring."""
     bits = "".join(format(col, f"0{k}b") for k, col in enumerate(key, start=1))
-    return f"{g.n}:{bits}"
+    return f"{n}:{bits}"
 
 
 def graph_from_key(n: int, key: tuple[int, ...]) -> Graph:

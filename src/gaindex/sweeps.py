@@ -82,7 +82,8 @@ def exhaustive_sweep(
     """Every checker on every connected graph with an edge, up to order n_max.
 
     Also reproduces the small-value bucket lists and spot-checks the two
-    graph-free inequalities on a rational grid.  A graph's failure source is
+    graph-free inequalities on a rational grid.  Graphs are decoded and
+    checked one at a time.  A graph's failure source is
     ``exhaustive:<graph6>``, which reproduces the graph.  An n_max above
     ``ENUMERATION_MAX_N`` raises ``ValueError`` before any graph is checked.
     """

@@ -192,8 +192,17 @@ class TestConstructionPathFilter:
         assert len(verdicts) == 1 + 3 + 14 + 90 + 651 + 7056
         assert 0 < sum(verdicts) < len(verdicts)
 
+    def test_parent_masks_decode_from_the_key(self):
+        # Each level is built from the neighbour bitmasks read off its
+        # parents' keys, not from decoded graphs.
+        for n in range(1, 8):
+            for key in enumeration._level_keys(n, False):
+                g = graph_from_key(n, key)
+                masks = [sum(1 << w for w in nbrs) for nbrs in g.adj]
+                assert enumeration._key_masks(n, key) == masks, to_graph6(g)
+
     def test_filter_skips_keys(self, monkeypatch):
-        expected = enumerate_connected(7)  # also fills the cache below n = 7
+        expected = enumeration._level_keys(7, False)  # also fills the cache below n = 7
         calls = 0
 
         def counted(g):
@@ -202,13 +211,13 @@ class TestConstructionPathFilter:
             return canonical_key(g)
 
         monkeypatch.setattr(enumeration, "canonical_key", counted)
-        assert enumeration._augmented_classes.__wrapped__(7, False) == expected
+        assert enumeration._level_keys.__wrapped__(7, False) == expected
         children = len(enumerate_connected(6)) * (2**6 - 1)
         assert len(expected) <= calls < children
 
     def test_one_join_set_per_orbit_is_keyed(self, monkeypatch):
         # Without the orbit pruning, 1,797 keys give the 853 classes.
-        expected = enumerate_connected(7)  # also fills the cache below n = 7
+        expected = enumeration._level_keys(7, False)  # also fills the cache below n = 7
         calls = 0
 
         def counted(g):
@@ -217,7 +226,7 @@ class TestConstructionPathFilter:
             return canonical_key(g)
 
         monkeypatch.setattr(enumeration, "canonical_key", counted)
-        assert enumeration._augmented_classes.__wrapped__(7, False) == expected
+        assert enumeration._level_keys.__wrapped__(7, False) == expected
         assert calls < 1.1 * len(expected)
 
     @pytest.mark.skipif(nx is None, reason="networkx unavailable")
@@ -241,7 +250,7 @@ class TestConstructionPathFilter:
     def test_children_are_keyed_without_building_graphs(self, monkeypatch):
         from gaindex import graphs
 
-        expected = enumerate_connected(7)  # also fills the cache below n = 7
+        expected = enumeration._level_keys(7, False)  # also fills the cache below n = 7
         built = 0
         build = graphs.from_edge_list
 
@@ -252,8 +261,8 @@ class TestConstructionPathFilter:
 
         monkeypatch.setattr(graphs, "from_edge_list", counted)
         monkeypatch.setattr(enumeration, "from_edge_list", counted)
-        assert enumeration._augmented_classes.__wrapped__(7, False) == expected
-        assert built == len(expected)  # one per representative
+        assert enumeration._level_keys.__wrapped__(7, False) == expected
+        assert built == 0
 
 
 class TestEnumerationCounts:
@@ -545,19 +554,19 @@ class TestCensusRows:
 
 class TestHelperIterators:
     def test_connected_with_edges_excludes_k1(self):
-        graphs = connected_with_edges(4)
+        graphs = list(connected_with_edges(4))
         assert all(g.m >= 1 for g in graphs)
         assert len(graphs) == 1 + 2 + 6
 
     def test_order_limit_refused_before_enumerating(self, monkeypatch):
-        def fail(n):
+        def fail(n, trees):
             raise AssertionError(f"enumerated order {n}")
 
-        monkeypatch.setattr(enumeration, "enumerate_connected", fail)
+        monkeypatch.setattr(enumeration, "_level_keys", fail)
         with pytest.raises(ValueError, match="ENUMERATION_MAX_N = 8"):
             connected_with_edges(9)
 
     def test_connected_nontrivial_excludes_p2(self):
-        graphs = connected_nontrivial(4)
+        graphs = list(connected_nontrivial(4))
         assert all(g.m >= 2 for g in graphs)
         assert len(graphs) == 2 + 6

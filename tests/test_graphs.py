@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaindex.enumeration import _augmented_classes
+from gaindex.enumeration import enumerate_connected
 from gaindex.formats import (
     Graph6Error,
     iter_graph6,
@@ -359,7 +359,7 @@ class TestCanonicalForm:
         # smaller plus a new vertex joined to a nonempty set of old ones.
         checked = 0
         for n in range(2, 7):
-            for g in _augmented_classes(n - 1, trees=False):
+            for g in enumerate_connected(n - 1):
                 for size in range(1, n):
                     for joined in combinations(range(n - 1), size):
                         new_edges = tuple((v, n - 1) for v in joined)
@@ -399,7 +399,7 @@ class TestCanonicalForm:
         checked = 0
         for n in range(2, 8):
             new = n - 1
-            for g in _augmented_classes(new, trees=False):
+            for g in enumerate_connected(new):
                 old_masks = [sum(1 << w for w in nbrs) for nbrs in g.adj]
                 for size in range(1, n):
                     for joined in combinations(range(new), size):

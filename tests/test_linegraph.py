@@ -235,7 +235,7 @@ class TestLineFacts:
     def test_match_the_built_line_graph_up_to_seven_vertices(self):
         from gaindex.enumeration import connected_nontrivial
 
-        graphs = connected_nontrivial(7)
+        graphs = list(connected_nontrivial(7))
         for g in graphs:
             assert_line_facts_match_built_line_graph(g)
         assert len(graphs) == 994
