@@ -15,7 +15,7 @@ A level is kept as the sorted canonical keys of its classes, and the next
 level reads its parents' neighbour bitmasks straight from those keys, so
 only the representatives a caller asks for become :class:`Graph` values.
 Sweeps and the census decode one graph at a time.  n = 7 takes about
-0.08 s and n = 8 about 1.7 s, each from the order below it, on 2 cores with
+0.06 s and n = 8 about 1.3 s, each from the order below it, on 2 cores with
 Python 3.11.
 """
 
@@ -89,7 +89,7 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     built as, by the ordered-cell search of :func:`canonical_key`, each level
     is kept as keys, and only the representatives become :class:`Graph`
     values, decoded as they are returned.  n = 7 (853 classes) takes about
-    0.08 s and n = 8 (11,117 classes) about 1.7 s, each built from the order
+    0.06 s and n = 8 (11,117 classes) about 1.3 s, each built from the order
     below it, on 2 cores with Python 3.11.
     """
     return tuple(graph_from_key(n, key) for key in _connected_keys(n))

@@ -411,9 +411,20 @@ def canonical_key(g: Graph | list[int]) -> tuple[int, ...]:
     equals that of the best key found so far is cut as soon as its next
     column is larger than the best key's; a complete labeling that is
     smaller replaces it.  This is branch and bound on the exact minimum, so
-    the key is the same as that of a full search.  A candidate's head column,
-    ``col << 1`` if another member of the first cell misses it and
-    ``col << 1 | 1`` if not, is compared before its cells are built.
+    the key is the same as that of a full search.
+
+    A candidate is cut on all of its coming columns before the search
+    enters it.  Its cells fill the positions from ``at`` on in order, since
+    the next vertex always comes from the first cell and splitting keeps
+    the order.  So the column at ``at + j`` is its cell's column followed by
+    ``j`` bits still unknown, and at least ``col << j``.  If these least
+    columns, compared in turn with the best key's, reach one that is larger
+    before one that is smaller, every labeling below the candidate is larger
+    than the best key, and if they tie all the way it is not smaller either:
+    the candidate is cut.  The first descent, which sets the first best key,
+    starts each position with the candidate that has the fewest neighbours
+    in the first cell, so that zero bits come early and the later cuts come
+    sooner.
     """
     if isinstance(g, Graph):
         masks = [0] * g.n
@@ -486,8 +497,22 @@ def canonical_key(g: Graph | list[int]) -> tuple[int, ...]:
             # ``twins`` holds open masks and complemented, so negative, closed ones.
             twins: set[int] = set()
             candidates = first
+            lead = 0
+            if not tied:
+                # The first descent leads with the candidate that has the
+                # fewest neighbours in the first cell, so that its child's
+                # head cell is the largest.
+                fewest = n
+                while candidates:
+                    bit = candidates & -candidates
+                    candidates ^= bit
+                    k = (masks[bit.bit_length() - 1] & first).bit_count()
+                    if k < fewest:
+                        fewest, lead = k, bit
+                candidates = first
             while candidates:
-                bit = candidates & -candidates
+                bit = lead or candidates & -candidates
+                lead = 0
                 candidates ^= bit
                 mv = masks[bit.bit_length() - 1]
                 closed = ~(mv | bit)
@@ -497,9 +522,6 @@ def canonical_key(g: Graph | list[int]) -> tuple[int, ...]:
                 twins.add(closed)
                 left = first ^ bit  # nonempty, as ``first`` has two members
                 low = left & ~mv
-                # The child's head column decides the cut before it is built.
-                if tied and (head if low else head | 1) > best[at]:
-                    continue
                 child = [(head, low)] if low else []
                 if low != left:
                     child.append((head | 1, left ^ low))
@@ -509,6 +531,28 @@ def canonical_key(g: Graph | list[int]) -> tuple[int, ...]:
                         child.append((col << 1, low))
                     if low != cell:
                         child.append((col << 1 | 1, cell ^ low))
+                if tied:
+                    # Compare the least column at each coming position, the
+                    # cell's column ``c`` shifted past the bits still unknown,
+                    # with ``best``: cut at the first larger one, or when all
+                    # tie, and search the child at the first smaller one.
+                    k = at
+                    for c, part in child:
+                        c <<= k - at
+                        b = best[k]
+                        while c == b:
+                            k += 1
+                            part &= part - 1
+                            if not part:
+                                break
+                            c <<= 1
+                            b = best[k]
+                        else:
+                            break
+                    else:
+                        continue
+                    if c > b:
+                        continue
                 search(child, tied)
                 # Now ``best`` starts with ``prefix``: either it already did,
                 # or the child, never cut, ended on a smaller leaf.
@@ -532,13 +576,14 @@ def format_key(n: int, key: tuple[int, ...]) -> str:
 
 
 def graph_from_key(n: int, key: tuple[int, ...]) -> Graph:
-    """Decode a :func:`canonical_key`: the representative whose key is ``key``."""
-    pairs = []
-    for k, col in enumerate(key, start=1):
-        for j in range(k):
-            if (col >> (k - 1 - j)) & 1:
-                pairs.append((j, k))
-    return from_edge_list(n, pairs)
+    """Decode a :func:`canonical_key`: the representative whose key is ``key``.
+
+    Bit ``v-1-u`` of column ``v`` (entry ``v-1``) is the edge ``uv``, so
+    reading row by row gives the sorted edges :class:`Graph` takes.
+    """
+    return Graph(n, tuple(
+        (u, v) for u in range(n) for v in range(u + 1, n) if key[v - 1] >> (v - 1 - u) & 1
+    ))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

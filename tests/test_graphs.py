@@ -20,6 +20,7 @@ from gaindex.formats import (
     write_edge_list,
 )
 from gaindex.graphs import (
+    CANONICAL_MAX_N,
     Graph,
     GraphKind,
     canonical_form,
@@ -370,7 +371,7 @@ class TestCanonicalForm:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=CANONICAL_MAX_N),
         st.floats(min_value=0.1, max_value=0.9),
         st.integers(min_value=0, max_value=2**32),
     )
@@ -422,35 +423,51 @@ class TestCanonicalForm:
         assert canonical_key([((1 << n) - 1) ^ (1 << v) for v in range(n)]) == complete
 
     def test_matches_reference_at_the_order_limit(self):
-        # The hypothesis test above stops at n = 8.
         rng = random.Random(9)
         for _ in range(200):
             g = random_graph(rng, 9, rng.uniform(0.1, 0.9))
             assert canonical_key(g) == reference_canonical_key(g), g
 
     @pytest.mark.parametrize(
-        "name", ["C9", "K3 box K3", "K3,3,3", "K4,5", "complement of C9"]
+        "name",
+        [
+            "C9", "K3 box K3", "K3,3,3", "K4,5", "complement of C9",
+            "C9(1,2)", "C9(1,3)", "C8", "Q3", "K4,4", "C8(1,4)", "C8(1,2)", "C8(1,3)",
+            "complement of C8",
+        ],
     )
     def test_symmetric_graphs_at_the_order_limit_keep_their_key(self, name):
         # Vertex- or part-transitive graphs tie the best prefix on many
-        # branches, which is where a wrong cut would show.
+        # branches, which is where a wrong cut would show; those on 8
+        # vertices are of the largest order that enumeration keys.
+        def circulant(n: int, *steps: int) -> Graph:
+            return from_edge_list(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
         pairs = list(combinations(range(9), 2))
-        c9 = cycle_graph(9)
         g = {
-            "C9": c9,
+            "C9": cycle_graph(9),
             "K3 box K3": from_edge_list(
                 9, [(u, v) for u, v in pairs if (u // 3 == v // 3) != (u % 3 == v % 3)]
             ),
             "K3,3,3": from_edge_list(9, [(u, v) for u, v in pairs if u // 3 != v // 3]),
             "K4,5": complete_bipartite_graph(4, 5),
-            "complement of C9": from_edge_list(9, [p for p in pairs if not c9.has_edge(*p)]),
+            "complement of C9": circulant(9, 2, 3, 4),
+            "C9(1,2)": circulant(9, 1, 2),
+            "C9(1,3)": circulant(9, 1, 3),
+            "C8": cycle_graph(8),
+            "Q3": from_edge_list(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4)]),
+            "K4,4": complete_bipartite_graph(4, 4),
+            "C8(1,4)": circulant(8, 1, 4),
+            "C8(1,2)": circulant(8, 1, 2),
+            "C8(1,3)": circulant(8, 1, 3),
+            "complement of C8": circulant(8, 2, 3, 4),
         }[name]
         key = canonical_key(g)
         assert key == reference_canonical_key(g)
         assert sum(map(int.bit_count, key)) == g.m
         rng = random.Random(name)
         for _ in range(30):
-            assert canonical_key(relabel(g, rng.sample(range(9), 9))) == key
+            assert canonical_key(relabel(g, rng.sample(range(g.n), g.n))) == key
 
 
 @st.composite
