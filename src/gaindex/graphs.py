@@ -414,17 +414,17 @@ def canonical_key(g: Graph | list[int]) -> tuple[int, ...]:
     the key is the same as that of a full search.
 
     A candidate is cut on all of its coming columns before the search
-    enters it.  Its cells fill the positions from ``at`` on in order, since
-    the next vertex always comes from the first cell and splitting keeps
-    the order.  So the column at ``at + j`` is its cell's column followed by
-    ``j`` bits still unknown, and at least ``col << j``.  If these least
-    columns, compared in turn with the best key's, reach one that is larger
-    before one that is smaller, every labeling below the candidate is larger
-    than the best key, and if they tie all the way it is not smaller either:
-    the candidate is cut.  The first descent, which sets the first best key,
-    starts each position with the candidate that has the fewest neighbours
-    in the first cell, so that zero bits come early and the later cuts come
-    sooner.
+    enters it.  Placed at position ``at - 1``, it leaves cells that fill
+    positions ``at``, ``at + 1``, ... in order, since the next vertex always
+    comes from the first cell and splitting keeps the order.  So the column
+    at ``at + j`` is its cell's column ``col`` followed by ``j`` bits still
+    unknown, and at least ``col << j``.  If these least columns, compared in
+    turn with the best key's, reach one that is larger before one that is
+    smaller, every labeling below the candidate is larger than the best key,
+    and if they tie all the way none is smaller either: the candidate is
+    cut.  The first descent, which sets the first best key, starts each
+    position with the candidate that has the fewest neighbours in the first
+    cell, so that zero bits come early and the later cuts come sooner.
     """
     if isinstance(g, Graph):
         masks = [0] * g.n
