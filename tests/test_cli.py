@@ -60,6 +60,26 @@ class TestCompute:
         assert code == 0
         assert "GA1" in out and "sqrt(6)" in out
 
+    def test_connected_graphs_2_to_6_pinned(self, capsys, tmp_path):
+        # Pinned bytes of every index of the 142 connected graphs with
+        # 2 <= n <= 6, at two exact alphas and at 1/3, which float mode takes.
+        graphs = [g for n in range(2, 7) for g in enumerate_connected(n)]
+        assert len(graphs) == 142
+        path = tmp_path / "graphs.g6"
+        path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+        alphas = ("--alpha", "3/2", "--alpha", "1/3", "--alpha=-1/2")
+        digests = {
+            "json": "cd5e776117e61d43ed3709db7baf2342b048a24fc96f3b98fac121be13c01420",
+            "csv": "3b05de957ed4dcce846c30a4832d63574ae77ef1cde79e5838de0c3e8f104b26",
+            "text": "1dcb6cbe80d6810b38b32455b3bd131016e897babc2733354c9d3109aebb0813",
+        }
+        for fmt, digest in digests.items():
+            code, out, _ = run_cli(
+                capsys, "compute", "-i", str(path), *alphas, "--format", fmt
+            )
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "C4", "--format", "csv")
         assert code == 0
