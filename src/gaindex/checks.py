@@ -494,7 +494,7 @@ def _alpha_reason(alpha: float | Rational) -> str | None:
         return f"alpha={alpha} is too large for a float"
     if not math.isfinite(af):
         return f"alpha={alpha} is not finite"
-    if af <= 0:
+    if alpha <= 0:  # exact: a tiny positive alpha has float 0.0
         return f"needs alpha > 0, got {alpha}"
     return None
 

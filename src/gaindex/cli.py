@@ -156,6 +156,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     graphs = _load_graphs(args)
     rows = []
     for g in graphs:
+        f = GraphFacts(g)
         row: dict = {
             "graph6": to_graph6(g),
             "n": g.n,
@@ -165,12 +166,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "class": str(classify(g)),
             "name": graph_name(g) or "",
         }
-        for key, value in all_indices(g).items():
+        for key, value in all_indices(f).items():
             row[key] = _value_cell(value, precision)
         for alpha in args.alpha or []:
-            row[f"M1^{alpha}"] = _value_cell(m1_alpha(g, alpha), precision)
-            row[f"M2^{alpha}"] = _value_cell(m2_alpha(g, alpha), precision)
-            row[f"chi_{alpha}"] = _value_cell(chi_alpha(g, alpha), precision)
+            row[f"M1^{alpha}"] = _value_cell(m1_alpha(f, alpha), precision)
+            row[f"M2^{alpha}"] = _value_cell(m2_alpha(f, alpha), precision)
+            row[f"chi_{alpha}"] = _value_cell(chi_alpha(f, alpha), precision)
         rows.append(row)
     _emit_rows(rows, args.format, sys.stdout)
     return 0

@@ -43,7 +43,6 @@ from .graphs import (
     paw_graph,
     star_graph,
 )
-from .indices import ga1
 from .linegraph import GraphFacts, line_graph
 from .radicals import RadicalNumber, compare
 
@@ -320,7 +319,6 @@ def connected_nontrivial(n_max: int) -> Iterator[Graph]:
 @dataclass(frozen=True)
 class BucketMember:
     canonical: str
-    graph: Graph
     value: RadicalNumber
     name: str | None
 
@@ -345,7 +343,6 @@ def _bucketize(pairs: list[tuple[Graph, RadicalNumber]]) -> list[Bucket]:
                 filled[(lo, hi)].append(
                     BucketMember(
                         canonical=canonical_form(g),
-                        graph=g,
                         value=value,
                         name=graph_name(g),
                     )
@@ -365,12 +362,8 @@ def classify_small_values(n_max: int) -> list[Bucket]:
     """
     if n_max < 6:
         raise ValueError("n_max >= 6 is required to fill the (3,4] bucket")
-    pairs = []
-    for g in connected_with_edges(n_max):
-        value = ga1(g).exact
-        assert value is not None
-        pairs.append((g, value))
-    return _bucketize(pairs)
+    graphs = connected_with_edges(n_max)
+    return _bucketize([(g, GraphFacts(g).ga1) for g in graphs])
 
 
 def classify_line_small_values(n_max: int) -> list[Bucket]:
@@ -477,11 +470,7 @@ def extremal_search(
     candidates = [graph_from_key(n, key) for key in _connected_keys(n) if _size(key) == m]
     if not candidates:
         raise ValueError(f"no connected graph has n={n}, m={m}")
-    values = []
-    for g in candidates:
-        value = ga1(g).exact
-        assert value is not None
-        values.append((g, value))
+    values = [(g, GraphFacts(g).ga1) for g in candidates]
     best = values[0][1]
     for _, value in values[1:]:
         cmp = compare(value, best)
@@ -536,7 +525,7 @@ def census_rows(n: int) -> list[dict[str, object]]:
     rows = []
     for key in _connected_keys(n):
         g = graph_from_key(n, key)
-        value = ga1(g) if g.m else None
+        value = GraphFacts(g).ga1 if g.m else None
         rows.append(
             {
                 "graph6": to_graph6(g),
@@ -544,8 +533,8 @@ def census_rows(n: int) -> list[dict[str, object]]:
                 "name": graph_name(g) or "",
                 "n": g.n,
                 "m": g.m,
-                "ga1_exact": "" if value is None else str(value.exact),
-                "ga1_float": "" if value is None else repr(value.approx),
+                "ga1_exact": "" if value is None else str(value),
+                "ga1_float": "" if value is None else repr(value.to_float()),
             }
         )
     return rows

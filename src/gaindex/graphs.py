@@ -8,7 +8,6 @@ isomorphism, but only for small orders.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -95,9 +94,6 @@ class Graph:
     def isolated_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.deg[v] == 0)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         """Adjacency lookup in the lower-degree endpoint's neighbor list."""
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -108,16 +104,7 @@ class Graph:
 
     @property
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in self.adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return len(components(self)) <= 1
 
     def __str__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
@@ -246,7 +233,6 @@ class GraphKind(Enum):
 class GraphClass:
     kind: GraphKind
     params: tuple[int, ...]
-    degree_class_counts: dict[int, int] = field(compare=False)
 
     def __str__(self) -> str:
         inner = ",".join(str(p) for p in self.params)
@@ -338,28 +324,27 @@ def classify(g: Graph) -> GraphClass:
     nothing downstream depends on this precedence.  Disconnected graphs get
     ``OTHER`` (component classes are available via :func:`components`).
     """
-    counts = dict(Counter(g.deg))
     if not g.is_connected or g.n < 2:
-        return GraphClass(GraphKind.OTHER, (), counts)
+        return GraphClass(GraphKind.OTHER, ())
     if is_path(g):
-        return GraphClass(GraphKind.PATH, (g.n,), counts)
+        return GraphClass(GraphKind.PATH, (g.n,))
     if is_cycle(g):
-        return GraphClass(GraphKind.CYCLE, (g.n,), counts)
+        return GraphClass(GraphKind.CYCLE, (g.n,))
     if is_star(g):
-        return GraphClass(GraphKind.STAR, (g.n,), counts)
+        return GraphClass(GraphKind.STAR, (g.n,))
     if is_double_star(g):
         centers = sorted(d - 1 for d in g.deg if d >= 2)
-        return GraphClass(GraphKind.DOUBLE_STAR, tuple(centers), counts)
+        return GraphClass(GraphKind.DOUBLE_STAR, tuple(centers))
     if is_regular(g):
-        return GraphClass(GraphKind.REGULAR, (g.max_degree,), counts)
+        return GraphClass(GraphKind.REGULAR, (g.max_degree,))
     if is_complete_bipartite(g):
         sides = _bipartition(g)
         assert sides is not None
         p, q = sorted((len(sides[0]), len(sides[1])))
-        return GraphClass(GraphKind.COMPLETE_BIPARTITE, (p, q), counts)
+        return GraphClass(GraphKind.COMPLETE_BIPARTITE, (p, q))
     if is_biregular(g):
-        return GraphClass(GraphKind.BIREGULAR, (g.max_degree, g.min_degree), counts)
-    return GraphClass(GraphKind.OTHER, (), counts)
+        return GraphClass(GraphKind.BIREGULAR, (g.max_degree, g.min_degree))
+    return GraphClass(GraphKind.OTHER, ())
 
 
 def graph_name(g: Graph) -> str | None:

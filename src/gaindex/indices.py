@@ -4,7 +4,9 @@ The geometric-arithmetic index and every integer or half-integer exponent
 variant live in the rational radical span, so those paths are exact; other
 exponents fall back to floats.  Exponents arriving as decimal text are snapped
 to the nearest integer or half-integer when within 1e-12, so ``0.5`` hits the
-exact path.
+exact path.  Every index takes a ``Graph`` or a ``GraphFacts`` and reads the
+degree pairs, degree counts and GA1 from that one ``GraphFacts``, the only
+code that derives them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from operator import add
 from typing import Callable, Iterable
 
 from .graphs import Graph
+from .linegraph import GraphFacts
 from .radicals import RadicalNumber, radical_sum
 
 __all__ = [
@@ -89,33 +92,20 @@ class IndexValue:
         return repr(self.approx)
 
 
-def _require_no_edgeless_component(g: Graph) -> None:
-    # A component without an edge is exactly an isolated vertex.
-    isolated = g.isolated_vertices
-    if g.n == 0 or isolated:
+def _edged_facts(g: Graph | GraphFacts) -> GraphFacts:
+    """The facts of ``g``; raises unless every component contains an edge."""
+    f = GraphFacts.of(g)
+    if f.edge_reason:
         raise ValueError(
             "index requires every component to contain an edge; "
-            f"isolated vertices: {list(isolated)}"
+            f"isolated vertices: {list(f.graph.isolated_vertices)}"
         )
+    return f
 
 
-def _degree_pairs(g: Graph) -> Counter[tuple[int, int]]:
-    pairs: Counter[tuple[int, int]] = Counter()
-    for u, v in g.edges:
-        a, b = g.deg[u], g.deg[v]
-        pairs[(a, b) if a <= b else (b, a)] += 1
-    return pairs
-
-
-def _ga1_exact(pairs: Counter[tuple[int, int]]) -> RadicalNumber:
-    """GA1 from the degree-pair counts of :func:`_degree_pairs`."""
-    return radical_sum([(2 * count, a * b, a + b) for (a, b), count in pairs.items()])
-
-
-def ga1(g: Graph) -> IndexValue:
+def ga1(g: Graph | GraphFacts) -> IndexValue:
     """Geometric-arithmetic index: sum over edges of 2*sqrt(du*dv)/(du+dv)."""
-    _require_no_edgeless_component(g)
-    return IndexValue.of_exact(_ga1_exact(_degree_pairs(g)))
+    return IndexValue.of_exact(_edged_facts(g).ga1)
 
 
 def _snap_exponent(alpha: float | int | Fraction) -> Fraction | None:
@@ -195,12 +185,6 @@ def _power_factor(
     return _power_term(base.numerator, base.denominator, num, den)
 
 
-def _exact_pow(base: int | Fraction | RadicalNumber, alpha: Exponent) -> RadicalNumber:
-    """:func:`_power_factor` as a value."""
-    power = _power_factor(base, alpha)
-    return power if isinstance(power, RadicalNumber) else radical_sum([power])
-
-
 def _power_sum(terms: Iterable[tuple[int, int]], alpha: Exponent) -> RadicalNumber:
     """Exact sum of ``count * base**alpha`` over pairs ``(base, count)``.
 
@@ -228,69 +212,68 @@ def _sum_powers(counts: Counter[int], alpha: float | Fraction) -> IndexValue:
     return IndexValue.of_float(reduce(add, powers, 0))
 
 
-def m1_alpha(g: Graph, alpha: float | int | Fraction) -> IndexValue:
+def m1_alpha(g: Graph | GraphFacts, alpha: float | int | Fraction) -> IndexValue:
     """Variable first Zagreb index: sum of deg(u)**alpha over vertices."""
-    _require_no_edgeless_component(g)
-    return _sum_powers(Counter(g.deg), alpha)
+    return _sum_powers(_edged_facts(g).degree_counts, alpha)
 
 
-def m2_alpha(g: Graph, alpha: float | int | Fraction) -> IndexValue:
+def m2_alpha(g: Graph | GraphFacts, alpha: float | int | Fraction) -> IndexValue:
     """Variable second Zagreb index: sum of (du*dv)**alpha over edges."""
-    _require_no_edgeless_component(g)
     counts: Counter[int] = Counter()
-    for (a, b), count in _degree_pairs(g).items():
+    for (a, b), count in _edged_facts(g).degree_pairs.items():
         counts[a * b] += count
     return _sum_powers(counts, alpha)
 
 
-def chi_alpha(g: Graph, alpha: float | int | Fraction) -> IndexValue:
+def chi_alpha(g: Graph | GraphFacts, alpha: float | int | Fraction) -> IndexValue:
     """General sum-connectivity index: sum of (du+dv)**alpha over edges."""
-    _require_no_edgeless_component(g)
     counts: Counter[int] = Counter()
-    for (a, b), count in _degree_pairs(g).items():
+    for (a, b), count in _edged_facts(g).degree_pairs.items():
         counts[a + b] += count
     return _sum_powers(counts, alpha)
 
 
-def m1(g: Graph) -> IndexValue:
+def m1(g: Graph | GraphFacts) -> IndexValue:
     return m1_alpha(g, 2)
 
 
-def m2(g: Graph) -> IndexValue:
+def m2(g: Graph | GraphFacts) -> IndexValue:
     return m2_alpha(g, 1)
 
 
-def forgotten(g: Graph) -> IndexValue:
+def forgotten(g: Graph | GraphFacts) -> IndexValue:
     return m1_alpha(g, 3)
 
 
-def harmonic(g: Graph) -> IndexValue:
+def harmonic(g: Graph | GraphFacts) -> IndexValue:
     inner = chi_alpha(g, -1)
     assert inner.exact is not None
     return IndexValue.of_exact(2 * inner.exact)
 
 
-def inverse_degree(g: Graph) -> IndexValue:
+def inverse_degree(g: Graph | GraphFacts) -> IndexValue:
     return m1_alpha(g, -1)
 
 
-def randic(g: Graph) -> IndexValue:
+def randic(g: Graph | GraphFacts) -> IndexValue:
     return m2_alpha(g, Fraction(-1, 2))
 
 
-def sum_connectivity(g: Graph) -> IndexValue:
+def sum_connectivity(g: Graph | GraphFacts) -> IndexValue:
     return chi_alpha(g, Fraction(-1, 2))
 
 
-def all_indices(g: Graph) -> dict[str, IndexValue]:
-    """The standard battery, keyed by conventional short names."""
+def all_indices(g: Graph | GraphFacts) -> dict[str, IndexValue]:
+    """The standard battery, keyed by conventional short names, read from
+    one ``GraphFacts``."""
+    f = GraphFacts.of(g)
     return {
-        "GA1": ga1(g),
-        "M1": m1(g),
-        "M2": m2(g),
-        "F": forgotten(g),
-        "H": harmonic(g),
-        "ID": inverse_degree(g),
-        "R": randic(g),
-        "chi": sum_connectivity(g),
+        "GA1": ga1(f),
+        "M1": m1(f),
+        "M2": m2(f),
+        "F": forgotten(f),
+        "H": harmonic(f),
+        "ID": inverse_degree(f),
+        "R": randic(f),
+        "chi": sum_connectivity(f),
     }

@@ -1,5 +1,9 @@
 """Line graph construction and the per-graph facts the checkers share.
 
+:class:`GraphFacts` is the one place that derives a graph's degree pairs,
+degree counts and GA1; the checkers and every index of
+:mod:`gaindex.indices` read them from it.
+
 The line graph L(G) has one vertex per edge of G, with two vertices adjacent
 exactly when the underlying edges share an endpoint, so the vertex uv has
 degree du + dv - 2.  The checkers read L(G) only through :class:`LineFacts`,
@@ -27,8 +31,7 @@ from .graphs import (
     is_nontrivial,
     is_regular,
 )
-from .indices import _degree_pairs, _ga1_exact
-from .radicals import RadicalNumber
+from .radicals import RadicalNumber, radical_sum
 
 __all__ = [
     "GraphFacts",
@@ -70,6 +73,11 @@ def line_graph(g: Graph) -> Graph:
     return from_edge_list(g.m, pairs)
 
 
+def _ga1_exact(pairs: Counter[tuple[int, int]]) -> RadicalNumber:
+    """GA1, the sum of 2*sqrt(du*dv)/(du+dv) over edges, from degree-pair counts."""
+    return radical_sum([(2 * count, a * b, a + b) for (a, b), count in pairs.items()])
+
+
 @dataclass(frozen=True)
 class GraphFacts:
     """One graph and the facts the checkers read, each computed on first read."""
@@ -83,8 +91,14 @@ class GraphFacts:
 
     @cached_property
     def degree_pairs(self) -> Counter[tuple[int, int]]:
-        """Edge count per (smaller, larger) endpoint-degree pair."""
-        return _degree_pairs(self.graph)
+        """Edge count per (smaller, larger) endpoint-degree pair, keyed in
+        order of first appearance along the sorted edges."""
+        g = self.graph
+        pairs: Counter[tuple[int, int]] = Counter()
+        for u, v in g.edges:
+            a, b = g.deg[u], g.deg[v]
+            pairs[(a, b) if a <= b else (b, a)] += 1
+        return pairs
 
     @cached_property
     def degree_counts(self) -> Counter[int]:
@@ -191,8 +205,8 @@ class LineFacts:
     def degree_pairs(self) -> Counter[tuple[int, int]]:
         """Edge count per (smaller, larger) degree pair of L(G).
 
-        Keys first appear in the order of :func:`_degree_pairs` on the built
-        line graph, whose edges (i, j), i < j, are sorted; float mode sums
+        Keys first appear in the order of :attr:`GraphFacts.degree_pairs` of
+        the built line graph, whose edges (i, j), i < j, are sorted; float mode sums
         the pairs in that order.  G's edges are sorted with u < v, so the
         edges j > i that meet edge i = (u, v) are u's edges after v in
         ``adj[u]``, then v's edges after u in ``adj[v]``, in increasing j.

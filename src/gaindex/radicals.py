@@ -23,7 +23,6 @@ its display string once computed.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable
@@ -34,7 +33,6 @@ __all__ = [
     "radical_sum",
     "compare",
     "format_radical",
-    "parse_radical",
 ]
 
 # A display float of b bits is read from bounds of b + _GUARD_BITS bits.
@@ -125,11 +123,6 @@ class RadicalNumber:
         return cls.__new__(cls)._set(num, den)
 
     @classmethod
-    def sqrt_int(cls, k: int) -> "RadicalNumber":
-        """Exact ``sqrt(k)`` for an integer ``k >= 0``."""
-        return radical_sum([(1, k, 1)])
-
-    @classmethod
     def sqrt_fraction(cls, r: Rational) -> "RadicalNumber":
         """Exact ``sqrt(r)`` for a nonnegative rational ``r``."""
         n, d = _ratio(r)
@@ -152,11 +145,6 @@ class RadicalNumber:
     @property
     def rational_part(self) -> Fraction:
         return Fraction(self._num.get(1, 0), self._den)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.rational_part
 
     # -- ring operations -------------------------------------------------
 
@@ -435,41 +423,3 @@ def format_radical(value: RadicalNumber) -> str:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
 
-
-_TERM_RE = re.compile(
-    r"^(?P<coeff>\d+(?:/\d+)?)?(?P<star>\*)?(?:sqrt\((?P<q>\d+)\))?$"
-)
-
-
-def parse_radical(text: str) -> RadicalNumber:
-    """Parse the display format produced by :func:`format_radical`."""
-    compact = text.replace(" ", "")
-    if not compact:
-        raise ValueError("empty radical literal")
-    if compact == "0":
-        return RadicalNumber(0)
-    tokens = re.findall(r"[+-]?[^+-]+", compact)
-    if "".join(tokens) != compact:
-        raise ValueError(f"malformed radical literal: {text!r}")
-    terms: dict[int, Fraction] = {}
-    for token in tokens:
-        sign = 1
-        body = token
-        if body[0] in "+-":
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
-        m = _TERM_RE.match(body)
-        if not m or (m.group("star") and not (m.group("coeff") and m.group("q"))) or (
-            not m.group("coeff") and not m.group("q")
-        ) or (m.group("coeff") and m.group("q") and not m.group("star")):
-            raise ValueError(f"malformed radical term: {token!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        q = int(m.group("q")) if m.group("q") else 1
-        if q < 1:
-            raise ValueError(f"malformed radical term: {token!r}")
-        cur = terms.get(q, Fraction(0)) + sign * coeff
-        if cur:
-            terms[q] = cur
-        else:
-            terms.pop(q, None)
-    return RadicalNumber(terms)

@@ -1,11 +1,14 @@
-"""Graph constructions and GA1 helpers that only the tests use."""
+"""Graph constructions, GA1 helpers and exact-value decoders that only the
+tests use."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from gaindex.graphs import Edge, Graph, canonical_key, from_edge_list, graph_from_key, induced_subgraph
-from gaindex.radicals import RadicalNumber
+from gaindex.indices import Exponent, _power_factor
+from gaindex.radicals import RadicalNumber, radical_sum
 
 
 def strip_isolated(g: Graph) -> Graph:
@@ -46,3 +49,48 @@ def ga_edge_term(x: int | Fraction, y: int | Fraction) -> RadicalNumber:
     if fx <= 0 or fy <= 0:
         raise ValueError("defined for positive arguments")
     return RadicalNumber.sqrt_fraction(fx * fy) * Fraction(2, 1) / (fx + fy)
+
+
+def exact_pow(base: int | Fraction | RadicalNumber, alpha: Exponent) -> RadicalNumber:
+    """``gaindex.indices._power_factor`` as a value."""
+    power = _power_factor(base, alpha)
+    return power if isinstance(power, RadicalNumber) else radical_sum([power])
+
+
+_TERM_RE = re.compile(
+    r"^(?P<coeff>\d+(?:/\d+)?)?(?P<star>\*)?(?:sqrt\((?P<q>\d+)\))?$"
+)
+
+
+def parse_radical(text: str) -> RadicalNumber:
+    """Parse the display format produced by ``gaindex.radicals.format_radical``."""
+    compact = text.replace(" ", "")
+    if not compact:
+        raise ValueError("empty radical literal")
+    if compact == "0":
+        return RadicalNumber(0)
+    tokens = re.findall(r"[+-]?[^+-]+", compact)
+    if "".join(tokens) != compact:
+        raise ValueError(f"malformed radical literal: {text!r}")
+    terms: dict[int, Fraction] = {}
+    for token in tokens:
+        sign = 1
+        body = token
+        if body[0] in "+-":
+            sign = -1 if body[0] == "-" else 1
+            body = body[1:]
+        m = _TERM_RE.match(body)
+        if not m or (m.group("star") and not (m.group("coeff") and m.group("q"))) or (
+            not m.group("coeff") and not m.group("q")
+        ) or (m.group("coeff") and m.group("q") and not m.group("star")):
+            raise ValueError(f"malformed radical term: {token!r}")
+        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        q = int(m.group("q")) if m.group("q") else 1
+        if q < 1:
+            raise ValueError(f"malformed radical term: {token!r}")
+        cur = terms.get(q, Fraction(0)) + sign * coeff
+        if cur:
+            terms[q] = cur
+        else:
+            terms.pop(q, None)
+    return RadicalNumber(terms)

@@ -214,7 +214,6 @@ class TestEdgeDeletion:
     def test_pairs_after_deletion_match_rebuilt_graph(self):
         from gaindex.checks import _deletion_loss
         from gaindex.graphs import delete_edge
-        from gaindex.indices import _degree_pairs, _ga1_exact
         from gaindex.linegraph import GraphFacts
 
         rng = random.Random(21)
@@ -228,7 +227,7 @@ class TestEdgeDeletion:
             deg = f.graph.deg
             for u, v in f.graph.edges:
                 term = ga_edge_term(deg[u], deg[v])
-                expected = _ga1_exact(_degree_pairs(delete_edge(f.graph, (u, v))))
+                expected = GraphFacts(delete_edge(f.graph, (u, v))).ga1
                 assert f.ga1 - term - _deletion_loss(f, u, v) == expected
 
     @staticmethod
@@ -278,7 +277,8 @@ class TestRationality:
         report = check_rationality(double_star_graph(3, 8))[0]
         assert report.holds and report.equality and report.predicted_equality
         value = report.lhs.exact
-        assert value is not None and value.as_fraction() == Fraction(528, 65)
+        assert value is not None and value.is_rational
+        assert value.rational_part == Fraction(528, 65)
 
     def test_cycle5_rational(self):
         report = check_rationality(cycle_graph(5))[0]
@@ -337,7 +337,7 @@ class TestTermShift:
         report = check_term_shift_inequality(1, 2)
         assert report.holds
         assert report.lhs.exact == RadicalNumber(0)
-        assert report.rhs.exact == RadicalNumber.sqrt_int(3) / 4
+        assert report.rhs.exact == RadicalNumber({3: 1}) / 4
 
     def test_equality_at_t_zero(self):
         report = check_term_shift_inequality(2, 0)
@@ -417,7 +417,7 @@ class TestLineOrderAndSqrtBounds:
     def test_sqrt_bound_triangle(self):
         report = check_line_sqrt_bound(cycle_graph(3))[0]
         assert report.holds
-        assert report.rhs.exact == 2 * RadicalNumber.sqrt_int(2)
+        assert report.rhs.exact == 2 * RadicalNumber({2: 1})
 
     def test_sqrt_bound_p7_exact(self):
         report = check_line_sqrt_bound(path_graph(7))[0]
@@ -797,6 +797,18 @@ class TestOutOfRangeAlpha:
         (report,) = checker(cycle_graph(4), 1.7e308)
         assert report.mode == "skipped" and not report.preconditions_met
         assert "alpha=" in report.notes
+
+    @pytest.mark.parametrize(
+        "checker", [check_variable_zagreb_bound, check_line_variable_zagreb_bound]
+    )
+    @pytest.mark.parametrize("exponent", [300, 400])
+    def test_positive_alpha_below_the_float_range(self, checker, exponent):
+        # float(1/10**400) is 0.0, but the sign of alpha is read exactly, so
+        # float mode takes both alphas and skips them as out of range.
+        alpha = Fraction(1, 10**exponent)
+        (report,) = checker(cycle_graph(4), alpha)
+        assert report.mode == "skipped" and not report.violated
+        assert report.notes.startswith(f"alpha={alpha} is out of range: ")
 
     def test_fraction_too_large_for_a_float(self):
         (report,) = check_variable_zagreb_bound(cycle_graph(4), Fraction(10**400))

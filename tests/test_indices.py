@@ -18,11 +18,10 @@ from gaindex.graphs import (
     paw_graph,
     star_graph,
 )
-from graph_helpers import disjoint_union
+from graph_helpers import disjoint_union, exact_pow, parse_radical
 from gaindex.indices import (
     MAX_EXACT_EXPONENT,
     NotRadicalError,
-    _exact_pow,
     _power_sum,
     chi_alpha,
     forgotten,
@@ -36,7 +35,7 @@ from gaindex.indices import (
     randic,
     sum_connectivity,
 )
-from gaindex.radicals import RadicalNumber, parse_radical
+from gaindex.radicals import RadicalNumber
 
 
 def random_graph(rng, n, p=0.5):
@@ -137,7 +136,7 @@ class TestExactPow:
     def test_matches_float_power_on_rational_bases(self, base, doubled):
         alpha = Fraction(doubled, 2)
         assume(base or alpha >= 0)
-        value = _exact_pow(base, alpha)
+        value = exact_pow(base, alpha)
         assert value.to_float() == pytest.approx(float(base) ** float(alpha), rel=1e-12)
 
     @given(
@@ -146,27 +145,27 @@ class TestExactPow:
     )
     def test_square_is_the_rational_power(self, base, doubled):
         assume(base or doubled >= 0)
-        value = _exact_pow(base, Fraction(doubled, 2))
+        value = exact_pow(base, Fraction(doubled, 2))
         assert value * value == RadicalNumber(base**doubled)
 
     @pytest.mark.parametrize("alpha", [-1, Fraction(-1, 2), Fraction(-7, 2)])
     def test_zero_to_a_negative_power_raises(self, alpha):
         with pytest.raises(ZeroDivisionError):
-            _exact_pow(0, alpha)
+            exact_pow(0, alpha)
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1, 4), 0.25])
     def test_exponent_outside_half_integers_raises(self, alpha):
         with pytest.raises(NotRadicalError):
-            _exact_pow(2, alpha)
+            exact_pow(2, alpha)
 
     def test_irrational_radical_to_a_half_raises(self):
         with pytest.raises(NotRadicalError):
-            _exact_pow(RadicalNumber({2: 1, 1: 1}), Fraction(1, 2))
+            exact_pow(RadicalNumber({2: 1, 1: 1}), Fraction(1, 2))
 
     def test_radical_bases(self):
         irrational = RadicalNumber({2: 3})
-        assert _exact_pow(irrational, 1) == irrational
-        assert _exact_pow(RadicalNumber(Fraction(9, 4)), 0.5) == RadicalNumber(
+        assert exact_pow(irrational, 1) == irrational
+        assert exact_pow(RadicalNumber(Fraction(9, 4)), 0.5) == RadicalNumber(
             Fraction(3, 2)
         )
 
@@ -179,21 +178,21 @@ class TestExactPow:
         # (doubled * scale, 2 * scale) is doubled/2 in any terms, reduced or not.
         assume(base or doubled >= 0)
         pair = (doubled * scale, 2 * scale)
-        assert _exact_pow(base, pair) == _exact_pow(base, Fraction(doubled, 2))
-        assert _exact_pow(RadicalNumber(base), pair) == _exact_pow(base, pair)
+        assert exact_pow(base, pair) == exact_pow(base, Fraction(doubled, 2))
+        assert exact_pow(RadicalNumber(base), pair) == exact_pow(base, pair)
 
     @pytest.mark.parametrize("pair", [(1, 3), (2, 6), (-1, 4), (5, 4), (3, 10)])
     def test_other_pairs_raise(self, pair):
         with pytest.raises(NotRadicalError):
-            _exact_pow(2, pair)
+            exact_pow(2, pair)
 
     def test_pairs_obey_the_exponent_limit(self):
         limit = MAX_EXACT_EXPONENT
-        assert _exact_pow(2, (2 * limit, 2)) == RadicalNumber(2**limit)
-        assert _exact_pow(2, (-3 * limit, 3)) == RadicalNumber(Fraction(1, 2**limit))
+        assert exact_pow(2, (2 * limit, 2)) == RadicalNumber(2**limit)
+        assert exact_pow(2, (-3 * limit, 3)) == RadicalNumber(Fraction(1, 2**limit))
         for pair in [(2 * limit + 1, 2), (-(limit + 1), 1), (4 * limit + 4, 4)]:
             with pytest.raises(ValueError, match="MAX_EXACT_EXPONENT"):
-                _exact_pow(2, pair)
+                exact_pow(2, pair)
 
 
 class TestPowerSum:
@@ -204,7 +203,7 @@ class TestPowerSum:
     def test_matches_the_sum_of_powers(self, counts, doubled):
         expected = RadicalNumber(0)
         for base, count in counts.items():
-            expected = expected + count * _exact_pow(base, Fraction(doubled, 2))
+            expected = expected + count * exact_pow(base, Fraction(doubled, 2))
         assert _power_sum(counts.items(), (doubled, 2)) == expected
         # Repeated bases are separate terms.
         twice = list(counts.items()) * 2
@@ -219,7 +218,7 @@ class TestPowerSum:
             for doubled in range(-6, 7):
                 alpha = Fraction(doubled, 2)
                 expected = sum(
-                    (count * _exact_pow(base, alpha) for base, count in terms),
+                    (count * exact_pow(base, alpha) for base, count in terms),
                     RadicalNumber(0),
                 )
                 assert _power_sum(terms, alpha) == expected, (terms, alpha)

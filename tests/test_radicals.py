@@ -17,10 +17,10 @@ from gaindex.radicals import (
     RadicalNumber,
     compare,
     format_radical,
-    parse_radical,
     radical_sqrt,
     radical_sum,
 )
+from graph_helpers import parse_radical
 
 
 def is_squarefree(q: int) -> bool:
@@ -109,7 +109,7 @@ class TestVectorSpaceLaws:
 
 class TestCompare:
     def test_equal_sqrt2(self):
-        assert compare(RadicalNumber.sqrt_int(2), RadicalNumber.sqrt_int(2)) == 0
+        assert compare(RadicalNumber({2: 1}), RadicalNumber({2: 1})) == 0
 
     def test_p3_value_below_two(self):
         value = RadicalNumber({2: Fraction(4, 3)})
@@ -140,7 +140,7 @@ class TestCompare:
                 assert got == 0
 
     def test_rich_comparisons(self):
-        sqrt2 = RadicalNumber.sqrt_int(2)
+        sqrt2 = RadicalNumber({2: 1})
         assert sqrt2 < 2
         assert sqrt2 > 1
         assert sqrt2 <= sqrt2
@@ -160,15 +160,10 @@ class TestRationalityFlags:
         # sqrt(8) fed as a raw key must normalize to 2*sqrt(2).
         assert RadicalNumber({8: 1}) == RadicalNumber({2: 2})
 
-    def test_as_fraction(self):
-        assert RadicalNumber(Fraction(7, 3)).as_fraction() == Fraction(7, 3)
-        with pytest.raises(ValueError):
-            RadicalNumber.sqrt_int(2).as_fraction()
-
 
 class TestFloatConversion:
     def test_sqrt2_at_53_bits(self):
-        assert RadicalNumber.sqrt_int(2).to_float() == pytest.approx(
+        assert RadicalNumber({2: 1}).to_float() == pytest.approx(
             math.sqrt(2), abs=1e-15
         )
 
@@ -183,7 +178,7 @@ class TestFloatConversion:
 
     def test_cancellation_resolved(self):
         # 577/408 is a close rational approximation of sqrt(2).
-        value = RadicalNumber.sqrt_int(2) - Fraction(577, 408)
+        value = RadicalNumber({2: 1}) - Fraction(577, 408)
         approx, err = value.float_with_error()
         assert approx == pytest.approx(float(Decimal(2).sqrt() - Decimal(577) / 408))
         assert err < abs(approx) * 1e-9
@@ -292,7 +287,7 @@ def kernel_inputs(draw):
 
 class TestIntervalKernel:
     def test_example_cancellation(self):
-        value = Fraction(577, 408) - RadicalNumber.sqrt_int(2)
+        value = Fraction(577, 408) - RadicalNumber({2: 1})
         assert value.sign() == reference_sign(value) == 1
         for bits in (32, 53):
             assert value.float_with_error(bits) == reference_float_with_error(
@@ -372,7 +367,7 @@ class TestCompareFilter:
     def test_overlapping_enclosures_fall_back_to_the_exact_sign(
         self, offset, expected
     ):
-        sqrt2 = RadicalNumber.sqrt_int(2)
+        sqrt2 = RadicalNumber({2: 1})
         near = ENCLOSURE_FLOOR + offset
         lo, hi, den = sqrt2._interval(radicals._START_BITS)
         assert lo <= near * den <= hi  # the filter cannot decide
@@ -396,17 +391,17 @@ class TestCompareFilter:
         monkeypatch.setattr(RadicalNumber, "__sub__", counting_sub)
         monkeypatch.setattr(RadicalNumber, "__mul__", counting_mul)
         ga1_p4 = RadicalNumber({1: 1, 2: Fraction(4, 3)})  # GA1 of the 4-vertex path
-        sqrt3 = RadicalNumber.sqrt_int(3)
+        sqrt3 = RadicalNumber({3: 1})
         assert compare(ga1_p4, 3) < 0
         assert compare(ga1_p4, RadicalNumber(2)) > 0
         assert compare(ga1_p4, sqrt3 + 1, sqrt3) > 0
         assert compare(ga1_p4, 11, RadicalNumber({2: 1, 5: 1})) < 0
-        assert RadicalNumber.sqrt_int(2) < sqrt3
+        assert RadicalNumber({2: 1}) < sqrt3
         assert counts == {"sub": 0, "mul": 0}
         # A tie builds the product once and no difference; a near miss both.
-        assert compare(sqrt3, RadicalNumber(6), RadicalNumber.sqrt_int(12)) == 0
+        assert compare(sqrt3, RadicalNumber(6), RadicalNumber({12: 1})) == 0
         assert counts == {"sub": 0, "mul": 1}
-        assert compare(RadicalNumber.sqrt_int(2), ENCLOSURE_FLOOR, 1) == 1
+        assert compare(RadicalNumber({2: 1}), ENCLOSURE_FLOOR, 1) == 1
         assert counts == {"sub": 1, "mul": 2}
 
 
@@ -644,7 +639,7 @@ class TestIntegerKernel:
         assert len({RadicalNumber(2), 2}) == 1
         assert hash(RadicalNumber(Fraction(-7, 3))) == hash(Fraction(-7, 3))
         assert hash(RadicalNumber(0)) == hash(0)
-        assert RadicalNumber({2: 1}) - RadicalNumber.sqrt_int(8) / 2 in {0}
+        assert RadicalNumber({2: 1}) - RadicalNumber({8: 1}) / 2 in {0}
 
 
 # Small radicands repeat within a list, and 0 is among them.

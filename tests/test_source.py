@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaindex"
@@ -65,3 +66,42 @@ def test_every_imported_name_is_used():
                     if bound not in used:
                         unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
+
+
+def references(tree: ast.AST) -> Counter[str]:
+    """Every name read under ``tree``: as a name, an attribute or an import."""
+    names: Counter[str] = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
+    return names
+
+
+def test_no_code_that_only_tests_reach():
+    # Each private module-level function and each method other than a dunder
+    # is referenced somewhere in src/gaindex outside its own definition;
+    # code that only the tests call belongs in the tests.
+    trees = {path.name: parse(path) for path in MODULES}
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    unreached = []
+    for name, tree in trees.items():
+        defs = [
+            (d.name, d)
+            for d in tree.body
+            if isinstance(d, ast.FunctionDef) and d.name.startswith("_")
+        ]
+        for cls in (c for c in tree.body if isinstance(c, ast.ClassDef)):
+            defs += [
+                (f"{cls.name}.{d.name}", d)
+                for d in cls.body
+                if isinstance(d, ast.FunctionDef)
+                and not (d.name.startswith("__") and d.name.endswith("__"))
+            ]
+        for qualname, d in defs:
+            if everywhere[d.name] <= references(d)[d.name]:
+                unreached.append(f"{name}:{d.lineno} {qualname}")
+    assert unreached == []
