@@ -535,7 +535,7 @@ class TestClassify:
         cls = classify(cycle_graph(4))
         assert cls.kind is GraphKind.CYCLE and cls.params == (4,)
 
-    def test_star(self):
+    def test_star_with_counts(self):
         cls = classify(star_graph(4))
         assert cls.kind is GraphKind.STAR and cls.params == (4,)
 
