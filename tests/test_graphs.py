@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -573,6 +574,21 @@ class TestClassify:
         assert graph_name(complete_bipartite_graph(2, 3)) == "K2,3"
         assert graph_name(complete_graph(4)) == "K4"
         assert graph_name(paw_graph()) == "paw"
+
+    def test_class_and_name_pinned(self):
+        # Every connected class with n <= 7, then 2,000 seeded random graphs
+        # with n <= 10, 1,028 of them disconnected.
+        graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+        rng = random.Random(1)
+        for _ in range(2000):
+            n = rng.randint(1, 10)
+            graphs.append(random_graph(rng, n, rng.uniform(0.05, 0.6)))
+        text = "".join(
+            f"{to_graph6(g)}|{classify(g)}|{graph_name(g) or ''}\n" for g in graphs
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a6e83e28107562e53238332a292cd360727682bc92aab758672ffd6f1f0b57ab"
+        )
 
 
 class TestGraph6:
