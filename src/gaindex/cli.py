@@ -157,14 +157,15 @@ def cmd_compute(args: argparse.Namespace) -> int:
     rows = []
     for g in graphs:
         f = GraphFacts(g)
+        cls = classify(g)
         row: dict = {
             "graph6": to_graph6(g),
             "n": g.n,
             "m": g.m,
             "max_degree": g.max_degree,
             "min_degree": g.min_degree,
-            "class": str(classify(g)),
-            "name": graph_name(g) or "",
+            "class": str(cls),
+            "name": cls.name or "",
         }
         for key, value in all_indices(f).items():
             row[key] = _value_cell(value, precision)

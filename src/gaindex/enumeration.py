@@ -467,6 +467,8 @@ def extremal_search(
         raise ValueError("objective must be 'min' or 'max'")
     if not (n - 1 <= m <= n * (n - 1) // 2):
         raise ValueError(f"no connected graph has n={n}, m={m}")
+    if m == 0:
+        raise ValueError(f"GA1 requires at least one edge, got n={n}, m=0")
     candidates = [graph_from_key(n, key) for key in _connected_keys(n) if _size(key) == m]
     if not candidates:
         raise ValueError(f"no connected graph has n={n}, m={m}")

@@ -231,8 +231,12 @@ class GraphKind(Enum):
 
 @dataclass(frozen=True)
 class GraphClass:
+    """A structural class; ``name`` is the conventional name, if any, and is
+    left out of equality and hashing."""
+
     kind: GraphKind
     params: tuple[int, ...]
+    name: str | None = field(default=None, compare=False)
 
     def __str__(self) -> str:
         inner = ",".join(str(p) for p in self.params)
@@ -257,18 +261,10 @@ def is_biregular(g: Graph) -> bool:
     return all({g.deg[u], g.deg[v]} == {hi, lo} for u, v in g.edges)
 
 
-def is_path(g: Graph) -> bool:
-    return is_path_component(g) and g.is_connected
-
-
 def is_path_component(g: Graph) -> bool:
-    """:func:`is_path` for a graph known to be connected, such as one of
+    """A path, for a graph known to be connected, such as one of
     :func:`components`: n - 1 edges and no degree above 2, without a search."""
     return g.n >= 2 and g.m == g.n - 1 and g.max_degree <= 2
-
-
-def is_cycle(g: Graph) -> bool:
-    return g.n >= 3 and g.is_connected and all(d == 2 for d in g.deg)
 
 
 def is_star(g: Graph) -> bool:
@@ -279,99 +275,60 @@ def is_star(g: Graph) -> bool:
     return g.n >= 2 and g.m == g.n - 1 and g.max_degree == g.n - 1
 
 
-def is_double_star(g: Graph) -> bool:
-    """Tree with exactly two adjacent non-leaf vertices (each with >= 1 leaf)."""
-    if not (g.n >= 4 and g.is_connected and g.m == g.n - 1):
-        return False
-    centers = [v for v in range(g.n) if g.deg[v] >= 2]
-    return len(centers) == 2 and g.has_edge(centers[0], centers[1])
-
-
-def _bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
-    color = [-1] * g.n
-    sides: tuple[list[int], list[int]] = ([], [])
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        sides[0].append(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    sides[color[w]].append(w)
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    return None
-    return sides
-
-
-def is_complete_bipartite(g: Graph) -> bool:
-    if g.n < 2 or not g.is_connected:
-        return False
-    sides = _bipartition(g)
-    return sides is not None and g.m == len(sides[0]) * len(sides[1])
-
-
 def classify(g: Graph) -> GraphClass:
-    """Most specific structural class, for reporting.
+    """Most specific structural class and its conventional name (P5, C4, S5,
+    DS1,2, K2,3, K4, K3,3, paw), for reporting.
 
     Named shapes win over the generic regular/biregular kinds, except that a
-    regular graph is never reported as complete bipartite.  Predicates such as
-    :func:`is_regular` / :func:`is_biregular` are exposed independently, so
-    nothing downstream depends on this precedence.  Disconnected graphs get
-    ``OTHER`` (component classes are available via :func:`components`).
+    regular graph is never reported as complete bipartite.  Disconnected
+    graphs get ``OTHER`` (component classes are available via
+    :func:`components`).  Connectivity is the only search; every other shape
+    is read off n, m and the degrees.
     """
-    if not g.is_connected or g.n < 2:
+    n, m, deg = g.n, g.m, g.deg
+    if n < 2 or not g.is_connected:
         return GraphClass(GraphKind.OTHER, ())
-    if is_path(g):
-        return GraphClass(GraphKind.PATH, (g.n,))
-    if is_cycle(g):
-        return GraphClass(GraphKind.CYCLE, (g.n,))
+    if is_path_component(g):
+        return GraphClass(GraphKind.PATH, (n,), f"P{n}")
     if is_star(g):
-        return GraphClass(GraphKind.STAR, (g.n,))
-    if is_double_star(g):
-        centers = sorted(d - 1 for d in g.deg if d >= 2)
-        return GraphClass(GraphKind.DOUBLE_STAR, tuple(centers))
-    if is_regular(g):
-        return GraphClass(GraphKind.REGULAR, (g.max_degree,))
-    if is_complete_bipartite(g):
-        sides = _bipartition(g)
-        assert sides is not None
-        p, q = sorted((len(sides[0]), len(sides[1])))
-        return GraphClass(GraphKind.COMPLETE_BIPARTITE, (p, q))
+        return GraphClass(GraphKind.STAR, (n,), f"S{n}")
+    if m == n - 1:  # a tree
+        # The non-leaves of a tree span a tree, so two that are the only
+        # ones are adjacent.
+        centers = sorted(d - 1 for d in deg if d >= 2)
+        if len(centers) == 2:
+            a, b = centers
+            return GraphClass(GraphKind.DOUBLE_STAR, (a, b), f"DS{a},{b}")
+    hi, lo = g.max_degree, g.min_degree
+    if hi == lo:
+        if hi == 2:
+            return GraphClass(GraphKind.CYCLE, (n,), f"C{n}")
+        name = None
+        if hi == n - 1:
+            name = f"K{n}"
+        elif 2 * hi == n:
+            # With A the non-neighbours of 0 (0 included) and B = N(0), let
+            # every b in B have N(b) = A.  Then B is independent, and each
+            # vertex of A sees all of B, which is its whole degree |B| = n/2,
+            # so A is independent too: the graph is K(A, B) = K(n/2, n/2).
+            outside = set(range(n)).difference(g.adj[0])
+            if all(set(g.adj[b]) == outside for b in g.adj[0]):
+                name = f"K{hi},{hi}"
+        return GraphClass(GraphKind.REGULAR, (hi,), name)
     if is_biregular(g):
-        return GraphClass(GraphKind.BIREGULAR, (g.max_degree, g.min_degree))
-    return GraphClass(GraphKind.OTHER, ())
+        # Every edge joins the two degree classes, so the graph is bipartite
+        # between them, and complete exactly when m is their product.
+        if m == deg.count(hi) * deg.count(lo):
+            return GraphClass(GraphKind.COMPLETE_BIPARTITE, (lo, hi), f"K{lo},{hi}")
+        return GraphClass(GraphKind.BIREGULAR, (hi, lo))
+    name = "paw" if n == 4 and m == 4 and sorted(deg) == [1, 2, 2, 3] else None
+    return GraphClass(GraphKind.OTHER, (), name)
 
 
 def graph_name(g: Graph) -> str | None:
-    """Conventional name (P5, C4, S5, DS1,2, K2,3, K4, paw) if recognized."""
-    cls = classify(g)
-    if cls.kind is GraphKind.PATH:
-        return f"P{g.n}"
-    if cls.kind is GraphKind.CYCLE:
-        return f"C{g.n}"
-    if cls.kind is GraphKind.STAR:
-        return f"S{g.n}"
-    if cls.kind is GraphKind.DOUBLE_STAR:
-        a, b = cls.params
-        return f"DS{a},{b}"
-    if cls.kind is GraphKind.COMPLETE_BIPARTITE:
-        p, q = cls.params
-        return f"K{p},{q}"
-    if cls.kind is GraphKind.REGULAR:
-        if g.m == g.n * (g.n - 1) // 2:
-            return f"K{g.n}"
-        if is_complete_bipartite(g):
-            half = g.n // 2
-            return f"K{half},{half}"
-        return None
-    if g.n == 4 and g.m == 4 and sorted(g.deg) == [1, 2, 2, 3]:
-        return "paw"
-    return None
+    """Conventional name (P5, C4, S5, DS1,2, K2,3, K4, K3,3, paw) if
+    recognized: the ``name`` of :func:`classify`."""
+    return classify(g).name
 
 
 # -- canonical forms -------------------------------------------------------

@@ -208,8 +208,11 @@ def _sum_powers(counts: Counter[int], alpha: float | Fraction) -> IndexValue:
     if snapped is not None:
         return IndexValue.of_exact(_power_sum(counts.items(), snapped))
     powers = (count * float(base) ** float(alpha) for base, count in counts.items())
-    # Left to right on every Python: 3.12's sum() compensates float rounding.
-    return IndexValue.of_float(reduce(add, powers, 0))
+    try:
+        # Left to right on every Python: 3.12's sum() compensates float rounding.
+        return IndexValue.of_float(reduce(add, powers, 0))
+    except OverflowError as exc:
+        raise ValueError(f"alpha={alpha} is out of range: {exc}") from None
 
 
 def m1_alpha(g: Graph | GraphFacts, alpha: float | int | Fraction) -> IndexValue:

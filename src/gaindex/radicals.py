@@ -24,7 +24,7 @@ its display string once computed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 from typing import Iterable
 
 __all__ = [
@@ -310,7 +310,10 @@ class RadicalNumber:
             total = lo + hi
             if total and (hi - lo) << bits <= abs(total):
                 # int / int rounds correctly, as Fraction.__float__ does.
-                mid = total / (2 * den)
+                try:
+                    mid = total / (2 * den)
+                except OverflowError:  # display only: no verdict reads a float
+                    return (inf if total > 0 else -inf), inf
                 return mid, (hi - lo) / (2 * den) + abs(mid) * 2.0**-52
             if work > _MAX_BITS:
                 raise AssertionError("precision escalation did not converge")

@@ -55,6 +55,29 @@ class TestCompute:
         assert code == 0
         assert row["chi_3/2"]["exact"] == "32"
 
+    def test_exact_value_beyond_the_float_range(self, capsys):
+        # M1^(601/2) of K13 is 13 * 12^(601/2), exact but above the float range.
+        code, out, _ = run_cli(
+            capsys, "compute", "K13", "--alpha", "601/2", "--format", "json"
+        )
+        (row,) = json.loads(out)
+        assert code == 0
+        assert row["M1^601/2"] == {
+            "exact": f"{26 * 12**300}*sqrt(3)",
+            "approx": math.inf,
+            "precision_bits": 53,
+        }
+        code, out, _ = run_cli(capsys, "compute", "K13", "--alpha", "601/2")
+        assert code == 0 and "'approx': inf" in out
+
+    @pytest.mark.parametrize(
+        "spec, alpha", [("K13", "1000.3"), ("C4", f"{10**400}/3")], ids=["power", "alpha"]
+    )
+    def test_float_alpha_beyond_the_float_range(self, capsys, spec, alpha):
+        code, out, err = run_cli(capsys, "compute", spec, "--alpha", alpha)
+        assert code == 2 and out == ""
+        assert "is out of range" in err and "OverflowError" not in err
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "paw")
         assert code == 0
@@ -449,6 +472,13 @@ class TestExtremal:
             capsys, "extremal", "--n", "4", "--m", "9", "--objective", "max"
         )
         assert code == 2
+
+    def test_edgeless_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "extremal", "--n", "1", "--m", "0", "--objective", "min"
+        )
+        assert code == 2 and out == ""
+        assert "at least one edge" in err
 
 
 class TestCensus:

@@ -502,6 +502,9 @@ class TestExtremalSearch:
             extremal_search(4, 2, "min")
         with pytest.raises(ValueError):
             extremal_search(4, 4, "best")
+        # GA1 needs an edge, as in compute, census and the sweeps: K1 has none.
+        with pytest.raises(ValueError, match="at least one edge"):
+            extremal_search(1, 0, "min")
 
 
 class TestRandomGeneration:

@@ -590,6 +590,20 @@ class TestClassify:
             "a6e83e28107562e53238332a292cd360727682bc92aab758672ffd6f1f0b57ab"
         )
 
+    def test_one_component_search(self, monkeypatch):
+        # At most one search per call; the shape is read off the degrees.
+        calls = []
+
+        def counting_split(g):
+            calls.append(g)
+            return components(g)
+
+        monkeypatch.setattr("gaindex.graphs.components", counting_split)
+        for g in (paw_graph(), complete_bipartite_graph(2, 5), complete_bipartite_graph(3, 3)):
+            calls.clear()
+            classify(g)
+            assert len(calls) <= 1, graph_name(g)
+
 
 class TestGraph6:
     def test_parse_single_edge(self):
