@@ -12,7 +12,9 @@ import csv
 import io
 import json
 import os
+import shutil
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -204,18 +206,48 @@ def _report_rows(reports, graph6: str) -> list[dict]:
     return [{**report.to_dict(), "graph6": graph6} for report in reports]
 
 
-def _write_json_rows(rows: list[str], out: io.TextIOBase) -> None:
-    """Write ``json_rows`` items as the JSON array ``json.dump`` would.
+# Spooled output reaches stdout in writes of at most this many characters
+# (bytes, as every row is ASCII): under a periodic timer signal, a larger
+# write to a pipe has been seen to lose bytes.
+_COPY_CHUNK = 8192
 
-    One ``write`` per row and per separator, never the joined output: that
-    keeps memory flat and no string handed to ``out`` is longer than a row.
+
+class _RowSpool:
+    """``check`` output in ``file``, written one graph's rows at a time.
+
+    ``add`` encodes and writes the rows of one graph; ``copy_to`` ends the
+    output and copies all of it to ``out``.  Memory holds one graph's rows.
     """
-    sep = "[\n"
-    for row in rows:
-        out.write(sep)
-        out.write(row)
-        sep = ",\n"
-    out.write("\n]\n" if rows else "[]\n")
+
+    def __init__(self, fmt: str, file: io.TextIOBase) -> None:
+        self.fmt = fmt
+        self.file = file
+        self.json_items = 0
+        self.csv: csv.DictWriter | None = None
+
+    def add(self, reports, graph6: str) -> None:
+        if self.fmt == "json":
+            # The separators json.dump(rows, indent=2) writes between items.
+            for row in json_rows(reports, graph6):
+                self.file.write(",\n" if self.json_items else "[\n")
+                self.file.write(row)
+                self.json_items += 1
+        elif self.fmt == "csv":
+            for row in map(_flatten, _report_rows(reports, graph6)):
+                if self.csv is None:
+                    # Every check row has the flat keys of to_dict plus
+                    # graph6, so the first row names every column.
+                    self.csv = csv.DictWriter(self.file, fieldnames=sorted(row))
+                    self.csv.writeheader()
+                self.csv.writerow(row)
+        else:
+            _emit_rows(_report_rows(reports, graph6), "text", self.file)
+
+    def copy_to(self, out: io.TextIOBase) -> None:
+        if self.fmt == "json":
+            self.file.write("\n]\n" if self.json_items else "[]\n")
+        self.file.seek(0)
+        shutil.copyfileobj(self.file, out, _COPY_CHUNK)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -231,20 +263,18 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"unknown check ids {unknown}; available: {', '.join(CHECK_IDS)}"
             )
     alphas = tuple(args.alpha) if args.alpha else DEFAULT_ALPHAS
-    as_json = args.format == "json"
-    encode = json_rows if as_json else _report_rows
-    rows: list = []
     violated = False
-    # Every graph is checked and encoded before the first write, so a failure
-    # leaves stdout empty.
-    for g in graphs:
-        reports = run_checks(g, ids=ids, alphas=alphas)
-        violated = violated or any(r.violated for r in reports)
-        rows.extend(encode(reports, to_graph6(g)))
-    if as_json:
-        _write_json_rows(rows, sys.stdout)
-    else:
-        _emit_rows(rows, args.format, sys.stdout)
+    # Each graph's rows go to an unnamed temporary file as soon as it is
+    # checked, and the file reaches stdout only after the last graph: a
+    # failure leaves stdout empty, and memory holds one graph's rows.  With
+    # newline="" the file gives back csv's \r\n line ends as written.
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as file:
+        spool = _RowSpool(args.format, file)
+        for g in graphs:
+            reports = run_checks(g, ids=ids, alphas=alphas)
+            violated = violated or any(r.violated for r in reports)
+            spool.add(reports, to_graph6(g))
+        spool.copy_to(sys.stdout)
     return 1 if violated else 0
 
 

@@ -9,6 +9,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -632,6 +634,28 @@ class TestExitCodeContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "checker crashed" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_failure_after_a_checked_graph_writes_nothing(
+        self, capsys, monkeypatch, tmp_path, fmt
+    ):
+        # C4 is checked and its rows are written to the temporary file; then
+        # K20,4980 fails the line-graph size check.  Nothing reaches stdout,
+        # and no file is left behind in the temporary directory.
+        checked = []
+
+        def spy(g, ids=None, alphas=None):
+            reports = run_checks(g, ids=ids, alphas=alphas)
+            checked.append(to_graph6(g))
+            return reports
+
+        monkeypatch.setattr(cli, "run_checks", spy)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        code, out, err = run_cli(capsys, "check", "C4", "K20,4980", "--format", fmt)
+        assert checked == ["Cl"]
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "MAX_EDGES" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_closed_pipe_in_a_real_process(self):
         src = Path(gaindex.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
@@ -645,6 +669,35 @@ class TestExitCodeContract:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode not in (0, 1)
         assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+class TestCheckMemory:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_output_is_not_held_in_memory(self, monkeypatch, tmp_path, fmt):
+        # stdout is a real file, which holds no output in memory as capsys
+        # would, and gives the output size.  Keeping every row until the last
+        # graph peaked at 1.3 (json), 12.9 (csv) and 2.5 (text) times the
+        # output; one graph's rows at a time, at 0.24, 0.48 and 0.16 in a warm
+        # process (csv 0.85 as the first command of a fresh one).  The
+        # bound is the output size, not half of it: checking one n = 6 graph
+        # plus the csv writer's fixed 128 KiB record buffer come near half of
+        # the compact csv output.
+        graphs = [g for n in range(2, 7) for g in enumerate_connected(n)]
+        assert len(graphs) == 142
+        path = tmp_path / "graphs.g6"
+        path.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+        out_path = tmp_path / f"out.{fmt}"
+        with out_path.open("w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["check", "-i", str(path), "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = out_path.stat().st_size
+        assert code == 0
+        assert peak < size, f"peak {peak} bytes for {size} bytes of output"
 
 
 class TestInputSizeLimits:
