@@ -27,13 +27,6 @@ from .linegraph import GraphFacts, line_graph
 from .radicals import RadicalNumber, compare, format_radical, radical_sqrt
 from .report import CheckReport
 from .checks import CHECK_IDS, run_checks
-from .enumeration import (
-    Bucket,
-    classify_line_small_values,
-    classify_small_values,
-    enumerate_connected,
-    extremal_search,
-    verify_no_preimage,
-)
+from .enumeration import enumerate_connected, extremal_search, verify_no_preimage
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
@@ -31,7 +30,6 @@ from .formats import MAX_EDGES, to_graph6
 from .graphs import (
     Graph,
     canonical_key,
-    canonical_form,
     cycle_graph,
     double_star_graph,
     format_key,
@@ -48,18 +46,13 @@ from .radicals import RadicalNumber, compare
 
 __all__ = [
     "ENUMERATION_MAX_N",
-    "Bucket",
-    "BucketMember",
     "enumerate_connected",
     "enumerate_trees",
     "validate_order",
     "connected_with_edges",
     "connected_nontrivial",
-    "classify_small_values",
-    "classify_line_small_values",
     "expected_small_value_families",
     "expected_line_small_value_families",
-    "buckets_match_families",
     "line_graph_preimages",
     "verify_no_preimage",
     "extremal_search",
@@ -316,68 +309,6 @@ def connected_nontrivial(n_max: int) -> Iterator[Graph]:
 # -- small-value classification ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class BucketMember:
-    canonical: str
-    value: RadicalNumber
-    name: str | None
-
-
-@dataclass(frozen=True)
-class Bucket:
-    """Graphs whose index value lies in the half-open interval (lower, upper]."""
-
-    lower: int
-    upper: int
-    members: tuple[BucketMember, ...]
-
-
-_BUCKET_RANGES = ((0, 1), (1, 2), (2, 3), (3, 4))
-
-
-def _bucketize(pairs: list[tuple[Graph, RadicalNumber]]) -> list[Bucket]:
-    filled: dict[tuple[int, int], list[BucketMember]] = {r: [] for r in _BUCKET_RANGES}
-    for g, value in pairs:
-        for lo, hi in _BUCKET_RANGES:
-            if compare(value, lo) > 0 and compare(value, hi) <= 0:
-                filled[(lo, hi)].append(
-                    BucketMember(
-                        canonical=canonical_form(g),
-                        value=value,
-                        name=graph_name(g),
-                    )
-                )
-                break
-    return [
-        Bucket(lo, hi, tuple(sorted(filled[(lo, hi)], key=lambda m: m.canonical)))
-        for lo, hi in _BUCKET_RANGES
-    ]
-
-
-def classify_small_values(n_max: int) -> list[Bucket]:
-    """Bucket every connected graph (with an edge, n <= n_max) by exact GA1.
-
-    The (3,4] bucket is complete only once all orders up to 6 are present,
-    hence the precondition.
-    """
-    if n_max < 6:
-        raise ValueError("n_max >= 6 is required to fill the (3,4] bucket")
-    graphs = connected_with_edges(n_max)
-    return _bucketize([(g, GraphFacts(g).ga1) for g in graphs])
-
-
-def classify_line_small_values(n_max: int) -> list[Bucket]:
-    """Bucket non-trivial connected graphs by the exact GA1 of their line graph.
-
-    A line-graph value of at most 4 forces at most 6 edges, hence at most 7
-    vertices in the source graph: n_max >= 7 sees every member.
-    """
-    if n_max < 7:
-        raise ValueError("n_max >= 7 is required to cover every possible member")
-    graphs = connected_nontrivial(n_max)
-    return _bucketize([(g, GraphFacts(g).line.ga1) for g in graphs])
-
-
 def expected_small_value_families() -> dict[tuple[int, int], list[Graph]]:
     """The known classification of GA1 values up to 4, by membership."""
     return {
@@ -403,19 +334,6 @@ def expected_line_small_value_families() -> dict[tuple[int, int], list[Graph]]:
         (2, 3): [cycle_graph(3), star_graph(4), path_graph(5)],
         (3, 4): [path_graph(6), cycle_graph(4), double_star_graph(1, 2)],
     }
-
-
-def buckets_match_families(
-    buckets: list[Bucket], families: dict[tuple[int, int], list[Graph]]
-) -> bool:
-    """Same isomorphism classes in every bucket."""
-    for bucket in buckets:
-        expected = families.get((bucket.lower, bucket.upper), [])
-        got = sorted(member.canonical for member in bucket.members)
-        want = sorted(canonical_form(g) for g in expected)
-        if got != want:
-            return False
-    return True
 
 
 # -- line-graph preimages ------------------------------------------------------

@@ -13,16 +13,15 @@ from .checks import (
     run_checks,
 )
 from .enumeration import (
-    buckets_match_families,
-    classify_line_small_values,
-    classify_small_values,
     connected_with_edges,
     expected_line_small_value_families,
     expected_small_value_families,
     random_connected,
 )
 from .formats import to_graph6
-from .radicals import RadicalNumber
+from .graphs import canonical_form
+from .linegraph import GraphFacts
+from .radicals import RadicalNumber, compare
 from .report import CheckReport, exact_report
 
 __all__ = ["CheckAggregate", "SweepResult", "exhaustive_sweep", "random_sweep"]
@@ -59,11 +58,11 @@ class SweepResult:
             agg.tested += 1
             if report.equality:
                 agg.equalities += 1
-            if not report.holds:
-                agg.violations += 1
-                self.failures.append((source, report))
-            if report.characterization_consistent is False:
-                agg.mismatches += 1
+            violated = not report.holds
+            mismatched = report.characterization_consistent is False
+            agg.violations += violated
+            agg.mismatches += mismatched
+            if violated or mismatched:
                 self.failures.append((source, report))
 
     def merge(self, other: "SweepResult") -> None:
@@ -81,25 +80,42 @@ def exhaustive_sweep(
 ) -> SweepResult:
     """Every checker on every connected graph with an edge, up to order n_max.
 
-    Also reproduces the small-value bucket lists and spot-checks the two
-    graph-free inequalities on a rational grid.  Graphs are decoded and
-    checked one at a time.  A graph's failure source is
+    Also reproduces the two small-value classifications, the graphs with GA1
+    at most 4 (from n_max 6) and those whose line graph has GA1 at most 4
+    (from n_max 7), from the graphs it checks over every order it walks, and
+    spot-checks the two graph-free inequalities on a rational grid.  Graphs
+    are decoded and checked one at a time.  A graph's failure source is
     ``exhaustive:<graph6>``, which reproduces the graph.  An n_max above
     ``ENUMERATION_MAX_N`` raises ``ValueError`` before any graph is checked.
     """
     result = SweepResult()
+    # For k <= 4, the canonical forms of the graphs whose GA1 lies in
+    # (k - 1, k], and of those whose line graph's GA1 does, keyed by k.  Every
+    # value is positive, as each graph and each line graph here has an edge.
+    small: tuple[dict[int, list[str]], ...] = ({}, {})
     for g in connected_with_edges(n_max):
-        result.absorb(f"exhaustive:{to_graph6(g)}", run_checks(g, alphas=alphas))
+        f = GraphFacts(g)
+        result.absorb(f"exhaustive:{to_graph6(g)}", run_checks(f, alphas=alphas))
+        values = (f.ga1, f.line.ga1) if f.nontrivial_reason is None else (f.ga1,)
+        for found, value in zip(small, values):
+            if compare(value, 4) <= 0:
+                upper = next(k for k in range(1, 5) if compare(value, k) <= 0)
+                found.setdefault(upper, []).append(canonical_form(g))
 
-    for order, which, label, bucketize, families in (
-        (6, "small_value_buckets", "small-value buckets",
-         classify_small_values, expected_small_value_families),
-        (7, "line_small_value_buckets", "line-graph small-value buckets",
-         classify_line_small_values, expected_line_small_value_families),
+    for order, found, which, label, families in (
+        (6, small[0], "small_value_buckets", "small-value buckets",
+         expected_small_value_families),
+        (7, small[1], "line_small_value_buckets", "line-graph small-value buckets",
+         expected_line_small_value_families),
     ):
         if n_max < order:
             continue
-        if buckets_match_families(bucketize(order), families()):
+        expected = families()
+        if all(
+            sorted(found.get(k, []))
+            == sorted(canonical_form(h) for h in expected.get((k - 1, k), []))
+            for k in range(1, 5)
+        ):
             result.notes.append(f"{label} reproduced exactly")
         else:
             result.notes.append(f"{label} MISMATCH")

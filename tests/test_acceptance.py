@@ -18,9 +18,6 @@ from gaindex.checks import (
     run_checks,
 )
 from gaindex.enumeration import (
-    buckets_match_families,
-    classify_line_small_values,
-    classify_small_values,
     connected_nontrivial,
     connected_with_edges,
     expected_line_small_value_families,
@@ -33,14 +30,16 @@ from gaindex.graphs import (
     canonical_form,
     cycle_graph,
     double_star_graph,
+    graph_name,
     is_minimal_edge,
     path_graph,
     paw_graph,
     star_graph,
 )
 from gaindex.indices import ga1, m1
-from gaindex.linegraph import line_graph, verify_degree_identity
+from gaindex.linegraph import GraphFacts, line_graph, verify_degree_identity
 from gaindex.radicals import radical_sqrt
+from gaindex.sweeps import exhaustive_sweep
 from graph_helpers import parse_radical
 import random
 
@@ -92,26 +91,23 @@ LINE_VALUE_TABLE = {
 
 def test_criterion_2_bucket_reproduction():
     started = time.monotonic()
-    buckets = classify_small_values(6)
-    assert buckets_match_families(buckets, expected_small_value_families())
-    table = {text: parse_radical(text) for _, text in EXACT_TABLE}
-    by_name = {
-        member.name: member.value for bucket in buckets for member in bucket.members
+    notes = exhaustive_sweep(7).notes
+    assert "small-value buckets reproduced exactly" in notes
+    assert "line-graph small-value buckets reproduced exactly" in notes
+    # Each list's members are the expected graphs, up to isomorphism, so
+    # their values are those of the expected graphs.
+    values = {
+        graph_name(g): GraphFacts(g).ga1
+        for graphs in expected_small_value_families().values()
+        for g in graphs
     }
-    for g, expected_text in EXACT_TABLE:
-        from gaindex.graphs import graph_name
-
-        assert by_name[graph_name(g)] == table[expected_text]
-
-    line_buckets = classify_line_small_values(7)
-    assert buckets_match_families(line_buckets, expected_line_small_value_families())
-    line_by_name = {
-        member.name: member.value
-        for bucket in line_buckets
-        for member in bucket.members
+    assert values == {graph_name(g): parse_radical(text) for g, text in EXACT_TABLE}
+    line_values = {
+        graph_name(g): GraphFacts(g).line.ga1
+        for graphs in expected_line_small_value_families().values()
+        for g in graphs
     }
-    for name, text in LINE_VALUE_TABLE.items():
-        assert line_by_name[name] == parse_radical(text)
+    assert line_values == {name: parse_radical(text) for name, text in LINE_VALUE_TABLE.items()}
     _finish(2, "both small-value classifications reproduced exactly", started, 120.0)
 
 

@@ -918,6 +918,22 @@ class TestRandomSweepSources:
             assert parse_graph6(source[len("random:"):]) == g
 
 
+class TestSweepResult:
+    def test_violated_and_mismatched_report_is_one_failure(self):
+        from gaindex.report import exact_report
+        from gaindex.sweeps import SweepResult
+
+        report = exact_report(
+            "x", ">=", RadicalNumber(1), RadicalNumber(2), predicted_equality=True
+        )
+        assert report.violated and report.characterization_consistent is False
+        result = SweepResult()
+        result.absorb("src", [report])
+        assert result.failures == [("src", report)]
+        agg = result.aggregates["x"]
+        assert (agg.tested, agg.violations, agg.mismatches) == (1, 1, 1)
+
+
 class TestExhaustiveSweepSources:
     def test_failure_names_the_graph_by_graph6(self, monkeypatch):
         from dataclasses import replace
@@ -928,8 +944,8 @@ class TestExhaustiveSweepSources:
 
         swept = []
 
-        def violating(g, alphas=None):
-            swept.append(g)
+        def violating(facts, alphas=None):
+            swept.append(facts.graph)
             forced = skipped_report("fake", ">=", "forced")
             return [replace(forced, preconditions_met=True, holds=False)]
 

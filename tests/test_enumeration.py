@@ -1,4 +1,4 @@
-"""Exhaustive generation, bucket classification, preimages, worked families."""
+"""Exhaustive generation, small-value classifications, preimages, worked families."""
 
 from __future__ import annotations
 
@@ -15,10 +15,7 @@ from gaindex import enumeration
 from gaindex.checks import check_complete_bipartite_integer, check_double_star_rational
 from gaindex.enumeration import (
     ENUMERATION_MAX_N,
-    buckets_match_families,
     census_rows,
-    classify_line_small_values,
-    classify_small_values,
     connected_nontrivial,
     connected_with_edges,
     enumerate_connected,
@@ -46,8 +43,9 @@ from gaindex.graphs import (
     star_graph,
 )
 from gaindex.indices import ga1
-from gaindex.linegraph import line_graph
+from gaindex.linegraph import GraphFacts, line_graph
 from gaindex.radicals import RadicalNumber
+from gaindex.sweeps import exhaustive_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -328,43 +326,54 @@ class TestEnumerationCounts:
                 assert not nx.is_isomorphic(a, b)
 
 
-class TestBuckets:
-    def test_small_values_match_known_lists(self):
-        buckets = classify_small_values(6)
-        assert buckets_match_families(buckets, expected_small_value_families())
+SMALL = "small-value buckets reproduced exactly"
+LINE_SMALL = "line-graph small-value buckets reproduced exactly"
+
+
+class TestSmallValueClassifications:
+    def test_sweep_reproduces_both_decoding_each_class_once(self, monkeypatch):
+        decoded = []
+        decode = enumeration.graph_from_key
+
+        def counted(n, key):
+            decoded.append((n, key))
+            return decode(n, key)
+
+        monkeypatch.setattr(enumeration, "graph_from_key", counted)
+        notes = exhaustive_sweep(7).notes
+        assert SMALL in notes and LINE_SMALL in notes
+        # One decode per connected class with 2 <= n <= 7 (OEIS A001349).
+        assert len(decoded) == len(set(decoded)) == 1 + 2 + 6 + 21 + 112 + 853
+
+    def test_nmax_gates(self):
+        def listed(n_max):
+            return [note for note in exhaustive_sweep(n_max).notes if "buckets" in note]
+
+        assert listed(5) == []
+        assert listed(6) == [SMALL]
+
+    @pytest.mark.parametrize(
+        "families, value",
+        [
+            (expected_small_value_families, lambda f: f.ga1),
+            (expected_line_small_value_families, lambda f: f.line.ga1),
+        ],
+    )
+    def test_values_lie_in_their_interval(self, families, value):
+        for (lower, upper), graphs in families().items():
+            for g in graphs:
+                assert lower < value(GraphFacts(g)) <= upper, graph_name(g)
 
     def test_small_value_exact_values(self):
-        buckets = classify_small_values(6)
-        by_range = {(b.lower, b.upper): b for b in buckets}
-        ones = by_range[(0, 1)]
-        assert [m.name for m in ones.members] == ["P2"]
-        assert ones.members[0].value == RadicalNumber(1)
-        twos = by_range[(1, 2)]
-        assert twos.members[0].value == RadicalNumber({2: Fraction(4, 3)})
-
-    def test_membership_values_lie_in_range(self):
-        for bucket in classify_small_values(6):
-            for member in bucket.members:
-                assert bucket.lower < member.value
-                assert member.value <= bucket.upper
-
-    def test_line_values_match_known_lists(self):
-        buckets = classify_line_small_values(7)
-        assert buckets_match_families(buckets, expected_line_small_value_families())
+        assert GraphFacts(path_graph(2)).ga1 == RadicalNumber(1)
+        assert GraphFacts(path_graph(3)).ga1 == RadicalNumber({2: Fraction(4, 3)})
 
     def test_line_collision_recorded(self):
-        buckets = classify_line_small_values(7)
-        middle = next(b for b in buckets if (b.lower, b.upper) == (2, 3))
-        names = sorted(m.name for m in middle.members)
-        assert names == ["C3", "P5", "S4"]
-        threes = [m for m in middle.members if m.value == RadicalNumber(3)]
-        assert len(threes) == 2  # the triangle and the 4-vertex star collide
-
-    def test_nmax_guards(self):
-        with pytest.raises(ValueError):
-            classify_small_values(5)
-        with pytest.raises(ValueError):
-            classify_line_small_values(6)
+        middle = expected_line_small_value_families()[(2, 3)]
+        values = {graph_name(g): GraphFacts(g).line.ga1 for g in middle}
+        assert sorted(values) == ["C3", "P5", "S4"]
+        # The triangle and the 4-vertex star collide.
+        assert values["C3"] == values["S4"] == RadicalNumber(3)
 
 
 class TestPreimages:
