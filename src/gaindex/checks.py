@@ -4,10 +4,10 @@ Every inequality, identity and worked family that gaindex checks is stated
 here, and each verdict is built once by ``exact_report``, ``float_report`` or
 ``skipped_report``.  Checkers validate their own hypotheses (a skipped report,
 ``preconditions_met`` false, rather than an error) and decide exactly whenever
-both sides live in the radical span.  Each reads its graph through a
-:class:`GraphFacts`; a plain ``Graph`` is accepted too, and ``run_checks``
-builds one ``GraphFacts`` per graph so that every checker shares its
-components, indices and line-graph facts.  Quotient bounds are decided exactly by
+both sides live in the radical span.  Each checker of a graph takes its
+:class:`GraphFacts`, which ``run_checks`` builds once per graph, so that every
+checker shares its components, indices and line-graph facts.  Quotient bounds
+are decided exactly by
 cross-multiplication, so equality characterizations never depend on floating
 point.
 """
@@ -79,10 +79,9 @@ _CROSS_MULTIPLIED = "decided exactly by cross-multiplication"
 # -- checkers over the base graph ------------------------------------------
 
 
-def check_extreme_degree_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_extreme_degree_bounds(f: GraphFacts) -> list[CheckReport]:
     """2m*sqrt(Dd)/(D+d) <= GA1 <= m; lower tight iff regular or biregular,
     upper tight iff regular."""
-    f = GraphFacts.of(g)
     if f.edge_reason:
         return [
             skipped_report("extreme_degree_bounds.lower", "<=", f.edge_reason),
@@ -109,9 +108,8 @@ def check_extreme_degree_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_order_size_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_order_size_bounds(f: GraphFacts) -> list[CheckReport]:
     """GA1 >= 2(n-1)^(3/2)/n and GA1 >= 2m/n, for connected graphs."""
-    f = GraphFacts.of(g)
     g = f.graph
     reason = f.edge_reason
     if reason is None and not f.connected:
@@ -138,9 +136,8 @@ def check_order_size_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_star_lower_bound(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_star_lower_bound(f: GraphFacts) -> list[CheckReport]:
     """GA1 >= 2m*sqrt(n-1)/n, tight exactly for stars."""
-    f = GraphFacts.of(g)
     if f.edge_reason:
         return [skipped_report("star_lower_bound", ">=", f.edge_reason)]
     g = f.graph
@@ -152,10 +149,9 @@ def check_star_lower_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_no_universal_vertex_bound(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_no_universal_vertex_bound(f: GraphFacts) -> list[CheckReport]:
     """With max degree <= n-2: GA1 > 2m*sqrt(n-2)/(n-1), and that bound is
     itself >= 2*sqrt(n-2) once m >= n-1."""
-    f = GraphFacts.of(g)
     g = f.graph
     reason = f.edge_reason
     if reason is None and g.max_degree > g.n - 2:
@@ -200,7 +196,7 @@ def _deletion_loss(f: GraphFacts, u: int, v: int) -> RadicalNumber:
     return radical_sum(terms)
 
 
-def check_edge_deletion_drop(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_edge_deletion_drop(f: GraphFacts) -> list[CheckReport]:
     """Deleting a minimal edge drops GA1 by strictly more than the edge's term.
 
     A minimal edge that is its own component is excluded: deletion then
@@ -208,7 +204,6 @@ def check_edge_deletion_drop(g: Graph | GraphFacts) -> list[CheckReport]:
     implicitly needs a surviving edge next to the deleted one.  GA1(G - uv)
     is GA1 less the term of uv and less :func:`_deletion_loss`.
     """
-    f = GraphFacts.of(g)
     if f.edge_reason:
         return [skipped_report("edge_deletion_drop", "<", f.edge_reason)]
     deg = f.graph.deg
@@ -239,9 +234,8 @@ def check_edge_deletion_drop(g: Graph | GraphFacts) -> list[CheckReport]:
     return out
 
 
-def check_rationality(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_rationality(f: GraphFacts) -> list[CheckReport]:
     """GA1 is rational exactly when every edge's degree product is a square."""
-    f = GraphFacts.of(g)
     if f.edge_reason:
         return [skipped_report("rationality", "==", f.edge_reason)]
     ga = f.ga1
@@ -265,9 +259,8 @@ def check_rationality(g: Graph | GraphFacts) -> list[CheckReport]:
 # -- checkers involving the line graph --------------------------------------
 
 
-def check_line_ga_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_line_ga_bounds(f: GraphFacts) -> list[CheckReport]:
     """(M1-2m)*sqrt((D-1)(d-1))/(D+d-2) <= GA1(L(G)) <= M1/2 - m."""
-    f = GraphFacts.of(g)
     if f.nontrivial_reason:
         return [
             skipped_report("line_ga_bounds.lower", "<=", f.nontrivial_reason),
@@ -298,9 +291,8 @@ def check_line_ga_bounds(g: Graph | GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_nordhaus_gaddum(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_nordhaus_gaddum(f: GraphFacts) -> list[CheckReport]:
     """M1*sqrt((D-1)(d-1))/(D+d-2) <= GA1(G)+GA1(L(G)) <= M1/2; tight iff regular."""
-    f = GraphFacts.of(g)
     if f.nontrivial_reason:
         return [
             skipped_report("nordhaus_gaddum.lower", "<=", f.nontrivial_reason),
@@ -323,9 +315,8 @@ def check_nordhaus_gaddum(g: Graph | GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_line_ga_ratio_bound(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_line_ga_ratio_bound(f: GraphFacts) -> list[CheckReport]:
     """GA1(L(G)) >= min(3/(4*sqrt(2)), term(2D-2, max(2d-2,1))) * GA1(G)."""
-    f = GraphFacts.of(g)
     if f.nontrivial_reason:
         return [skipped_report("line_ga_ratio_bound", ">=", f.nontrivial_reason)]
     g = f.graph
@@ -346,10 +337,9 @@ def check_line_ga_ratio_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_line_vs_graph_regular(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_line_vs_graph_regular(f: GraphFacts) -> list[CheckReport]:
     """GA1(L(G)) >= GA1(G) when every component is regular or biregular and
     none is the 3-vertex path."""
-    f = GraphFacts.of(g)
     reason = f.nontrivial_reason
     if reason is None:
         if any(c.n == 3 and is_path_component(c) for c in f.components):
@@ -369,9 +359,8 @@ def check_line_vs_graph_regular(g: Graph | GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_line_order_bound(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_line_order_bound(f: GraphFacts) -> list[CheckReport]:
     """GA1(L(G)) >= 2(m-1)^(3/2)/m."""
-    f = GraphFacts.of(g)
     if f.nontrivial_reason:
         return [skipped_report("line_order_bound", ">=", f.nontrivial_reason)]
     m = f.graph.m
@@ -379,9 +368,8 @@ def check_line_order_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     return [exact_report("line_order_bound", ">=", f.line.ga1, bound)]
 
 
-def check_line_sqrt_bound(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_line_sqrt_bound(f: GraphFacts) -> list[CheckReport]:
     """GA1(L(G)) >= 2*sqrt(m-1) when no component is a path on <= 6 vertices."""
-    f = GraphFacts.of(g)
     reason = f.nontrivial_reason
     if reason is None and any(c.n <= 6 and is_path_component(c) for c in f.components):
         reason = "a component is a path on at most 6 vertices"
@@ -391,9 +379,8 @@ def check_line_sqrt_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     return [exact_report("line_sqrt_bound", ">=", f.line.ga1, bound)]
 
 
-def check_line_zagreb_lower(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_line_zagreb_lower(f: GraphFacts) -> list[CheckReport]:
     """M1(L(G)) >= 4m + (d-4)*M1(G) + 2*M2(G), in exact integers."""
-    f = GraphFacts.of(g)
     if f.nontrivial_reason:
         return [skipped_report("line_zagreb_lower", ">=", f.nontrivial_reason)]
     g = f.graph
@@ -405,9 +392,8 @@ def check_line_zagreb_lower(g: Graph | GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_line_zagreb_identity(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_line_zagreb_identity(f: GraphFacts) -> list[CheckReport]:
     """M1(L(G)) = 4m - 4*M1(G) + 2*M2(G) + F(G), exactly, in integers."""
-    f = GraphFacts.of(g)
     if f.nontrivial_reason:
         return [skipped_report("line_zagreb_identity", "==", f.nontrivial_reason)]
     rhs = 4 * f.graph.m - 4 * f.m1 + 2 * f.m2 + f.forgotten
@@ -422,10 +408,9 @@ def check_line_zagreb_identity(g: Graph | GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_line_regular_iff(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_line_regular_iff(f: GraphFacts) -> list[CheckReport]:
     """Line graph regular iff every component is regular-or-biregular with
     constant degree sum; both directions checked by construction."""
-    f = GraphFacts.of(g)
     if f.nontrivial_reason:
         return [skipped_report("line_regular_iff", "==", f.nontrivial_reason)]
     actual = f.line.regular
@@ -445,12 +430,11 @@ def check_line_regular_iff(g: Graph | GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_line_tree_iff(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_line_tree_iff(f: GraphFacts) -> list[CheckReport]:
     """For connected non-trivial g: line graph is a tree iff g is a path.
 
     Also reports the size monotonicity m <= m(L(G)) for non-paths.
     """
-    f = GraphFacts.of(g)
     reason = f.nontrivial_reason
     if reason is None and not f.connected:
         reason = "requires a connected graph"
@@ -595,12 +579,11 @@ def _power_bound(
 
 
 def check_variable_zagreb_bound(
-    g: Graph | GraphFacts, alpha: float | Rational = 1
+    f: GraphFacts, alpha: float | Rational = 1
 ) -> list[CheckReport]:
     """GA1 >= 2^(1/(2a)) * d^(1/2) * m^((2a+1)/(2a)) / (D * (sum du^(1-a))^(1/(2a))),
     for a > 0; tight exactly for regular graphs."""
     check_id = "variable_zagreb_bound"
-    f = GraphFacts.of(g)
     reason = _alpha_reason(alpha) or f.edge_reason
     if reason:
         return [skipped_report(check_id, ">=", reason)]
@@ -631,7 +614,7 @@ def check_variable_zagreb_bound(
 
 
 def check_line_variable_zagreb_bound(
-    g: Graph | GraphFacts, alpha: float | Rational = 1
+    f: GraphFacts, alpha: float | Rational = 1
 ) -> list[CheckReport]:
     """Line-graph lower bound with exponent a > 0, two branches (a <= 1, a > 1).
 
@@ -640,7 +623,6 @@ def check_line_variable_zagreb_bound(
     ((d-1)/d)^(1-a), and the bound is then tight for regular graphs at every a.
     """
     check_id = "line_variable_zagreb_bound"
-    f = GraphFacts.of(g)
     reason = _alpha_reason(alpha) or f.nontrivial_reason
     if reason:
         return [skipped_report(check_id, ">=", reason)]
@@ -692,10 +674,9 @@ def check_line_variable_zagreb_bound(
     ]
 
 
-def check_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_three_half_zagreb_bound(f: GraphFacts) -> list[CheckReport]:
     """GA1 >= 2*sqrt(d)*m^2 / sum(du^(3/2)); tight exactly for regular graphs."""
     check_id = "three_half_zagreb_bound"
-    f = GraphFacts.of(g)
     if f.edge_reason:
         return [skipped_report(check_id, ">=", f.edge_reason)]
     g = f.graph
@@ -710,10 +691,9 @@ def check_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckReport]:
     return [bound]
 
 
-def check_line_three_half_zagreb_bound(g: Graph | GraphFacts) -> list[CheckReport]:
+def check_line_three_half_zagreb_bound(f: GraphFacts) -> list[CheckReport]:
     """GA1(L(G)) >= (2d-2)^(1/2)*D^(3/2)*(M1-2m)^2 / (2*(D-1)^(3/2)*chi_(3/2))."""
     check_id = "line_three_half_zagreb_bound"
-    f = GraphFacts.of(g)
     if f.nontrivial_reason:
         return [skipped_report(check_id, ">=", f.nontrivial_reason)]
     g = f.graph

@@ -16,7 +16,9 @@ import shutil
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 from .checks import CHECK_IDS, DEFAULT_ALPHAS, check_line_zagreb_identity, run_checks
 from .enumeration import (
@@ -93,26 +95,33 @@ def _resolve_precision(args: argparse.Namespace) -> int:
     return bits
 
 
-def _read_graphs(text: str) -> list[Graph]:
+def _read_graphs(text: str) -> Iterator[Graph]:
     """The graphs of an ``--input`` file or of stdin: one edge list, or
     graph6 lines."""
     if looks_like_edge_list(text):
-        return [read_edge_list(text)]
-    return list(iter_graph6(text))
+        yield read_edge_list(text)
+    else:
+        yield from iter_graph6(text)
 
 
-def _load_graphs(args: argparse.Namespace) -> list[Graph]:
-    graphs: list[Graph] = []
+def _input_graphs(args: argparse.Namespace) -> Iterator[Graph]:
     if args.input:
-        graphs.extend(_read_graphs(Path(args.input).read_text()))
+        yield from _read_graphs(Path(args.input).read_text())
     for spec in args.graphs:
         if spec == "-":
-            graphs.extend(_read_graphs(sys.stdin.read()))
+            yield from _read_graphs(sys.stdin.read())
         else:
-            graphs.append(parse_graph_spec(spec))
-    if not graphs:
+            yield parse_graph_spec(spec)
+
+
+def _load_graphs(args: argparse.Namespace) -> Iterator[Graph]:
+    """The input graphs in input order, each parsed when it is reached, so
+    that a bad one raises after the graphs before it have been used."""
+    graphs = _input_graphs(args)
+    first = next(graphs, None)
+    if first is None:
         raise UsageError("no input graphs (pass shorthand, graph6, --input or '-')")
-    return graphs
+    return chain([first], graphs)
 
 
 def _value_cell(value, precision: int) -> dict:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Callable
+from typing import Callable, Iterator
 
 from .graphs import (
     Graph,
@@ -126,14 +126,12 @@ def to_graph6(g: Graph) -> str:
     return head + groups.translate(_PLUS_63).decode("ascii")
 
 
-def iter_graph6(text: str) -> list[Graph]:
-    """Parse one graph per nonblank line."""
-    out = []
+def iter_graph6(text: str) -> Iterator[Graph]:
+    """Parse one graph per nonblank line, each when it is reached."""
     for line in text.splitlines():
         line = line.strip()
         if line:
-            out.append(parse_graph6(line))
-    return out
+            yield parse_graph6(line)
 
 
 def looks_like_edge_list(text: str) -> bool:
@@ -154,7 +152,8 @@ def _check_size(n: int, m: int) -> None:
 
 
 def read_edge_list(text: str) -> Graph:
-    """Parse the plain format: first line ``n m``, then m lines ``u v``."""
+    """Parse the plain format: first line ``n m``, then m lines ``u v``, each
+    edge once in either orientation."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list input")
@@ -166,11 +165,17 @@ def read_edge_list(text: str) -> Graph:
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     pairs = []
+    seen = set()
     for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != 2 or not all(tok.isdigit() for tok in toks):
             raise ValueError(f"bad edge line {ln!r}")
-        pairs.append((int(toks[0]), int(toks[1])))
+        u, v = int(toks[0]), int(toks[1])
+        edge = (u, v) if u < v else (v, u)
+        if edge in seen:
+            raise ValueError(f"repeated edge line {ln!r}: edge {edge} is listed twice")
+        seen.add(edge)
+        pairs.append((u, v))
     return from_edge_list(n, pairs)
 
 

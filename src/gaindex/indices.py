@@ -50,8 +50,8 @@ MAX_EXACT_EXPONENT = 1000
 class IndexValue:
     """An index value: exact radical form when available, float always.
 
-    ``approx`` and its absolute ``error`` only serve display, since verdicts
-    are decided on ``exact``; each read calls ``estimate``.  For an exact
+    ``estimate`` gives ``approx`` and its absolute error, which only serve
+    display, since verdicts are decided on ``exact``.  For an exact
     value that is its ``float_with_error``, which the value computes once
     and keeps, so deciding a verdict computes no float.
     """
@@ -81,10 +81,6 @@ class IndexValue:
     @property
     def approx(self) -> float:
         return self.estimate()[0]
-
-    @property
-    def error(self) -> float:
-        return self.estimate()[1]
 
     def __str__(self) -> str:
         if self.exact is not None:

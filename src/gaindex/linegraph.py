@@ -240,13 +240,12 @@ class LineFacts:
         return len({a + b for a, b in self.base.degree_pairs}) == 1
 
 
-def verify_degree_identity(g: Graph | GraphFacts) -> bool:
+def verify_degree_identity(f: GraphFacts) -> bool:
     """Each line-graph degree equals du+dv-2, and the degree range fits.
 
     Also checks max_degree(L) <= 2*max_degree(G)-2 and
     min_degree(L) >= 2*min_degree(G)-2.
     """
-    f = GraphFacts.of(g)
     g, lg = f.graph, f.line.graph
     for i, (u, v) in enumerate(g.edges):
         if lg.deg[i] != g.deg[u] + g.deg[v] - 2:

@@ -1,14 +1,17 @@
-"""Graph constructions, GA1 helpers and exact-value decoders that only the
-tests use."""
+"""Graph constructions, GA1 helpers, exact-value decoders and a
+labeling-free view of check reports that only the tests use."""
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
+from typing import Iterable
 
 from gaindex.graphs import Edge, Graph, canonical_key, from_edge_list, graph_from_key, induced_subgraph
 from gaindex.indices import Exponent, _power_factor
 from gaindex.radicals import RadicalNumber, radical_sum
+from gaindex.report import CheckReport
 
 
 def strip_isolated(g: Graph) -> Graph:
@@ -19,6 +22,35 @@ def strip_isolated(g: Graph) -> Graph:
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     return from_edge_list(g.n, list(g.edges) + [(u, v)])
+
+
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def labeling_free_verdicts(reports: Iterable[CheckReport]) -> Counter[tuple]:
+    """The rows of ``reports`` that relabeling a connected graph must keep,
+    as a multiset.
+
+    A row holds every field of a report except two: the display floats,
+    which float mode sums in an order that follows the labeling, and the
+    notes of edge_deletion_drop, which name the deleted edge.
+    """
+    return Counter(
+        (
+            r.check_id,
+            r.mode,
+            r.holds,
+            r.equality,
+            r.predicted_equality,
+            r.characterization_consistent,
+            r.preconditions_met,
+            str(r.lhs.exact),
+            str(r.rhs.exact),
+            "" if r.check_id == "edge_deletion_drop" else r.notes,
+        )
+        for r in reports
+    )
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -120,8 +120,8 @@ def test_criterion_3_identity_suite():
         m1g = m1(g).exact
         assert m1g is not None and m1g.is_rational
         assert 2 * lg.m == int(m1g.rational_part) - 2 * g.m
-        assert verify_degree_identity(g)
-        (report,) = check_line_zagreb_identity(g)
+        assert verify_degree_identity(GraphFacts(g))
+        (report,) = check_line_zagreb_identity(GraphFacts(g))
         assert report.holds and report.mode == "exact"
         count += 1
     assert count == 994  # connected non-trivial classes with n <= 7
@@ -191,7 +191,7 @@ def test_criterion_5_equality_characterizations():
 def test_criterion_6_rationality_law_and_families():
     started = time.monotonic()
     for g in connected_with_edges(7):
-        report = check_rationality(g)[0]
+        report = check_rationality(GraphFacts(g))[0]
         assert report.holds
         value = ga1(g).exact
         assert value is not None
@@ -232,7 +232,7 @@ def test_criterion_8_edge_deletion_monotonicity():
     minimal_edges = 0
     for g in connected_with_edges(6):
         minimal_edges += sum(1 for e in g.edges if is_minimal_edge(g, e))
-        for report in check_edge_deletion_drop(g):
+        for report in check_edge_deletion_drop(GraphFacts(g)):
             if not report.preconditions_met:
                 # Valid skips: no minimal edge at all, or the deleted edge is
                 # its own component (only P2 here), where the drop is exact.

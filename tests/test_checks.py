@@ -35,6 +35,7 @@ from gaindex.checks import (
     run_checks,
 )
 from gaindex.enumeration import enumerate_connected
+from gaindex.formats import to_graph6
 from gaindex.graphs import (
     complete_bipartite_graph,
     complete_graph,
@@ -46,7 +47,15 @@ from gaindex.graphs import (
     star_graph,
 )
 from gaindex.indices import _power_term
-from graph_helpers import disjoint_union, ga_edge_term, ga_ratio_curve, strip_isolated
+from gaindex.linegraph import GraphFacts
+from graph_helpers import (
+    disjoint_union,
+    ga_edge_term,
+    ga_ratio_curve,
+    labeling_free_verdicts,
+    relabel,
+    strip_isolated,
+)
 from gaindex.radicals import RadicalNumber, compare
 
 positive_rationals = st.fractions(
@@ -109,76 +118,77 @@ class TestHelperFunctions:
 
 class TestExtremeDegreeBounds:
     def test_complete_bipartite_lower_tight(self):
-        reports = check_extreme_degree_bounds(complete_bipartite_graph(5, 20))
+        g = complete_bipartite_graph(5, 20)
+        reports = check_extreme_degree_bounds(GraphFacts(g))
         lower = by_id(reports, "extreme_degree_bounds.lower")
         assert lower.holds and lower.equality and lower.predicted_equality
         assert lower.characterization_consistent
         assert lower.lhs.exact == RadicalNumber(80)
 
     def test_cycle_upper_tight(self):
-        reports = check_extreme_degree_bounds(cycle_graph(4))
+        reports = check_extreme_degree_bounds(GraphFacts(cycle_graph(4)))
         upper = by_id(reports, "extreme_degree_bounds.upper")
         assert upper.holds and upper.equality and upper.predicted_equality
 
     def test_paw_strict_both(self):
-        reports = check_extreme_degree_bounds(paw_graph())
+        reports = check_extreme_degree_bounds(GraphFacts(paw_graph()))
         assert all(r.holds and not r.equality for r in reports)
         assert all(r.characterization_consistent for r in reports)
 
 
 class TestOrderSizeBounds:
     def test_star5_order_tight(self):
-        reports = check_order_size_bounds(star_graph(5))
+        reports = check_order_size_bounds(GraphFacts(star_graph(5)))
         order = by_id(reports, "order_size_bounds.order")
         assert order.holds and order.equality
         assert order.rhs.exact == RadicalNumber(Fraction(16, 5))
 
     def test_cycle4(self):
-        reports = check_order_size_bounds(cycle_graph(4))
+        reports = check_order_size_bounds(GraphFacts(cycle_graph(4)))
         assert all(r.holds and not r.equality for r in reports)
 
     def test_single_edge_size_tight(self):
-        reports = check_order_size_bounds(path_graph(2))
+        reports = check_order_size_bounds(GraphFacts(path_graph(2)))
         size = by_id(reports, "order_size_bounds.size")
         assert size.holds and size.equality
 
     def test_disconnected_skipped(self):
         reports = check_order_size_bounds(
-            disjoint_union(cycle_graph(3), cycle_graph(3))
+            GraphFacts(disjoint_union(cycle_graph(3), cycle_graph(3)))
         )
         assert all(not r.preconditions_met for r in reports)
 
 
 class TestStarLowerBound:
     def test_star5_equality_predicted(self):
-        report = check_star_lower_bound(star_graph(5))[0]
+        report = check_star_lower_bound(GraphFacts(star_graph(5)))[0]
         assert report.holds and report.equality and report.predicted_equality
         assert report.characterization_consistent
 
     def test_cycle4_strict(self):
-        report = check_star_lower_bound(cycle_graph(4))[0]
+        report = check_star_lower_bound(GraphFacts(cycle_graph(4)))[0]
         assert report.holds and not report.equality
         assert report.characterization_consistent
 
     def test_p3_is_a_star(self):
-        report = check_star_lower_bound(path_graph(3))[0]
+        report = check_star_lower_bound(GraphFacts(path_graph(3)))[0]
         assert report.equality and report.predicted_equality
 
 
 class TestNoUniversalVertexBound:
     def test_path4(self):
-        reports = check_no_universal_vertex_bound(path_graph(4))
+        reports = check_no_universal_vertex_bound(GraphFacts(path_graph(4)))
         strict = by_id(reports, "no_universal_vertex_bound.strict")
         assert strict.holds and strict.preconditions_met
         tail = by_id(reports, "no_universal_vertex_bound.tail")
         assert tail.holds and tail.equality  # m = n-1 makes the tail tight
 
     def test_star_skipped(self):
-        reports = check_no_universal_vertex_bound(star_graph(4))
+        reports = check_no_universal_vertex_bound(GraphFacts(star_graph(4)))
         assert all(not r.preconditions_met for r in reports)
 
     def test_cycle6(self):
-        reports = check_no_universal_vertex_bound(cycle_graph(6))
+        reports = check_no_universal_vertex_bound(GraphFacts(cycle_graph(6)))
         strict = by_id(reports, "no_universal_vertex_bound.strict")
         assert strict.holds
         assert strict.rhs.approx == pytest.approx(4.8, rel=1e-12)
@@ -186,7 +196,7 @@ class TestNoUniversalVertexBound:
 
 class TestEdgeDeletion:
     def test_cycle4(self):
-        reports = check_edge_deletion_drop(cycle_graph(4))
+        reports = check_edge_deletion_drop(GraphFacts(cycle_graph(4)))
         evaluated = [r for r in reports if r.preconditions_met]
         assert len(evaluated) == 4
         for r in evaluated:
@@ -194,19 +204,19 @@ class TestEdgeDeletion:
             assert r.rhs.approx == pytest.approx(3.0, abs=1e-12)
 
     def test_triangle(self):
-        reports = check_edge_deletion_drop(cycle_graph(3))
+        reports = check_edge_deletion_drop(GraphFacts(cycle_graph(3)))
         for r in reports:
             assert r.holds
             assert r.rhs.approx == pytest.approx(2.0, abs=1e-12)
 
     def test_path4_only_pendant_edges_minimal(self):
-        reports = check_edge_deletion_drop(path_graph(4))
+        reports = check_edge_deletion_drop(GraphFacts(path_graph(4)))
         evaluated = [r for r in reports if r.preconditions_met]
         assert len(evaluated) == 2  # the middle edge is not minimal
         assert all(r.holds for r in evaluated)
 
     def test_single_edge_component_excluded(self):
-        reports = check_edge_deletion_drop(path_graph(2))
+        reports = check_edge_deletion_drop(GraphFacts(path_graph(2)))
         assert len(reports) == 1
         assert not reports[0].preconditions_met
         assert "single-edge component" in reports[0].notes
@@ -214,7 +224,6 @@ class TestEdgeDeletion:
     def test_pairs_after_deletion_match_rebuilt_graph(self):
         from gaindex.checks import _deletion_loss
         from gaindex.graphs import delete_edge
-        from gaindex.linegraph import GraphFacts
 
         rng = random.Random(21)
         for _ in range(200):
@@ -256,7 +265,7 @@ class TestEdgeDeletion:
         for g in self.deletion_graphs():
             edges = minimal_edges(g)
             assert edges == [e for e in g.edges if is_minimal_edge(g, e)]
-            reports = check_edge_deletion_drop(g)
+            reports = check_edge_deletion_drop(GraphFacts(g))
             if not edges:
                 assert [r.notes for r in reports] == ["no minimal edge"]
                 continue
@@ -274,31 +283,31 @@ class TestEdgeDeletion:
 
 class TestRationality:
     def test_double_star_rational(self):
-        report = check_rationality(double_star_graph(3, 8))[0]
+        report = check_rationality(GraphFacts(double_star_graph(3, 8)))[0]
         assert report.holds and report.equality and report.predicted_equality
         value = report.lhs.exact
         assert value is not None and value.is_rational
         assert value.rational_part == Fraction(528, 65)
 
     def test_cycle5_rational(self):
-        report = check_rationality(cycle_graph(5))[0]
+        report = check_rationality(GraphFacts(cycle_graph(5)))[0]
         assert report.holds and report.equality
         assert report.lhs.exact == RadicalNumber(5)
 
     def test_path3_irrational(self):
-        report = check_rationality(path_graph(3))[0]
+        report = check_rationality(GraphFacts(path_graph(3)))[0]
         assert report.holds and not report.equality and not report.predicted_equality
 
 
 class TestLineGaBounds:
     def test_cycle4_double_equality(self):
-        reports = check_line_ga_bounds(cycle_graph(4))
+        reports = check_line_ga_bounds(GraphFacts(cycle_graph(4)))
         assert all(r.holds and r.equality for r in reports)
         upper = by_id(reports, "line_ga_bounds.upper")
         assert upper.rhs.exact == RadicalNumber(4)
 
     def test_star4(self):
-        reports = check_line_ga_bounds(star_graph(4))
+        reports = check_line_ga_bounds(GraphFacts(star_graph(4)))
         lower = by_id(reports, "line_ga_bounds.lower")
         assert lower.holds and "vacuous" in lower.notes
         upper = by_id(reports, "line_ga_bounds.upper")
@@ -306,28 +315,28 @@ class TestLineGaBounds:
         assert upper.rhs.exact == RadicalNumber(3)
 
     def test_paw_strict_lower(self):
-        reports = check_line_ga_bounds(paw_graph())
+        reports = check_line_ga_bounds(GraphFacts(paw_graph()))
         lower = by_id(reports, "line_ga_bounds.lower")
         assert lower.holds and not lower.equality
 
 
 class TestNordhausGaddum:
     def test_cycle4_double_equality(self):
-        reports = check_nordhaus_gaddum(cycle_graph(4))
+        reports = check_nordhaus_gaddum(GraphFacts(cycle_graph(4)))
         for r in reports:
             assert r.holds and r.equality and r.predicted_equality
         upper = by_id(reports, "nordhaus_gaddum.upper")
         assert upper.rhs.exact == RadicalNumber(8)
 
     def test_star5_strict(self):
-        reports = check_nordhaus_gaddum(star_graph(5))
+        reports = check_nordhaus_gaddum(GraphFacts(star_graph(5)))
         upper = by_id(reports, "nordhaus_gaddum.upper")
         assert upper.holds and not upper.equality
         assert upper.rhs.exact == RadicalNumber(10)
         assert upper.lhs.approx == pytest.approx(16 / 5 + 6, rel=1e-12)
 
     def test_path4_strict_both(self):
-        reports = check_nordhaus_gaddum(path_graph(4))
+        reports = check_nordhaus_gaddum(GraphFacts(path_graph(4)))
         assert all(r.holds and not r.equality for r in reports)
         assert all(r.characterization_consistent for r in reports)
 
@@ -364,69 +373,69 @@ class TestTermShift:
 
 class TestLineRatioBound:
     def test_p3_equality(self):
-        report = check_line_ga_ratio_bound(path_graph(3))[0]
+        report = check_line_ga_ratio_bound(GraphFacts(path_graph(3)))[0]
         assert report.holds and report.equality
 
     def test_cycle4_strict(self):
         # The minimum picks the path constant 3/(4*sqrt(2)), so C4 is strict.
-        report = check_line_ga_ratio_bound(cycle_graph(4))[0]
+        report = check_line_ga_ratio_bound(GraphFacts(cycle_graph(4)))[0]
         assert report.holds and not report.equality
         assert report.rhs.approx == pytest.approx(3 / (4 * 2**0.5) * 4, rel=1e-12)
 
     def test_star4(self):
-        report = check_line_ga_ratio_bound(star_graph(4))[0]
+        report = check_line_ga_ratio_bound(GraphFacts(star_graph(4)))[0]
         assert report.holds
 
 
 class TestLineVsGraphRegular:
     def test_cycle_union_equality(self):
         g = disjoint_union(cycle_graph(5), cycle_graph(3))
-        report = check_line_vs_graph_regular(g)[0]
+        report = check_line_vs_graph_regular(GraphFacts(g))[0]
         assert report.holds and report.equality
 
     def test_star5(self):
-        report = check_line_vs_graph_regular(star_graph(5))[0]
+        report = check_line_vs_graph_regular(GraphFacts(star_graph(5)))[0]
         assert report.holds and not report.equality
         assert report.lhs.exact == RadicalNumber(6)
 
     def test_path4_skipped(self):
-        report = check_line_vs_graph_regular(path_graph(4))[0]
+        report = check_line_vs_graph_regular(GraphFacts(path_graph(4)))[0]
         assert not report.preconditions_met
 
     def test_p3_component_skipped(self):
         g = disjoint_union(path_graph(3), cycle_graph(3))
-        report = check_line_vs_graph_regular(g)[0]
+        report = check_line_vs_graph_regular(GraphFacts(g))[0]
         assert not report.preconditions_met
 
 
 class TestLineOrderAndSqrtBounds:
     def test_p3_tight(self):
-        report = check_line_order_bound(path_graph(3))[0]
+        report = check_line_order_bound(GraphFacts(path_graph(3)))[0]
         assert report.holds and report.equality
 
     def test_triangle(self):
-        report = check_line_order_bound(cycle_graph(3))[0]
+        report = check_line_order_bound(GraphFacts(cycle_graph(3)))[0]
         assert report.holds
         assert report.rhs.approx == pytest.approx(2 * 2**1.5 / 3, rel=1e-12)
 
     def test_cycle6(self):
-        report = check_line_order_bound(cycle_graph(6))[0]
+        report = check_line_order_bound(GraphFacts(cycle_graph(6)))[0]
         assert report.holds
         assert report.rhs.approx == pytest.approx(2 * 5**1.5 / 6, rel=1e-12)
 
     def test_sqrt_bound_triangle(self):
-        report = check_line_sqrt_bound(cycle_graph(3))[0]
+        report = check_line_sqrt_bound(GraphFacts(cycle_graph(3)))[0]
         assert report.holds
         assert report.rhs.exact == 2 * RadicalNumber({2: 1})
 
     def test_sqrt_bound_p7_exact(self):
-        report = check_line_sqrt_bound(path_graph(7))[0]
+        report = check_line_sqrt_bound(GraphFacts(path_graph(7)))[0]
         assert report.holds and report.preconditions_met
         expected = RadicalNumber({1: 3, 2: Fraction(4, 3)})
         assert report.lhs.exact == expected
 
     def test_sqrt_bound_p5_skipped(self):
-        report = check_line_sqrt_bound(path_graph(5))[0]
+        report = check_line_sqrt_bound(GraphFacts(path_graph(5)))[0]
         assert not report.preconditions_met
 
 
@@ -451,17 +460,17 @@ class TestSqrtShift:
 
 class TestLineZagrebLower:
     def test_cycle4_tight(self):
-        report = check_line_zagreb_lower(cycle_graph(4))[0]
+        report = check_line_zagreb_lower(GraphFacts(cycle_graph(4)))[0]
         assert report.holds and report.equality
         assert report.lhs.exact == RadicalNumber(16)
 
     def test_star4(self):
-        report = check_line_zagreb_lower(star_graph(4))[0]
+        report = check_line_zagreb_lower(GraphFacts(star_graph(4)))[0]
         assert report.holds
         assert report.rhs.exact == RadicalNumber(-6)
 
     def test_paw(self):
-        report = check_line_zagreb_lower(paw_graph())[0]
+        report = check_line_zagreb_lower(GraphFacts(paw_graph()))[0]
         assert report.holds and report.mode == "exact"
 
 
@@ -513,27 +522,27 @@ class TestExactProduct:
 
 class TestVariableZagrebBound:
     def test_cycle4_alpha_one_equality(self):
-        report = check_variable_zagreb_bound(cycle_graph(4), 1)[0]
+        report = check_variable_zagreb_bound(GraphFacts(cycle_graph(4)), 1)[0]
         assert report.holds and report.equality and report.predicted_equality
         assert report.mode == "exact"
         assert report.rhs.approx == pytest.approx(4.0, rel=1e-9)
 
     def test_star4_alpha_one_strict(self):
-        report = check_variable_zagreb_bound(star_graph(4), 1)[0]
+        report = check_variable_zagreb_bound(GraphFacts(star_graph(4)), 1)[0]
         assert report.holds and not report.equality
         assert report.characterization_consistent
 
     def test_cycle4_all_sampled_alphas_tight(self):
         for alpha in (Fraction(1, 2), 1, 2):
-            report = check_variable_zagreb_bound(cycle_graph(4), alpha)[0]
+            report = check_variable_zagreb_bound(GraphFacts(cycle_graph(4)), alpha)[0]
             assert report.holds and report.equality
 
     def test_alpha_two_is_float_mode(self):
-        report = check_variable_zagreb_bound(cycle_graph(4), 2)[0]
+        report = check_variable_zagreb_bound(GraphFacts(cycle_graph(4)), 2)[0]
         assert report.mode == "float"
 
     def test_nonpositive_alpha_skipped(self):
-        report = check_variable_zagreb_bound(cycle_graph(4), 0)[0]
+        report = check_variable_zagreb_bound(GraphFacts(cycle_graph(4)), 0)[0]
         assert not report.preconditions_met
 
     @pytest.mark.parametrize(
@@ -547,58 +556,60 @@ class TestVariableZagrebBound:
 
         monkeypatch.setattr(gaindex.checks, "_power_factor", broken)
         with pytest.raises(ValueError, match="broken power"):
-            checker(complete_graph(4), 1)
+            checker(GraphFacts(complete_graph(4)), 1)
 
 
 class TestLineVariableZagrebBound:
     def test_cycle4_alpha_one_tight(self):
-        report = check_line_variable_zagreb_bound(cycle_graph(4), 1)[0]
+        report = check_line_variable_zagreb_bound(GraphFacts(cycle_graph(4)), 1)[0]
         assert report.holds and report.equality and report.mode == "exact"
         assert report.rhs.approx == pytest.approx(4.0, rel=1e-9)
 
     def test_cycle4_alpha_half_tight(self):
-        report = check_line_variable_zagreb_bound(cycle_graph(4), Fraction(1, 2))[0]
+        f = GraphFacts(cycle_graph(4))
+        report = check_line_variable_zagreb_bound(f, Fraction(1, 2))[0]
         assert report.holds and report.equality
 
     def test_cycle4_alpha_two_float_tight(self):
-        report = check_line_variable_zagreb_bound(cycle_graph(4), 2)[0]
+        report = check_line_variable_zagreb_bound(GraphFacts(cycle_graph(4)), 2)[0]
         assert report.holds and report.mode == "float" and report.equality
 
     def test_k4_alpha_two_tight(self):
-        report = check_line_variable_zagreb_bound(complete_graph(4), 2)[0]
+        report = check_line_variable_zagreb_bound(GraphFacts(complete_graph(4)), 2)[0]
         assert report.holds and report.equality
 
     def test_star4_vacuous(self):
-        report = check_line_variable_zagreb_bound(star_graph(4), Fraction(1, 2))[0]
+        f = GraphFacts(star_graph(4))
+        report = check_line_variable_zagreb_bound(f, Fraction(1, 2))[0]
         assert report.holds and "vacuous" in report.notes
 
 
 class TestThreeHalfZagrebBounds:
     def test_cycle4_tight(self):
-        report = check_three_half_zagreb_bound(cycle_graph(4))[0]
+        report = check_three_half_zagreb_bound(GraphFacts(cycle_graph(4)))[0]
         assert report.holds and report.equality and report.predicted_equality
         assert report.rhs.approx == pytest.approx(4.0, rel=1e-9)
 
     def test_star4_strict(self):
-        report = check_three_half_zagreb_bound(star_graph(4))[0]
+        report = check_three_half_zagreb_bound(GraphFacts(star_graph(4)))[0]
         assert report.holds and not report.equality
         assert report.characterization_consistent
         assert report.rhs.approx == pytest.approx(18 / (3**1.5 + 3), rel=1e-9)
 
     def test_k4_equality(self):
-        report = check_three_half_zagreb_bound(complete_graph(4))[0]
+        report = check_three_half_zagreb_bound(GraphFacts(complete_graph(4)))[0]
         assert report.equality and report.predicted_equality
 
     def test_line_version_cycle4_tight(self):
-        report = check_line_three_half_zagreb_bound(cycle_graph(4))[0]
+        report = check_line_three_half_zagreb_bound(GraphFacts(cycle_graph(4)))[0]
         assert report.holds and report.equality
 
     def test_line_version_star_vacuous(self):
-        report = check_line_three_half_zagreb_bound(star_graph(4))[0]
+        report = check_line_three_half_zagreb_bound(GraphFacts(star_graph(4)))[0]
         assert report.holds and "vacuous" in report.notes
 
     def test_line_version_k4(self):
-        report = check_line_three_half_zagreb_bound(complete_graph(4))[0]
+        report = check_line_three_half_zagreb_bound(GraphFacts(complete_graph(4)))[0]
         assert report.holds
 
     def test_line_version_one_power_per_degree_sum(self, monkeypatch):
@@ -615,9 +626,10 @@ class TestThreeHalfZagrebBounds:
 
         # Degree pairs (2,3), (2,4), (3,3) and (3,4): (2,4) and (3,3) share u+v = 6.
         g = parse_graph6("DL{")
-        expected = check_line_three_half_zagreb_bound(g)[0].to_dict()
+        expected = check_line_three_half_zagreb_bound(GraphFacts(g))[0].to_dict()
         monkeypatch.setattr(gaindex.checks, "_power_sum", counting)
-        assert check_line_three_half_zagreb_bound(g)[0].to_dict() == expected
+        reports = check_line_three_half_zagreb_bound(GraphFacts(g))
+        assert reports[0].to_dict() == expected
         assert sorted(bases) == [5, 6, 7]
 
 
@@ -633,12 +645,12 @@ class TestRefinementAndRegistry:
             g = from_edge_list(n, pairs)
             if not g.is_connected or g.m == 0:
                 continue
-            star = check_star_lower_bound(g)[0].rhs.exact
+            star = check_star_lower_bound(GraphFacts(g))[0].rhs.exact
             order = by_id(
-                check_order_size_bounds(g), "order_size_bounds.order"
+                check_order_size_bounds(GraphFacts(g)), "order_size_bounds.order"
             ).rhs.exact
             size = by_id(
-                check_order_size_bounds(g), "order_size_bounds.size"
+                check_order_size_bounds(GraphFacts(g)), "order_size_bounds.size"
             ).rhs.exact
             assert star is not None and order is not None and size is not None
             assert compare(star, order) >= 0
@@ -664,7 +676,7 @@ class TestRefinementAndRegistry:
         assert reports and all(not r.preconditions_met for r in reports)
 
     def test_report_serialization_schema(self):
-        report = check_star_lower_bound(star_graph(5))[0]
+        report = check_star_lower_bound(GraphFacts(star_graph(5)))[0]
         payload = report.to_dict()
         assert payload["check_id"] == "star_lower_bound"
         assert payload["lhs"]["exact"] == "16/5"
@@ -784,7 +796,7 @@ class TestOutOfRangeAlpha:
     )
     def test_skipped_with_alpha_named(self, checker, alpha):
         for g in (cycle_graph(4), complete_graph(4), petersen_graph()):
-            (report,) = checker(g, alpha)
+            (report,) = checker(GraphFacts(g), alpha)
             assert report.mode == "skipped" and not report.preconditions_met
             assert not report.violated
             assert "alpha=" in report.notes
@@ -794,7 +806,7 @@ class TestOutOfRangeAlpha:
     )
     def test_alpha_whose_double_is_infinite(self, checker):
         # 2 * 1.7e308 overflows to inf, so the alpha cannot snap exactly.
-        (report,) = checker(cycle_graph(4), 1.7e308)
+        (report,) = checker(GraphFacts(cycle_graph(4)), 1.7e308)
         assert report.mode == "skipped" and not report.preconditions_met
         assert "alpha=" in report.notes
 
@@ -806,12 +818,13 @@ class TestOutOfRangeAlpha:
         # float(1/10**400) is 0.0, but the sign of alpha is read exactly, so
         # float mode takes both alphas and skips them as out of range.
         alpha = Fraction(1, 10**exponent)
-        (report,) = checker(cycle_graph(4), alpha)
+        (report,) = checker(GraphFacts(cycle_graph(4)), alpha)
         assert report.mode == "skipped" and not report.violated
         assert report.notes.startswith(f"alpha={alpha} is out of range: ")
 
     def test_fraction_too_large_for_a_float(self):
-        (report,) = check_variable_zagreb_bound(cycle_graph(4), Fraction(10**400))
+        f = GraphFacts(cycle_graph(4))
+        (report,) = check_variable_zagreb_bound(f, Fraction(10**400))
         assert report.mode == "skipped" and "alpha=" in report.notes
 
     def test_run_checks_keeps_in_range_alphas(self):
@@ -871,7 +884,6 @@ class TestFloatPathAgreesWithExact:
         # making every alpha fail to snap to a half-integer.
         import gaindex.checks
         from gaindex.enumeration import connected_with_edges
-        from gaindex.linegraph import GraphFacts
 
         cases = []
         for g in connected_with_edges(7):
@@ -893,6 +905,23 @@ class TestFloatPathAgreesWithExact:
                 exact.equality,
             ), (g, checker.__name__, alpha)
         assert len(cases) > 500
+
+
+class TestRelabeling:
+    def test_relabeled_graphs_keep_every_verdict(self):
+        # Three seeded relabelings of every connected graph with 2 <= n <= 6.
+        # An n = 8 and a random n <= 12 version run in CI, outside tier-1.
+        rng = random.Random(13)
+        relabeled = 0
+        for n in range(2, 7):
+            for g in enumerate_connected(n):
+                expected = labeling_free_verdicts(run_checks(g))
+                for _ in range(3):
+                    h = relabel(g, rng.sample(range(n), n))
+                    got = labeling_free_verdicts(run_checks(h))
+                    assert got == expected, (to_graph6(g), to_graph6(h))
+                    relabeled += 1
+        assert relabeled == 3 * 142
 
 
 class TestRandomSweepSources:

@@ -139,6 +139,16 @@ class TestInputs:
         (row,) = json.loads(out)
         assert code == 0 and row["name"] == "C4"
 
+    @pytest.mark.parametrize("command", ["compute", "check"])
+    @pytest.mark.parametrize("line", ["0 1", "1 0"], ids=["same", "reversed"])
+    def test_repeated_edge_line_exits_2(self, capsys, tmp_path, command, line):
+        # Read as one edge, the file would be P2 plus an isolated vertex.
+        path = tmp_path / "graph.txt"
+        path.write_text(f"3 2\n0 1\n{line}\n")
+        code, out, err = run_cli(capsys, command, "-i", str(path))
+        assert code == 2 and out == ""
+        assert f"repeated edge line '{line}'" in err
+
     def test_stdin_graph6(self, capsys, monkeypatch):
         import io
 
@@ -146,6 +156,48 @@ class TestInputs:
         code, out, _ = run_cli(capsys, "compute", "-", "--format", "json")
         (row,) = json.loads(out)
         assert code == 0 and row["n"] == 2
+
+
+class TestStreamedInput:
+    def test_each_graph_is_parsed_when_it_is_checked(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import gaindex.formats
+
+        events = []
+        parse = gaindex.formats.parse_graph6
+
+        def parsing(text):
+            events.append("parse")
+            return parse(text)
+
+        def checking(g, ids=None, alphas=None):
+            events.append("check")
+            return run_checks(g, ids=ids, alphas=alphas)
+
+        monkeypatch.setattr(gaindex.formats, "parse_graph6", parsing)
+        monkeypatch.setattr(cli, "run_checks", checking)
+        path = tmp_path / "graphs.g6"
+        path.write_text("A_\nBw\nCr\n")
+        code, _, _ = run_cli(capsys, "check", "-i", str(path), "--format", "json")
+        assert code == 0 and events == ["parse", "check"] * 3
+
+    def test_bad_line_after_checked_graphs_writes_nothing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        checked = []
+
+        def spy(g, ids=None, alphas=None):
+            checked.append(to_graph6(g))
+            return run_checks(g, ids=ids, alphas=alphas)
+
+        monkeypatch.setattr(cli, "run_checks", spy)
+        path = tmp_path / "graphs.g6"
+        path.write_text("A_\nBw\n!!!\n")
+        code, out, err = run_cli(capsys, "check", "-i", str(path))
+        assert checked == ["A_", "Bw"]
+        assert code == 2 and out == ""
+        assert "invalid graph6 character" in err
 
 
 class TestLinegraph:

@@ -45,7 +45,7 @@ from gaindex.graphs import (
     paw_graph,
     star_graph,
 )
-from graph_helpers import add_edge, canonical_graph, disjoint_union, strip_isolated
+from graph_helpers import add_edge, canonical_graph, disjoint_union, relabel, strip_isolated
 
 try:
     import networkx as nx
@@ -56,10 +56,6 @@ except ImportError:  # pragma: no cover
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return from_edge_list(n, pairs)
-
-
-def relabel(g: Graph, perm: list[int]) -> Graph:
-    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def reference_canonical_key(g: Graph) -> tuple[int, ...]:

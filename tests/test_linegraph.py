@@ -98,14 +98,14 @@ class TestConstruction:
 
 class TestIdentities:
     def test_degree_identity_examples(self):
-        assert verify_degree_identity(cycle_graph(4))
-        assert verify_degree_identity(paw_graph())
+        assert verify_degree_identity(GraphFacts(cycle_graph(4)))
+        assert verify_degree_identity(GraphFacts(paw_graph()))
 
     def test_degree_identity_random(self):
         rng = random.Random(71)
         for _ in range(50):
             g = random_nontrivial_connected(rng, rng.randint(3, 10))
-            assert verify_degree_identity(g)
+            assert verify_degree_identity(GraphFacts(g))
 
     def test_size_identities_random(self):
         rng = random.Random(72)
@@ -126,7 +126,7 @@ class TestIdentities:
         ],
     )
     def test_zagreb_identity_values(self, builder, expected_m1_line):
-        (report,) = check_line_zagreb_identity(builder)
+        (report,) = check_line_zagreb_identity(GraphFacts(builder))
         assert report.holds and report.equality
         assert report.lhs.exact == RadicalNumber(expected_m1_line)
 
@@ -134,23 +134,23 @@ class TestIdentities:
         rng = random.Random(73)
         for _ in range(50):
             g = random_nontrivial_connected(rng, rng.randint(3, 10))
-            assert check_line_zagreb_identity(g)[0].holds
+            assert check_line_zagreb_identity(GraphFacts(g))[0].holds
 
 
 class TestRegularityCharacterization:
     def test_two_triangles(self):
         g = disjoint_union(cycle_graph(3), cycle_graph(3))
-        (report,) = check_line_regular_iff(g)
+        (report,) = check_line_regular_iff(GraphFacts(g))
         assert report.holds and GraphFacts(g).regular_line_condition
 
     def test_star_is_covered(self):
-        (report,) = check_line_regular_iff(star_graph(4))
+        (report,) = check_line_regular_iff(GraphFacts(star_graph(4)))
         assert report.holds and GraphFacts(star_graph(4)).regular_line_condition
 
     def test_mixed_cycle_union(self):
         # Components with equal degree sums: the line graph stays regular.
         g = disjoint_union(cycle_graph(3), cycle_graph(4))
-        (report,) = check_line_regular_iff(g)
+        (report,) = check_line_regular_iff(GraphFacts(g))
         assert report.holds
         lg = line_graph(g)
         assert lg.max_degree == lg.min_degree
@@ -161,7 +161,7 @@ class TestRegularityCharacterization:
         assert GraphFacts(g).regular_line_condition
         lg = line_graph(g)
         assert lg.max_degree == lg.min_degree
-        assert check_line_regular_iff(g)[0].holds
+        assert check_line_regular_iff(GraphFacts(g))[0].holds
 
     def test_mismatched_sums(self):
         # (2,2) and (4,1): sums 4 vs 5, so the line graph cannot be regular.
@@ -169,37 +169,37 @@ class TestRegularityCharacterization:
         assert not GraphFacts(g).regular_line_condition
         lg = line_graph(g)
         assert lg.max_degree != lg.min_degree
-        assert check_line_regular_iff(g)[0].holds
+        assert check_line_regular_iff(GraphFacts(g))[0].holds
 
     def test_both_directions_random(self):
         rng = random.Random(74)
         for _ in range(50):
             g = random_nontrivial_connected(rng, rng.randint(3, 9))
-            assert check_line_regular_iff(g)[0].holds
+            assert check_line_regular_iff(GraphFacts(g))[0].holds
 
 
 class TestTreeCharacterization:
     def test_path5(self):
-        reports = check_line_tree_iff(path_graph(5))
+        reports = check_line_tree_iff(GraphFacts(path_graph(5)))
         assert all(r.holds for r in reports)
         lg = line_graph(path_graph(5))
         assert lg.is_connected and lg.m == lg.n - 1
 
     def test_cycle5(self):
-        reports = check_line_tree_iff(cycle_graph(5))
+        reports = check_line_tree_iff(GraphFacts(cycle_graph(5)))
         assert all(r.holds for r in reports)
         by_id = {r.check_id: r for r in reports}
         assert by_id["line_size_monotone"].equality  # m == m(L) for cycles
 
     def test_star4(self):
-        reports = check_line_tree_iff(star_graph(4))
+        reports = check_line_tree_iff(GraphFacts(star_graph(4)))
         by_id = {r.check_id: r for r in reports}
         assert by_id["line_tree_iff"].holds
         assert by_id["line_size_monotone"].holds
 
     def test_disconnected_rejected(self):
         (report,) = check_line_tree_iff(
-            disjoint_union(cycle_graph(3), cycle_graph(3))
+            GraphFacts(disjoint_union(cycle_graph(3), cycle_graph(3)))
         )
         assert report.mode == "skipped" and not report.preconditions_met
         assert report.notes == "requires a connected graph"
@@ -208,7 +208,7 @@ class TestTreeCharacterization:
         rng = random.Random(75)
         for _ in range(50):
             g = random_nontrivial_connected(rng, rng.randint(3, 9))
-            assert all(r.holds for r in check_line_tree_iff(g))
+            assert all(r.holds for r in check_line_tree_iff(GraphFacts(g)))
 
 
 @st.composite
