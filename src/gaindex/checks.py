@@ -2,22 +2,24 @@
 
 Every inequality, identity and worked family that gaindex checks is stated
 here, and each verdict is built once by ``exact_report``, ``float_report`` or
-``skipped_report``.  Checkers validate their own hypotheses (a skipped report,
-``preconditions_met`` false, rather than an error) and decide exactly whenever
-both sides live in the radical span.  Each checker of a graph takes its
-:class:`GraphFacts`, which ``run_checks`` builds once per graph, so that every
-checker shares its components, indices and line-graph facts.  Quotient bounds
-are decided exactly by
-cross-multiplication, so equality characterizations never depend on floating
-point.
+``skipped_report``.  Each checker of a graph declares its reports and the
+hypothesis that rules a graph out once, with ``_statement``, which builds
+every skipped report (``preconditions_met`` false, rather than an error); a
+further hypothesis of a checker's own is one returned reason string.
+Checkers decide exactly whenever both sides live in the radical span.  Each
+checker of a graph takes its :class:`GraphFacts`, which ``run_checks`` builds
+once per graph, so that every checker shares its components, indices and
+line-graph facts.  Quotient bounds are decided exactly by cross-multiplication,
+so equality characterizations never depend on floating point.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, wraps
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
@@ -27,9 +29,7 @@ from .graphs import (
     classify,
     complete_bipartite_graph,
     double_star_graph,
-    is_biregular,
     is_path_component,
-    is_regular,
     is_star,
     minimal_edges,
 )
@@ -76,17 +76,66 @@ _THREE_HALVES = Fraction(3, 2)
 _CROSS_MULTIPLIED = "decided exactly by cross-multiplication"
 
 
+# -- declaring a statement ----------------------------------------------------
+
+# Each graph checker by id, in the order declared, which is the order of
+# CHECK_IDS and so of the output rows; the checkers taking alpha come last.
+_PLAIN_CHECKS: dict[str, Callable[[GraphFacts], list[CheckReport]]] = {}
+_ALPHA_CHECKS: dict[str, Callable[..., list[CheckReport]]] = {}
+
+
+def _statement(needs: str, *parts: tuple[str, str]) -> Callable:
+    """Declare a graph checker's ``(check_id, relation)`` parts and the
+    reason of :class:`GraphFacts` that rules a graph out.
+
+    An unusable alpha, else that reason, else the reason string the checker
+    returns for a hypothesis of its own, becomes one skipped report per part.
+    The checker is registered under its name less ``check_``, with the alpha
+    checkers if it takes ``alpha``.
+    """
+
+    def declare(check: Callable[..., list[CheckReport] | str]) -> Callable:
+        @wraps(check)
+        def run(f: GraphFacts, *args, **kwargs) -> list[CheckReport]:
+            reason = _alpha_reason(*args, **kwargs) if args or kwargs else None
+            out = reason or getattr(f, needs) or check(f, *args, **kwargs)
+            if isinstance(out, str):
+                return [skipped_report(i, relation, out) for i, relation in parts]
+            return out
+
+        takes_alpha = "alpha" in inspect.signature(check).parameters
+        registry = _ALPHA_CHECKS if takes_alpha else _PLAIN_CHECKS
+        registry[check.__name__.removeprefix("check_")] = run
+        return run
+
+    return declare
+
+
+def _alpha_reason(alpha: float | Rational) -> str | None:
+    """Why ``alpha`` cannot be used as an exponent, or None if it can."""
+    try:
+        af = float(alpha)
+    except OverflowError:
+        return f"alpha={alpha} is too large for a float"
+    if not math.isfinite(af):
+        return f"alpha={alpha} is not finite"
+    if alpha <= 0:  # exact: a tiny positive alpha has float 0.0
+        return f"needs alpha > 0, got {alpha}"
+    return None
+
+
 # -- checkers over the base graph ------------------------------------------
 
 
+@_statement(
+    "edge_reason",
+    ("extreme_degree_bounds.lower", "<="),
+    ("extreme_degree_bounds.upper", "<="),
+)
 def check_extreme_degree_bounds(f: GraphFacts) -> list[CheckReport]:
     """2m*sqrt(Dd)/(D+d) <= GA1 <= m; lower tight iff regular or biregular,
-    upper tight iff regular."""
-    if f.edge_reason:
-        return [
-            skipped_report("extreme_degree_bounds.lower", "<=", f.edge_reason),
-            skipped_report("extreme_degree_bounds.upper", "<=", f.edge_reason),
-        ]
+    upper tight iff every component is regular: each edge term is at most 1,
+    with equality iff both ends have one degree."""
     g = f.graph
     big, small = g.max_degree, g.min_degree
     lower = radical_sum([(2 * g.m, big * small, big + small)])
@@ -103,22 +152,19 @@ def check_extreme_degree_bounds(f: GraphFacts) -> list[CheckReport]:
             "<=",
             f.ga1,
             RadicalNumber(g.m),
-            predicted_equality=f.regular,
+            predicted_equality=f.regular_components,
         ),
     ]
 
 
-def check_order_size_bounds(f: GraphFacts) -> list[CheckReport]:
+@_statement(
+    "edge_reason", ("order_size_bounds.order", ">="), ("order_size_bounds.size", ">=")
+)
+def check_order_size_bounds(f: GraphFacts) -> list[CheckReport] | str:
     """GA1 >= 2(n-1)^(3/2)/n and GA1 >= 2m/n, for connected graphs."""
+    if not f.connected:
+        return "requires a connected graph"
     g = f.graph
-    reason = f.edge_reason
-    if reason is None and not f.connected:
-        reason = "requires a connected graph"
-    if reason:
-        return [
-            skipped_report("order_size_bounds.order", ">=", reason),
-            skipped_report("order_size_bounds.size", ">=", reason),
-        ]
     n = g.n
     return [
         exact_report(
@@ -136,10 +182,9 @@ def check_order_size_bounds(f: GraphFacts) -> list[CheckReport]:
     ]
 
 
+@_statement("edge_reason", ("star_lower_bound", ">="))
 def check_star_lower_bound(f: GraphFacts) -> list[CheckReport]:
     """GA1 >= 2m*sqrt(n-1)/n, tight exactly for stars."""
-    if f.edge_reason:
-        return [skipped_report("star_lower_bound", ">=", f.edge_reason)]
     g = f.graph
     bound = radical_sum([(2 * g.m, g.n - 1, g.n)])
     return [
@@ -149,38 +194,24 @@ def check_star_lower_bound(f: GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_no_universal_vertex_bound(f: GraphFacts) -> list[CheckReport]:
+@_statement(
+    "edge_reason",
+    ("no_universal_vertex_bound.strict", ">"),
+    ("no_universal_vertex_bound.tail", ">="),
+)
+def check_no_universal_vertex_bound(f: GraphFacts) -> list[CheckReport] | str:
     """With max degree <= n-2: GA1 > 2m*sqrt(n-2)/(n-1), and that bound is
     itself >= 2*sqrt(n-2) once m >= n-1."""
     g = f.graph
-    reason = f.edge_reason
-    if reason is None and g.max_degree > g.n - 2:
-        reason = f"needs max degree <= n-2 (have {g.max_degree} on n={g.n})"
-    if reason:
-        return [
-            skipped_report("no_universal_vertex_bound.strict", ">", reason),
-            skipped_report("no_universal_vertex_bound.tail", ">=", reason),
-        ]
+    if g.max_degree > g.n - 2:
+        return f"needs max degree <= n-2 (have {g.max_degree} on n={g.n})"
     bound = radical_sum([(2 * g.m, g.n - 2, g.n - 1)])
-    out = [exact_report("no_universal_vertex_bound.strict", ">", f.ga1, bound)]
-    if g.m >= g.n - 1:
-        out.append(
-            exact_report(
-                "no_universal_vertex_bound.tail",
-                ">=",
-                bound,
-                radical_sum([(2, g.n - 2, 1)]),
-            )
-        )
-    else:
-        out.append(
-            skipped_report(
-                "no_universal_vertex_bound.tail",
-                ">=",
-                "tail comparison needs m >= n-1 (true for connected graphs)",
-            )
-        )
-    return out
+    strict = exact_report("no_universal_vertex_bound.strict", ">", f.ga1, bound)
+    if g.m < g.n - 1:
+        reason = "tail comparison needs m >= n-1 (true for connected graphs)"
+        return [strict, skipped_report("no_universal_vertex_bound.tail", ">=", reason)]
+    tail = radical_sum([(2, g.n - 2, 1)])
+    return [strict, exact_report("no_universal_vertex_bound.tail", ">=", bound, tail)]
 
 
 def _deletion_loss(f: GraphFacts, u: int, v: int) -> RadicalNumber:
@@ -196,7 +227,8 @@ def _deletion_loss(f: GraphFacts, u: int, v: int) -> RadicalNumber:
     return radical_sum(terms)
 
 
-def check_edge_deletion_drop(f: GraphFacts) -> list[CheckReport]:
+@_statement("edge_reason", ("edge_deletion_drop", "<"))
+def check_edge_deletion_drop(f: GraphFacts) -> list[CheckReport] | str:
     """Deleting a minimal edge drops GA1 by strictly more than the edge's term.
 
     A minimal edge that is its own component is excluded: deletion then
@@ -204,8 +236,6 @@ def check_edge_deletion_drop(f: GraphFacts) -> list[CheckReport]:
     implicitly needs a surviving edge next to the deleted one.  GA1(G - uv)
     is GA1 less the term of uv and less :func:`_deletion_loss`.
     """
-    if f.edge_reason:
-        return [skipped_report("edge_deletion_drop", "<", f.edge_reason)]
     deg = f.graph.deg
     out: list[CheckReport] = []
     for u, v in minimal_edges(f.graph):
@@ -229,15 +259,12 @@ def check_edge_deletion_drop(f: GraphFacts) -> list[CheckReport]:
                 notes=f"deleted minimal edge ({u},{v})",
             )
         )
-    if not out:
-        out.append(skipped_report("edge_deletion_drop", "<", "no minimal edge"))
-    return out
+    return out or "no minimal edge"
 
 
+@_statement("edge_reason", ("rationality", "=="))
 def check_rationality(f: GraphFacts) -> list[CheckReport]:
     """GA1 is rational exactly when every edge's degree product is a square."""
-    if f.edge_reason:
-        return [skipped_report("rationality", "==", f.edge_reason)]
     ga = f.ga1
     value_rational = ga.is_rational
     all_square = all(radical_sqrt(a * b)[1] == 1 for a, b in f.degree_pairs)
@@ -259,13 +286,18 @@ def check_rationality(f: GraphFacts) -> list[CheckReport]:
 # -- checkers involving the line graph --------------------------------------
 
 
+@_statement(
+    "nontrivial_reason",
+    ("line_ga_bounds.lower", "<="),
+    ("line_ga_bounds.upper", "<="),
+)
 def check_line_ga_bounds(f: GraphFacts) -> list[CheckReport]:
-    """(M1-2m)*sqrt((D-1)(d-1))/(D+d-2) <= GA1(L(G)) <= M1/2 - m."""
-    if f.nontrivial_reason:
-        return [
-            skipped_report("line_ga_bounds.lower", "<=", f.nontrivial_reason),
-            skipped_report("line_ga_bounds.upper", "<=", f.nontrivial_reason),
-        ]
+    """(M1-2m)*sqrt((D-1)(d-1))/(D+d-2) <= GA1(L(G)) <= M1/2 - m.
+
+    The upper bound is m(L(G)), tight iff every component of L(G) is regular,
+    that is, iff du+dv is constant over each component of G: iff every
+    component of G is regular or biregular.
+    """
     g = f.graph
     big, small = g.max_degree, g.min_degree
     radicand = (big - 1) * (small - 1)
@@ -285,19 +317,21 @@ def check_line_ga_bounds(f: GraphFacts) -> list[CheckReport]:
             "<=",
             f.line.ga1,
             radical_sum([(f.m1 - 2 * g.m, 1, 2)]),
-            predicted_equality=f.regular_line_condition,
+            predicted_equality=f.regular_or_biregular_components,
             notes="upper bound tight exactly when the line graph is regular",
         ),
     ]
 
 
+@_statement(
+    "nontrivial_reason",
+    ("nordhaus_gaddum.lower", "<="),
+    ("nordhaus_gaddum.upper", "<="),
+)
 def check_nordhaus_gaddum(f: GraphFacts) -> list[CheckReport]:
-    """M1*sqrt((D-1)(d-1))/(D+d-2) <= GA1(G)+GA1(L(G)) <= M1/2; tight iff regular."""
-    if f.nontrivial_reason:
-        return [
-            skipped_report("nordhaus_gaddum.lower", "<=", f.nontrivial_reason),
-            skipped_report("nordhaus_gaddum.upper", "<=", f.nontrivial_reason),
-        ]
+    """M1*sqrt((D-1)(d-1))/(D+d-2) <= GA1(G)+GA1(L(G)) <= M1/2; lower tight
+    iff regular.  The upper bound is m + m(L(G)), tight iff every component
+    of G and of L(G) is regular, that is, iff every component of G is."""
     total = f.ga1 + f.line.ga1
     big, small = f.graph.max_degree, f.graph.min_degree
     lower = radical_sum([(f.m1, (big - 1) * (small - 1), big + small - 2)])
@@ -310,15 +344,14 @@ def check_nordhaus_gaddum(f: GraphFacts) -> list[CheckReport]:
             "<=",
             total,
             radical_sum([(f.m1, 1, 2)]),
-            predicted_equality=f.regular,
+            predicted_equality=f.regular_components,
         ),
     ]
 
 
+@_statement("nontrivial_reason", ("line_ga_ratio_bound", ">="))
 def check_line_ga_ratio_bound(f: GraphFacts) -> list[CheckReport]:
     """GA1(L(G)) >= min(3/(4*sqrt(2)), term(2D-2, max(2d-2,1))) * GA1(G)."""
-    if f.nontrivial_reason:
-        return [skipped_report("line_ga_ratio_bound", ">=", f.nontrivial_reason)]
     g = f.graph
     hi = 2 * g.max_degree - 2
     lo = max(2 * g.min_degree - 2, 1)
@@ -337,17 +370,14 @@ def check_line_ga_ratio_bound(f: GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_line_vs_graph_regular(f: GraphFacts) -> list[CheckReport]:
+@_statement("nontrivial_reason", ("line_vs_graph_regular", ">="))
+def check_line_vs_graph_regular(f: GraphFacts) -> list[CheckReport] | str:
     """GA1(L(G)) >= GA1(G) when every component is regular or biregular and
     none is the 3-vertex path."""
-    reason = f.nontrivial_reason
-    if reason is None:
-        if any(c.n == 3 and is_path_component(c) for c in f.components):
-            reason = "a component is the 3-vertex path"
-        elif not all(is_regular(c) or is_biregular(c) for c in f.components):
-            reason = "every component must be regular or biregular"
-    if reason:
-        return [skipped_report("line_vs_graph_regular", ">=", reason)]
+    if any(c.n == 3 and is_path_component(c) for c in f.components):
+        return "a component is the 3-vertex path"
+    if not f.regular_or_biregular_components:
+        return "every component must be regular or biregular"
     return [
         exact_report(
             "line_vs_graph_regular",
@@ -359,30 +389,30 @@ def check_line_vs_graph_regular(f: GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_line_order_bound(f: GraphFacts) -> list[CheckReport]:
-    """GA1(L(G)) >= 2(m-1)^(3/2)/m."""
-    if f.nontrivial_reason:
-        return [skipped_report("line_order_bound", ">=", f.nontrivial_reason)]
+@_statement("nontrivial_reason", ("line_order_bound", ">="))
+def check_line_order_bound(f: GraphFacts) -> list[CheckReport] | str:
+    """GA1(L(G)) >= 2(m-1)^(3/2)/m for connected G: the order bound of
+    :func:`check_order_size_bounds` for L(G), which is connected iff G is
+    here; on two disjoint 3-vertex paths GA1(L(G)) = 2 < 3*sqrt(3)/2."""
+    if not f.connected:
+        return "requires a connected graph"
     m = f.graph.m
     bound = radical_sum([(2 * (m - 1), m - 1, m)])
     return [exact_report("line_order_bound", ">=", f.line.ga1, bound)]
 
 
-def check_line_sqrt_bound(f: GraphFacts) -> list[CheckReport]:
+@_statement("nontrivial_reason", ("line_sqrt_bound", ">="))
+def check_line_sqrt_bound(f: GraphFacts) -> list[CheckReport] | str:
     """GA1(L(G)) >= 2*sqrt(m-1) when no component is a path on <= 6 vertices."""
-    reason = f.nontrivial_reason
-    if reason is None and any(c.n <= 6 and is_path_component(c) for c in f.components):
-        reason = "a component is a path on at most 6 vertices"
-    if reason:
-        return [skipped_report("line_sqrt_bound", ">=", reason)]
+    if any(c.n <= 6 and is_path_component(c) for c in f.components):
+        return "a component is a path on at most 6 vertices"
     bound = radical_sum([(2, f.graph.m - 1, 1)])
     return [exact_report("line_sqrt_bound", ">=", f.line.ga1, bound)]
 
 
+@_statement("nontrivial_reason", ("line_zagreb_lower", ">="))
 def check_line_zagreb_lower(f: GraphFacts) -> list[CheckReport]:
     """M1(L(G)) >= 4m + (d-4)*M1(G) + 2*M2(G), in exact integers."""
-    if f.nontrivial_reason:
-        return [skipped_report("line_zagreb_lower", ">=", f.nontrivial_reason)]
     g = f.graph
     rhs = 4 * g.m + (g.min_degree - 4) * f.m1 + 2 * f.m2
     return [
@@ -392,10 +422,54 @@ def check_line_zagreb_lower(f: GraphFacts) -> list[CheckReport]:
     ]
 
 
+# The two three-half bounds are declared here for their place in CHECK_IDS.
+@_statement("edge_reason", ("three_half_zagreb_bound", ">="))
+def check_three_half_zagreb_bound(f: GraphFacts) -> list[CheckReport]:
+    """GA1 >= 2*sqrt(d)*m^2 / sum(du^(3/2)); tight exactly for regular graphs."""
+    check_id = "three_half_zagreb_bound"
+    g = f.graph
+
+    def rhs(p, q, power, power_sum):  # a = p/q = 3/2
+        num = [power(g.min_degree, (1, 2)), 2 * g.m * g.m]
+        return num, [power_sum(f.degree_counts.items(), (p, q))]
+
+    bound = _power_bound(
+        check_id, f, rhs, _THREE_HALVES, _CROSS_MULTIPLIED, predicted_equality=f.regular
+    )
+    return [bound]
+
+
+@_statement("nontrivial_reason", ("line_three_half_zagreb_bound", ">="))
+def check_line_three_half_zagreb_bound(f: GraphFacts) -> list[CheckReport]:
+    """GA1(L(G)) >= (2d-2)^(1/2)*D^(3/2)*(M1-2m)^2 / (2*(D-1)^(3/2)*chi_(3/2))."""
+    check_id = "line_three_half_zagreb_bound"
+    g = f.graph
+    big, small = g.max_degree, g.min_degree
+    if small == 1:
+        return [
+            exact_report(
+                check_id,
+                ">=",
+                f.line.ga1,
+                RadicalNumber(0),
+                notes="vacuous: bound is zero (min degree 1)",
+            )
+        ]
+    growth = f.m1 - 2 * g.m
+    sums: Counter[int] = Counter()
+    for (u, v), cnt in f.degree_pairs.items():
+        sums[u + v] += cnt
+
+    def rhs(p, q, power, power_sum):  # a = p/q = 3/2
+        num = [power(2 * small - 2, (1, 2)), power(big, (p, q)), growth * growth]
+        return num, [2, power(big - 1, (p, q)), power_sum(sums.items(), (p, q))]
+
+    return [_power_bound(check_id, f.line, rhs, _THREE_HALVES, _CROSS_MULTIPLIED)]
+
+
+@_statement("nontrivial_reason", ("line_zagreb_identity", "=="))
 def check_line_zagreb_identity(f: GraphFacts) -> list[CheckReport]:
     """M1(L(G)) = 4m - 4*M1(G) + 2*M2(G) + F(G), exactly, in integers."""
-    if f.nontrivial_reason:
-        return [skipped_report("line_zagreb_identity", "==", f.nontrivial_reason)]
     rhs = 4 * f.graph.m - 4 * f.m1 + 2 * f.m2 + f.forgotten
     return [
         exact_report(
@@ -408,11 +482,10 @@ def check_line_zagreb_identity(f: GraphFacts) -> list[CheckReport]:
     ]
 
 
+@_statement("nontrivial_reason", ("line_regular_iff", "=="))
 def check_line_regular_iff(f: GraphFacts) -> list[CheckReport]:
     """Line graph regular iff every component is regular-or-biregular with
     constant degree sum; both directions checked by construction."""
-    if f.nontrivial_reason:
-        return [skipped_report("line_regular_iff", "==", f.nontrivial_reason)]
     actual = f.line.regular
     predicted = f.regular_line_condition
     per_comp = ", ".join(
@@ -430,16 +503,14 @@ def check_line_regular_iff(f: GraphFacts) -> list[CheckReport]:
     ]
 
 
-def check_line_tree_iff(f: GraphFacts) -> list[CheckReport]:
+@_statement("nontrivial_reason", ("line_tree_iff", "=="))
+def check_line_tree_iff(f: GraphFacts) -> list[CheckReport] | str:
     """For connected non-trivial g: line graph is a tree iff g is a path.
 
     Also reports the size monotonicity m <= m(L(G)) for non-paths.
     """
-    reason = f.nontrivial_reason
-    if reason is None and not f.connected:
-        reason = "requires a connected graph"
-    if reason:
-        return [skipped_report("line_tree_iff", "==", reason)]
+    if not f.connected:
+        return "requires a connected graph"
     g, line = f.graph, f.line
     # G is connected here, and so is its line graph.
     lg_is_tree = line.m == line.n - 1
@@ -468,19 +539,6 @@ def check_line_tree_iff(f: GraphFacts) -> list[CheckReport]:
 
 
 # -- alpha-parameterized bounds ---------------------------------------------
-
-
-def _alpha_reason(alpha: float | Rational) -> str | None:
-    """Why ``alpha`` cannot be used as an exponent, or None if it can."""
-    try:
-        af = float(alpha)
-    except OverflowError:
-        return f"alpha={alpha} is too large for a float"
-    if not math.isfinite(af):
-        return f"alpha={alpha} is not finite"
-    if alpha <= 0:  # exact: a tiny positive alpha has float 0.0
-        return f"needs alpha > 0, got {alpha}"
-    return None
 
 
 def _exact_product(
@@ -578,15 +636,13 @@ def _power_bound(
         )
 
 
+@_statement("edge_reason", ("variable_zagreb_bound", ">="))
 def check_variable_zagreb_bound(
     f: GraphFacts, alpha: float | Rational = 1
 ) -> list[CheckReport]:
     """GA1 >= 2^(1/(2a)) * d^(1/2) * m^((2a+1)/(2a)) / (D * (sum du^(1-a))^(1/(2a))),
     for a > 0; tight exactly for regular graphs."""
     check_id = "variable_zagreb_bound"
-    reason = _alpha_reason(alpha) or f.edge_reason
-    if reason:
-        return [skipped_report(check_id, ">=", reason)]
     g = f.graph
     big, small, m = g.max_degree, g.min_degree, g.m
 
@@ -613,6 +669,7 @@ def check_variable_zagreb_bound(
     ]
 
 
+@_statement("nontrivial_reason", ("line_variable_zagreb_bound", ">="))
 def check_line_variable_zagreb_bound(
     f: GraphFacts, alpha: float | Rational = 1
 ) -> list[CheckReport]:
@@ -623,9 +680,6 @@ def check_line_variable_zagreb_bound(
     ((d-1)/d)^(1-a), and the bound is then tight for regular graphs at every a.
     """
     check_id = "line_variable_zagreb_bound"
-    reason = _alpha_reason(alpha) or f.nontrivial_reason
-    if reason:
-        return [skipped_report(check_id, ">=", reason)]
     g = f.graph
     big, small = g.max_degree, g.min_degree
     growth = f.m1 - 2 * g.m  # = 2 * edge count of the line graph
@@ -672,52 +726,6 @@ def check_line_variable_zagreb_bound(
             f"alpha={alpha}; float mode",
         )
     ]
-
-
-def check_three_half_zagreb_bound(f: GraphFacts) -> list[CheckReport]:
-    """GA1 >= 2*sqrt(d)*m^2 / sum(du^(3/2)); tight exactly for regular graphs."""
-    check_id = "three_half_zagreb_bound"
-    if f.edge_reason:
-        return [skipped_report(check_id, ">=", f.edge_reason)]
-    g = f.graph
-
-    def rhs(p, q, power, power_sum):  # a = p/q = 3/2
-        num = [power(g.min_degree, (1, 2)), 2 * g.m * g.m]
-        return num, [power_sum(f.degree_counts.items(), (p, q))]
-
-    bound = _power_bound(
-        check_id, f, rhs, _THREE_HALVES, _CROSS_MULTIPLIED, predicted_equality=f.regular
-    )
-    return [bound]
-
-
-def check_line_three_half_zagreb_bound(f: GraphFacts) -> list[CheckReport]:
-    """GA1(L(G)) >= (2d-2)^(1/2)*D^(3/2)*(M1-2m)^2 / (2*(D-1)^(3/2)*chi_(3/2))."""
-    check_id = "line_three_half_zagreb_bound"
-    if f.nontrivial_reason:
-        return [skipped_report(check_id, ">=", f.nontrivial_reason)]
-    g = f.graph
-    big, small = g.max_degree, g.min_degree
-    if small == 1:
-        return [
-            exact_report(
-                check_id,
-                ">=",
-                f.line.ga1,
-                RadicalNumber(0),
-                notes="vacuous: bound is zero (min degree 1)",
-            )
-        ]
-    growth = f.m1 - 2 * g.m
-    sums: Counter[int] = Counter()
-    for (u, v), cnt in f.degree_pairs.items():
-        sums[u + v] += cnt
-
-    def rhs(p, q, power, power_sum):  # a = p/q = 3/2
-        num = [power(2 * small - 2, (1, 2)), power(big, (p, q)), growth * growth]
-        return num, [2, power(big - 1, (p, q)), power_sum(sums.items(), (p, q))]
-
-    return [_power_bound(check_id, f.line, rhs, _THREE_HALVES, _CROSS_MULTIPLIED)]
 
 
 # -- graph-free technical inequalities --------------------------------------
@@ -820,33 +828,7 @@ def check_complete_bipartite_integer(k: int) -> CheckReport:
 # -- registry ----------------------------------------------------------------
 
 
-_PLAIN_CHECKS: dict[str, Callable[[GraphFacts], list[CheckReport]]] = {
-    "extreme_degree_bounds": check_extreme_degree_bounds,
-    "order_size_bounds": check_order_size_bounds,
-    "star_lower_bound": check_star_lower_bound,
-    "no_universal_vertex_bound": check_no_universal_vertex_bound,
-    "edge_deletion_drop": check_edge_deletion_drop,
-    "rationality": check_rationality,
-    "line_ga_bounds": check_line_ga_bounds,
-    "nordhaus_gaddum": check_nordhaus_gaddum,
-    "line_ga_ratio_bound": check_line_ga_ratio_bound,
-    "line_vs_graph_regular": check_line_vs_graph_regular,
-    "line_order_bound": check_line_order_bound,
-    "line_sqrt_bound": check_line_sqrt_bound,
-    "line_zagreb_lower": check_line_zagreb_lower,
-    "three_half_zagreb_bound": check_three_half_zagreb_bound,
-    "line_three_half_zagreb_bound": check_line_three_half_zagreb_bound,
-    "line_zagreb_identity": check_line_zagreb_identity,
-    "line_regular_iff": check_line_regular_iff,
-    "line_tree_iff": check_line_tree_iff,
-}
-
-_ALPHA_CHECKS: dict[str, Callable[..., list[CheckReport]]] = {
-    "variable_zagreb_bound": check_variable_zagreb_bound,
-    "line_variable_zagreb_bound": check_line_variable_zagreb_bound,
-}
-
-CHECK_IDS: tuple[str, ...] = tuple(list(_PLAIN_CHECKS) + list(_ALPHA_CHECKS))
+CHECK_IDS: tuple[str, ...] = (*_PLAIN_CHECKS, *_ALPHA_CHECKS)
 
 # Ids that read the line graph whenever its preconditions hold.  When one is
 # selected, its facts are made before any checker runs, so that a line graph

@@ -2,9 +2,11 @@
 
 The geometric-arithmetic index and every integer or half-integer exponent
 variant live in the rational radical span, so those paths are exact; other
-exponents fall back to floats.  Exponents arriving as decimal text are snapped
-to the nearest integer or half-integer when within 1e-12, so ``0.5`` hits the
-exact path.  Every index takes a ``Graph`` or a ``GraphFacts`` and reads the
+exponents fall back to floats.  A Python float exponent is snapped to the
+nearest integer or half-integer when within 1e-12, so ``0.5`` hits the exact
+path; an ``int`` or ``Fraction`` is taken as it is, so CLI ``--alpha``, parsed
+as an exact rational, never snaps (``--alpha 0.5000000000001`` runs in float
+mode).  Every index takes a ``Graph`` or a ``GraphFacts`` and reads the
 degree pairs, degree counts and GA1 from that one ``GraphFacts``, the only
 code that derives them.
 """
@@ -92,9 +94,10 @@ def _edged_facts(g: Graph | GraphFacts) -> GraphFacts:
     """The facts of ``g``; raises unless every component contains an edge."""
     f = GraphFacts.of(g)
     if f.edge_reason:
+        isolated = list(f.graph.isolated_vertices)
         raise ValueError(
             "index requires every component to contain an edge; "
-            f"isolated vertices: {list(f.graph.isolated_vertices)}"
+            + (f"isolated vertices: {isolated}" if isolated else f.edge_reason)
         )
     return f
 

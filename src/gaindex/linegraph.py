@@ -126,6 +126,17 @@ class GraphFacts:
         return is_biregular(self.graph)
 
     @cached_property
+    def regular_components(self) -> bool:
+        """Every component regular: every edge joins two vertices of one degree."""
+        return all(a == b for a, b in self.degree_pairs)
+
+    @cached_property
+    def regular_or_biregular_components(self) -> bool:
+        """Every component regular or biregular: equivalent, without isolated
+        vertices, to every component of the line graph being regular."""
+        return all(is_regular(c) or is_biregular(c) for c in self.components)
+
+    @cached_property
     def edge_reason(self) -> str | None:
         """Why a statement needing an edge in every component does not apply."""
         if self.graph.m == 0:
@@ -163,13 +174,8 @@ class GraphFacts:
     def regular_line_condition(self) -> bool:
         """Every component regular or biregular, with the same max+min degree
         sum across components: equivalent to the line graph being regular."""
-        target = self.graph.max_degree + self.graph.min_degree
-        for c in self.components:
-            if not (is_regular(c) or is_biregular(c)):
-                return False
-            if c.max_degree + c.min_degree != target:
-                return False
-        return True
+        sums = {c.max_degree + c.min_degree for c in self.components}
+        return self.regular_or_biregular_components and len(sums) <= 1
 
     @cached_property
     def line(self) -> LineFacts:

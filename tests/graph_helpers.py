@@ -1,4 +1,4 @@
-"""Graph constructions, GA1 helpers, exact-value decoders and a
+"""Graph constructions, every small graph, GA1 helpers, exact-value decoders and a
 labeling-free view of check reports that only the tests use."""
 
 from __future__ import annotations
@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
+from gaindex.enumeration import enumerate_connected
 from gaindex.graphs import Edge, Graph, canonical_key, from_edge_list, graph_from_key, induced_subgraph
 from gaindex.indices import Exponent, _power_factor
 from gaindex.radicals import RadicalNumber, radical_sum
@@ -65,6 +66,28 @@ def disjoint_union(*graphs: Graph) -> Graph:
         pairs.extend((u + offset, v + offset) for u, v in g.edges)
         offset += g.n
     return from_edge_list(offset, pairs)
+
+
+def all_graphs(n_max: int) -> list[list[Graph]]:
+    """Every graph with at most ``n_max`` vertices, connected or not, one per
+    isomorphism class, listed by order.
+
+    Each class is the disjoint union of a multiset of connected classes of
+    ``enumerate_connected``, taken once in nondecreasing position along them;
+    order 0 holds the graph with no vertices.
+    """
+    connected = [g for n in range(1, n_max + 1) for g in enumerate_connected(n)]
+    by_order: list[list[Graph]] = [[] for _ in range(n_max + 1)]
+
+    def grow(parts: list[Graph], first: int, n: int) -> None:
+        by_order[n].append(disjoint_union(*parts))
+        for i in range(first, len(connected)):
+            if n + connected[i].n > n_max:
+                break  # the connected classes come in increasing order
+            grow(parts + [connected[i]], i, n + connected[i].n)
+
+    grow([], 0, 0)
+    return by_order
 
 
 def ga_ratio_curve(t: int | Fraction) -> Fraction:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from gaindex.checks import (
     CHECK_IDS,
+    DEFAULT_ALPHAS,
     check_edge_deletion_drop,
     check_complete_bipartite_integer,
     check_double_star_rational,
@@ -40,6 +44,7 @@ from gaindex.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    canonical_form,
     double_star_graph,
     from_edge_list,
     path_graph,
@@ -48,7 +53,9 @@ from gaindex.graphs import (
 )
 from gaindex.indices import _power_term
 from gaindex.linegraph import GraphFacts
+from gaindex.sweeps import SweepResult
 from graph_helpers import (
+    all_graphs,
     disjoint_union,
     ga_edge_term,
     ga_ratio_curve,
@@ -134,6 +141,12 @@ class TestExtremeDegreeBounds:
         reports = check_extreme_degree_bounds(GraphFacts(paw_graph()))
         assert all(r.holds and not r.equality for r in reports)
         assert all(r.characterization_consistent for r in reports)
+
+    def test_upper_tight_when_every_component_is_regular(self):
+        # K3 + K2 is not regular, but every edge term is 1, so GA1 = m.
+        f = GraphFacts(disjoint_union(complete_graph(3), path_graph(2)))
+        upper = by_id(check_extreme_degree_bounds(f), "extreme_degree_bounds.upper")
+        assert upper.equality and upper.predicted_equality and not f.regular
 
 
 class TestOrderSizeBounds:
@@ -319,6 +332,13 @@ class TestLineGaBounds:
         lower = by_id(reports, "line_ga_bounds.lower")
         assert lower.holds and not lower.equality
 
+    def test_upper_tight_when_every_component_is_regular_or_biregular(self):
+        # L(P3 + K3) = K2 + K3 is regular in each component, not as a whole.
+        f = GraphFacts(disjoint_union(path_graph(3), cycle_graph(3)))
+        upper = by_id(check_line_ga_bounds(f), "line_ga_bounds.upper")
+        assert upper.equality and upper.predicted_equality
+        assert not f.regular_line_condition
+
 
 class TestNordhausGaddum:
     def test_cycle4_double_equality(self):
@@ -339,6 +359,11 @@ class TestNordhausGaddum:
         reports = check_nordhaus_gaddum(GraphFacts(path_graph(4)))
         assert all(r.holds and not r.equality for r in reports)
         assert all(r.characterization_consistent for r in reports)
+
+    def test_upper_tight_when_every_component_is_regular(self):
+        f = GraphFacts(disjoint_union(complete_graph(4), complete_graph(3)))
+        upper = by_id(check_nordhaus_gaddum(f), "nordhaus_gaddum.upper")
+        assert upper.equality and upper.predicted_equality and not f.regular
 
 
 class TestTermShift:
@@ -422,6 +447,14 @@ class TestLineOrderAndSqrtBounds:
         report = check_line_order_bound(GraphFacts(cycle_graph(6)))[0]
         assert report.holds
         assert report.rhs.approx == pytest.approx(2 * 5**1.5 / 6, rel=1e-12)
+
+    def test_order_bound_skipped_on_a_disconnected_graph(self):
+        # On 2P3, GA1(L(G)) = 2 < 3*sqrt(3)/2: the order bound of L(G) needs
+        # L(G), and so G, to be connected.
+        g = disjoint_union(path_graph(3), path_graph(3))
+        report = check_line_order_bound(GraphFacts(g))[0]
+        assert not report.preconditions_met
+        assert report.notes == "requires a connected graph"
 
     def test_sqrt_bound_triangle(self):
         report = check_line_sqrt_bound(GraphFacts(cycle_graph(3)))[0]
@@ -710,8 +743,6 @@ def petersen_graph():
 
 class TestDisplayFloatsOnRead:
     def test_verdict_path_computes_no_display_float(self, monkeypatch):
-        from gaindex.sweeps import SweepResult
-
         calls = []
         original = RadicalNumber.float_with_error
 
@@ -821,6 +852,13 @@ class TestOutOfRangeAlpha:
         (report,) = checker(GraphFacts(cycle_graph(4)), alpha)
         assert report.mode == "skipped" and not report.violated
         assert report.notes.startswith(f"alpha={alpha} is out of range: ")
+
+    @pytest.mark.parametrize(
+        "checker", [check_variable_zagreb_bound, check_line_variable_zagreb_bound]
+    )
+    def test_unusable_alpha_reported_before_the_graph_reason(self, checker):
+        (report,) = checker(GraphFacts(from_edge_list(1, [])), alpha=0)
+        assert report.notes == "needs alpha > 0, got 0"
 
     def test_fraction_too_large_for_a_float(self):
         f = GraphFacts(cycle_graph(4))
@@ -950,7 +988,6 @@ class TestRandomSweepSources:
 class TestSweepResult:
     def test_violated_and_mismatched_report_is_one_failure(self):
         from gaindex.report import exact_report
-        from gaindex.sweeps import SweepResult
 
         report = exact_report(
             "x", ">=", RadicalNumber(1), RadicalNumber(2), predicted_equality=True
@@ -1015,3 +1052,85 @@ class TestRecordInvariant:
         ]
         for r in reports:
             assert (r.mode == "skipped") == (not r.preconditions_met), r
+
+
+# Every reason a graph checker gives for a skipped report, as a full match:
+# those of GraphFacts, the checkers' own, and those of an unusable alpha.
+SKIP_REASONS = (
+    r"graph has no edges",
+    r"every component must contain an edge \(isolated vertices present\)",
+    r"every component must have at least two edges",
+    r"requires a connected graph",
+    r"needs max degree <= n-2 \(have \d+ on n=\d+\)",
+    r"tail comparison needs m >= n-1 \(true for connected graphs\)",
+    r"edge \(\d+,\d+\) is a single-edge component; deletion leaves exact "
+    r"equality, the strict drop needs an adjacent edge",
+    r"no minimal edge",
+    r"a component is the 3-vertex path",
+    r"every component must be regular or biregular",
+    r"a component is a path on at most 6 vertices",
+    r"needs alpha > 0, got 0",
+    r"alpha=10{300} is out of range: .+",
+    r"alpha=10{400} is too large for a float",
+    r"alpha=inf is not finite",
+)
+
+
+@pytest.fixture(scope="module")
+def every_graph_up_to_seven():
+    """Every graph with n <= 7, connected or not, by order, and its reports
+    at the default alphas and at one alpha per alpha reason."""
+    by_order = all_graphs(7)
+    alphas = (*DEFAULT_ALPHAS, 0, 10**300, 10**400, math.inf)
+    checked = [(g, run_checks(g, alphas=alphas)) for order in by_order for g in order]
+    return by_order, checked
+
+
+class TestEveryGraphUpToSeven:
+    """The sweeps walk connected graphs only; these walk all 1,253 graphs
+    with n <= 7, so that every hypothesis meets the graphs it rules out."""
+
+    def test_one_class_per_graph(self, every_graph_up_to_seven):
+        by_order, _ = every_graph_up_to_seven
+        # OEIS A000088, n = 0..7.
+        assert [len(order) for order in by_order] == [1, 1, 2, 4, 11, 34, 156, 1044]
+        for order in by_order:
+            assert len({canonical_form(g) for g in order}) == len(order)
+
+    def test_no_failures(self, every_graph_up_to_seven):
+        _, checked = every_graph_up_to_seven
+        result = SweepResult()
+        for g, reports in checked:
+            result.absorb(to_graph6(g), reports)
+        assert [(source, r.check_id) for source, r in result.failures] == []
+
+    def test_one_relation_per_check_id(self, every_graph_up_to_seven):
+        _, checked = every_graph_up_to_seven
+        relations: dict[str, set[str]] = {}
+        modes = set()
+        for _, reports in checked:
+            for r in reports:
+                relations.setdefault(r.check_id, set()).add(r.relation)
+                modes.add(r.mode)
+        assert modes == {"exact", "float", "skipped"}
+        assert {k: v for k, v in relations.items() if len(v) > 1} == {}
+
+    def test_skipped_rows_pinned(self, every_graph_up_to_seven):
+        _, checked = every_graph_up_to_seven
+        lines = sorted(
+            f"{r.check_id}|{r.relation}|{r.notes}\n"
+            for _, reports in checked
+            for r in reports
+            if r.mode == "skipped"
+        )
+        assert len(lines) == 17507
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        expected = "d04a101a4d995f6276ced0ba60e3d63d48413ff7d001f820b4ce6b47c1602b6e"
+        assert digest == expected
+
+    def test_every_skip_reason_given(self, every_graph_up_to_seven):
+        _, checked = every_graph_up_to_seven
+        notes = {r.notes for _, rows in checked for r in rows if r.mode == "skipped"}
+        matched = {p: {n for n in notes if re.fullmatch(p, n)} for p in SKIP_REASONS}
+        assert [p for p, hits in matched.items() if not hits] == []
+        assert notes == set().union(*matched.values())

@@ -119,6 +119,13 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "!!!")
         assert code == 2 and "error" in err
 
+    def test_graph_without_edges_names_the_reason(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "?")  # no vertices
+        assert code == 2 and out == ""
+        assert err.rstrip().endswith("contain an edge; graph has no edges")
+        code, _, err = run_cli(capsys, "compute", "A?")  # two isolated vertices
+        assert code == 2 and "isolated vertices: [0, 1]" in err
+
 
 class TestInputs:
     def test_graph6_file(self, capsys, tmp_path):
@@ -254,6 +261,16 @@ class TestCheck:
         )
         (row,) = json.loads(out)
         assert code == 0 and row["preconditions_met"] is False
+
+    def test_line_order_bound_skipped_on_a_disconnected_graph(self, capsys):
+        # 2P3: GA1(L(G)) = 2 is below the order bound 3*sqrt(3)/2 of L(G),
+        # which holds for connected graphs only.
+        code, out, _ = run_cli(capsys, "check", "EW?W", "--format", "json")
+        rows = [r for r in json.loads(out) if r["check_id"] == "line_order_bound"]
+        assert code == 0
+        assert [(r["preconditions_met"], r["notes"]) for r in rows] == [
+            (False, "requires a connected graph")
+        ]
 
     def test_unknown_check_id_lists_available(self, capsys):
         code, _, err = run_cli(capsys, "check", "C4", "--theorems", "bogus")
