@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 __all__ = [
     "Graph",
@@ -47,7 +48,8 @@ class Graph:
     """A finite simple graph; vertices are 0..n-1, edges sorted and distinct,
     each stored with u < v.
 
-    ``adj`` (sorted neighbor tuples) and ``deg`` are derived from ``edges``.
+    ``adj`` (sorted neighbor tuples) and ``deg`` are derived from ``edges``;
+    ``max_degree`` and ``min_degree`` are computed on first read and kept.
     """
 
     n: int
@@ -82,11 +84,11 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return max(self.deg, default=0)
 
-    @property
+    @cached_property
     def min_degree(self) -> int:
         return min(self.deg, default=0)
 

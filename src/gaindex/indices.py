@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph
 from .linegraph import GraphFacts
@@ -48,18 +47,18 @@ _FLOAT_REL_ERROR = 1e-12
 MAX_EXACT_EXPONENT = 1000
 
 
-@dataclass(frozen=True, eq=False)
-class IndexValue:
+class IndexValue(NamedTuple):
     """An index value: exact radical form when available, float always.
 
     ``estimate`` gives ``approx`` and its absolute error, which only serve
     display, since verdicts are decided on ``exact``.  For an exact
     value that is its ``float_with_error``, which the value computes once
-    and keeps, so deciding a verdict computes no float.
+    and keeps, so deciding a verdict computes no float.  A named tuple, so
+    two values are equal when both fields are.
     """
 
     exact: RadicalNumber | None
-    estimate: Callable[[], tuple[float, float]] = field(repr=False)
+    estimate: Callable[[], tuple[float, float]]
 
     @classmethod
     def of_exact(cls, value: RadicalNumber) -> "IndexValue":

@@ -7,8 +7,10 @@ degree counts and GA1; the checkers and every index of
 The line graph L(G) has one vertex per edge of G, with two vertices adjacent
 exactly when the underlying edges share an endpoint, so the vertex uv has
 degree du + dv - 2.  The checkers read L(G) only through :class:`LineFacts`,
-whose order, size, degree pairs, GA1, M1 and regularity are read off G's
-edges and degrees; only :func:`line_graph` builds L(G) as a ``Graph``, for
+which holds G's graph and degree pairs, with no reference back to G's
+:class:`GraphFacts`, so a graph's facts are freed as soon as they are
+dropped.  Its order, size, degree pairs, GA1, M1 and regularity are read off
+those two; only :func:`line_graph` builds L(G) as a ``Graph``, for
 ``gaindex linegraph`` and :func:`verify_degree_identity`.  Every operation
 here requires a non-trivial input (each component with at least two edges):
 the line graph of a single edge is an isolated vertex, which the index
@@ -180,32 +182,33 @@ class GraphFacts:
     @cached_property
     def line(self) -> LineFacts:
         """The facts of the line graph (raises unless the graph is non-trivial)."""
-        return LineFacts(self)
+        return LineFacts(self.graph, self.degree_pairs)
 
 
 @dataclass(frozen=True)
 class LineFacts:
-    """The facts of L(G) that the checkers read, each read off G's edges and
-    degrees on first read; ``graph`` builds L(G) itself.
+    """The facts of L(G) that the checkers read, each read off G and G's
+    degree pairs on first read; ``graph`` builds L(G) itself.
 
     Each equals the same fact of ``GraphFacts(line_graph(g))``, the order of
     ``degree_pairs`` included.  Construction raises, as :func:`line_graph`
     does, unless G is non-trivial and L(G) has at most ``MAX_EDGES`` edges.
     """
 
-    base: GraphFacts
+    base_graph: Graph
+    base_pairs: Counter[tuple[int, int]]
     m: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", _line_size(self.base.graph))
+        object.__setattr__(self, "m", _line_size(self.base_graph))
 
     @property
     def n(self) -> int:
-        return self.base.graph.m
+        return self.base_graph.m
 
     @cached_property
     def graph(self) -> Graph:
-        return line_graph(self.base.graph)
+        return line_graph(self.base_graph)
 
     @cached_property
     def degree_pairs(self) -> Counter[tuple[int, int]]:
@@ -217,7 +220,7 @@ class LineFacts:
         edges j > i that meet edge i = (u, v) are u's edges after v in
         ``adj[u]``, then v's edges after u in ``adj[v]``, in increasing j.
         """
-        g = self.base.graph
+        g = self.base_graph
         deg = g.deg
         # The L-degrees of each vertex's edges, in the order of adj.
         at = [[d + deg[w] - 2 for w in g.adj[x]] for x, d in enumerate(deg)]
@@ -238,12 +241,12 @@ class LineFacts:
 
     @cached_property
     def m1(self) -> int:
-        pairs = self.base.degree_pairs
+        pairs = self.base_pairs
         return sum(count * (a + b - 2) ** 2 for (a, b), count in pairs.items())
 
     @cached_property
     def regular(self) -> bool:
-        return len({a + b for a, b in self.base.degree_pairs}) == 1
+        return len({a + b for a, b in self.base_pairs}) == 1
 
 
 def verify_degree_identity(f: GraphFacts) -> bool:

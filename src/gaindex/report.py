@@ -11,10 +11,9 @@ reporting them, so rounding can never manufacture a counterexample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .indices import IndexValue
 from .radicals import RadicalNumber, compare
@@ -27,8 +26,9 @@ RECHECK_DIGITS = 80  # ~265 bits
 Number = float | Decimal
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
+    """One verdict; an immutable named tuple, copied with ``_replace``."""
+
     check_id: str
     relation: str
     lhs: IndexValue
@@ -183,25 +183,24 @@ def exact_report(
     """
     if rhs_den is None:
         cmp = compare(lhs, rhs)
-        rhs_val = IndexValue.of_exact(rhs)
+        rhs_val = IndexValue(rhs, rhs.float_with_error)
     else:
         cmp = compare(lhs, rhs, rhs_den)
         rhs_val = IndexValue.of_quotient(rhs, rhs_den)
     outcome, equality = _relation_outcome(relation, cmp)
-    lhs_val = IndexValue.of_exact(lhs)
     consistent = None if predicted_equality is None else equality == predicted_equality
     return CheckReport(
-        check_id=check_id,
-        relation=relation,
-        lhs=lhs_val,
-        rhs=rhs_val,
-        holds=outcome if holds is None else holds,
-        equality=equality,
-        predicted_equality=predicted_equality,
-        characterization_consistent=consistent,
-        preconditions_met=True,
-        mode="exact",
-        notes=notes,
+        check_id,
+        relation,
+        IndexValue(lhs, lhs.float_with_error),
+        rhs_val,
+        outcome if holds is None else holds,
+        equality,
+        predicted_equality,
+        consistent,
+        True,
+        "exact",
+        notes,
     )
 
 
@@ -238,17 +237,17 @@ def float_report(
             holds, _ = _relation_outcome(relation, cmp)
             note = (notes + "; " if notes else "") + "re-checked at 256-bit precision"
     return CheckReport(
-        check_id=check_id,
-        relation=relation,
-        lhs=IndexValue.of_float(lhs_f),
-        rhs=IndexValue.of_float(rhs_f),
-        holds=holds,
-        equality=near_equal,
-        predicted_equality=None,
-        characterization_consistent=None,
-        preconditions_met=True,
-        mode="float",
-        notes=note,
+        check_id,
+        relation,
+        IndexValue.of_float(lhs_f),
+        IndexValue.of_float(rhs_f),
+        holds,
+        near_equal,
+        None,
+        None,
+        True,
+        "float",
+        note,
     )
 
 
@@ -264,15 +263,5 @@ def skipped_report(check_id: str, relation: str, reason: str) -> CheckReport:
     """Preconditions not met: nothing evaluated, vacuously non-violating."""
     nan = IndexValue.of_float(math.nan)
     return CheckReport(
-        check_id=check_id,
-        relation=relation,
-        lhs=nan,
-        rhs=nan,
-        holds=True,
-        equality=False,
-        predicted_equality=None,
-        characterization_consistent=None,
-        preconditions_met=False,
-        mode="skipped",
-        notes=reason,
+        check_id, relation, nan, nan, True, False, None, None, False, "skipped", reason
     )

@@ -964,8 +964,6 @@ class TestRelabeling:
 
 class TestRandomSweepSources:
     def test_failure_names_the_graph_by_graph6(self, monkeypatch):
-        from dataclasses import replace
-
         import gaindex.sweeps
         from gaindex.formats import parse_graph6
         from gaindex.report import skipped_report
@@ -975,7 +973,7 @@ class TestRandomSweepSources:
         def violating(g, alphas=None):
             drawn.append(g)
             forced = skipped_report("fake", ">=", "forced")
-            return [replace(forced, preconditions_met=True, holds=False)]
+            return [forced._replace(preconditions_met=True, holds=False)]
 
         monkeypatch.setattr(gaindex.sweeps, "run_checks", violating)
         result = gaindex.sweeps.random_sweep(3, seed=5)
@@ -1002,8 +1000,6 @@ class TestSweepResult:
 
 class TestExhaustiveSweepSources:
     def test_failure_names_the_graph_by_graph6(self, monkeypatch):
-        from dataclasses import replace
-
         import gaindex.sweeps
         from gaindex.formats import parse_graph6
         from gaindex.report import skipped_report
@@ -1013,7 +1009,7 @@ class TestExhaustiveSweepSources:
         def violating(facts, alphas=None):
             swept.append(facts.graph)
             forced = skipped_report("fake", ">=", "forced")
-            return [replace(forced, preconditions_met=True, holds=False)]
+            return [forced._replace(preconditions_met=True, holds=False)]
 
         monkeypatch.setattr(gaindex.sweeps, "run_checks", violating)
         result = gaindex.sweeps.exhaustive_sweep(3)
@@ -1052,6 +1048,21 @@ class TestRecordInvariant:
         ]
         for r in reports:
             assert (r.mode == "skipped") == (not r.preconditions_met), r
+
+    def test_reports_and_their_sides_are_read_only(self):
+        from gaindex.report import exact_report, float_report, skipped_report
+
+        reports = [
+            exact_report("x", ">=", RadicalNumber(2), RadicalNumber(1)),
+            exact_report("x", ">=", RadicalNumber(2), RadicalNumber(1), rhs_den=RadicalNumber(3)),
+            float_report("x", ">=", lambda power: (2.0, 1.0)),
+            skipped_report("x", ">=", "forced"),
+        ]
+        for r in reports:
+            for record in (r, r.lhs, r.rhs):
+                for name in type(record)._fields:
+                    with pytest.raises(AttributeError):
+                        setattr(record, name, getattr(record, name))
 
 
 # Every reason a graph checker gives for a skipped report, as a full match:

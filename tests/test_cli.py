@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -278,13 +277,11 @@ class TestCheck:
         assert "star_lower_bound" in err
 
     def test_violation_exit_code(self, capsys, monkeypatch):
-        from dataclasses import replace
-
         from gaindex import cli as cli_module
         from gaindex.report import skipped_report
 
-        broken = replace(
-            skipped_report("fake", ">=", "forced"), preconditions_met=True, holds=False
+        broken = skipped_report("fake", ">=", "forced")._replace(
+            preconditions_met=True, holds=False
         )
         monkeypatch.setattr(
             cli_module, "run_checks", lambda g, ids=None, alphas=None: [broken]
@@ -388,7 +385,7 @@ class TestCheckJsonEncoder:
             base.rhs,
         ]
         reports = [
-            replace(base, notes=note, lhs=side, mode="float")
+            base._replace(notes=note, lhs=side, mode="float")
             for note in notes
             for side in sides
         ]
@@ -413,7 +410,7 @@ class TestCheckJsonEncoder:
 
     def test_int_in_a_float_slot_raises(self):
         # json.dump would print 1 where a float prints 1.0; refuse instead.
-        report = replace(paw_report(), lhs=IndexValue(None, lambda: (1, 0.0)))
+        report = paw_report()._replace(lhs=IndexValue(None, lambda: (1, 0.0)))
         with pytest.raises(TypeError):
             json_rows([report], "Cx")
 

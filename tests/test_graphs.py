@@ -45,7 +45,14 @@ from gaindex.graphs import (
     paw_graph,
     star_graph,
 )
-from graph_helpers import add_edge, canonical_graph, disjoint_union, relabel, strip_isolated
+from graph_helpers import (
+    add_edge,
+    all_graphs,
+    canonical_graph,
+    disjoint_union,
+    relabel,
+    strip_isolated,
+)
 
 try:
     import networkx as nx
@@ -162,6 +169,15 @@ class TestConstruction:
             Graph(2, ((0, 1),), adj=((1,), (0,)), deg=(1, 1))
         with pytest.raises(ValueError, match="nonnegative"):
             Graph(-1, ())
+
+    def test_degree_extremes_on_every_graph_up_to_seven(self):
+        by_order = all_graphs(7)
+        (empty,) = by_order[0]
+        assert (empty.max_degree, empty.min_degree) == (0, 0)
+        for g in (g for order in by_order[1:] for g in order):
+            assert "max_degree" not in vars(g) and "min_degree" not in vars(g)
+            assert (g.max_degree, g.min_degree) == (max(g.deg), min(g.deg))
+            assert (vars(g)["max_degree"], vars(g)["min_degree"]) == (max(g.deg), min(g.deg))
 
     def test_handshake_random(self):
         rng = random.Random(11)

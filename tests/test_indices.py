@@ -21,6 +21,7 @@ from gaindex.graphs import (
 from graph_helpers import disjoint_union, exact_pow, parse_radical
 from gaindex.indices import (
     MAX_EXACT_EXPONENT,
+    IndexValue,
     NotRadicalError,
     _power_sum,
     chi_alpha,
@@ -47,6 +48,19 @@ def ga1_float_oracle(g) -> float:
     return sum(
         2 * math.sqrt(g.deg[u] * g.deg[v]) / (g.deg[u] + g.deg[v]) for u, v in g.edges
     )
+
+
+class TestIndexValue:
+    def test_exact_estimate_is_the_kept_display_pair(self):
+        v = parse_radical("1/3 + 2*sqrt(6)")
+        estimate = IndexValue.of_exact(v).estimate()
+        assert estimate is v.float_with_error()
+        assert estimate == v._float_with_error(53)
+
+    def test_compares_by_value(self):
+        v = RadicalNumber(2)
+        assert IndexValue.of_exact(v) == IndexValue.of_exact(v)
+        assert IndexValue.of_exact(v) == (v, v.float_with_error)
 
 
 class TestGA1Exact:

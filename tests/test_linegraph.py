@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -25,6 +27,7 @@ from gaindex.checks import (
     check_line_regular_iff,
     check_line_tree_iff,
     check_line_zagreb_identity,
+    run_checks,
 )
 from gaindex.indices import m1
 from gaindex.linegraph import (
@@ -244,6 +247,22 @@ class TestLineFacts:
     @given(nontrivial_graphs())
     def test_match_the_built_line_graph(self, g):
         assert_line_facts_match_built_line_graph(g)
+
+    def test_facts_freed_without_the_cycle_collector(self):
+        # LineFacts holds G's graph and degree pairs, not G's facts, so the
+        # facts form no reference cycle and die with their last reference.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            f = GraphFacts(cycle_graph(5))
+            alive = weakref.ref(f)
+            run_checks(f)
+            assert f.line.ga1 == f.ga1
+            del f
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 @pytest.mark.skipif(nx is None, reason="networkx unavailable")
