@@ -18,12 +18,18 @@ overlap does it test equality and take the sign of the exact difference, by
 interval refinement with escalating precision, which terminates because
 distinct values are distinct real numbers.  The same enclosure is the first
 round of the default 53-bit display float, and a value keeps that float and
-its display string once computed.
+its display string once computed.  Each radicand's split into ``s*s*q`` and
+each squarefree radicand's root at ``_START_BITS`` are computed once per
+process: the degree expressions of small graphs repeat, so a few hundred
+radicands serve every value of a sweep.  Both tables are bounded
+(``_TABLE_SIZE`` entries, least recently used out first), so a long-lived
+process that meets many large radicands keeps a fixed memory.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, inf, isqrt, lcm
 from typing import Iterable
 
@@ -44,16 +50,25 @@ _DISPLAY_BITS = 53
 _GUARD_BITS = 16
 _START_BITS = _DISPLAY_BITS + _GUARD_BITS
 _MAX_BITS = 1 << 16
+# Entries kept by each of the two tables below.
+_TABLE_SIZE = 4096
 
 Rational = int | Fraction
 
 
+# typed: 4.0 and True hash and compare like 4 and 1; only typed keys are
+# documented to keep them apart, so that they reach the type check below.
+@lru_cache(maxsize=_TABLE_SIZE, typed=True)
 def radical_sqrt(k: int) -> tuple[int, int]:
-    """Split ``k >= 1`` as ``k = s*s*q`` with ``q`` squarefree.
+    """Split an ``int`` ``k >= 1`` as ``k = s*s*q`` with ``q`` squarefree.
 
-    Then ``sqrt(k) = s*sqrt(q)``.  Trial division is plenty here: the inputs
-    are products or sums of vertex degrees, so they stay tiny.
+    Then ``sqrt(k) = s*sqrt(q)``.  The split is by trial division, memoized
+    in a table of the ``_TABLE_SIZE`` most recently used radicands: the
+    inputs are products or sums of vertex degrees, so they stay small and
+    repeat, and the bound keeps the table's memory fixed where they do not.
     """
+    if type(k) is not int:
+        raise TypeError(f"expected an int, got {type(k).__name__}")
     if k < 1:
         raise ValueError(f"expected a positive integer, got {k!r}")
     s = 1
@@ -71,6 +86,13 @@ def radical_sqrt(k: int) -> tuple[int, int]:
                 q *= d
         d += 1 if d == 2 else 2
     return s, q * rem
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _start_root(q: int) -> int:
+    """``isqrt(q << 2*_START_BITS)``: the root that bounds sqrt(q) in every
+    kept enclosure, memoized like :func:`radical_sqrt`."""
+    return isqrt(q << (2 * _START_BITS))
 
 
 def _ratio(value: Rational) -> tuple[int, int]:
@@ -242,7 +264,7 @@ class RadicalNumber:
                 continue
             # q is squarefree and above 1, so sqrt(q) * 2^bits is irrational
             # and lies strictly between root and root + 1.
-            root = isqrt(q << (2 * bits))
+            root = _start_root(q) if bits == _START_BITS else isqrt(q << (2 * bits))
             if k > 0:
                 lo += k * root
                 hi += k * (root + 1)

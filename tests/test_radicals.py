@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaindex import radicals
+from gaindex.checks import run_checks
+from gaindex.enumeration import enumerate_connected
 from gaindex.radicals import (
     RadicalNumber,
     compare,
@@ -60,6 +62,30 @@ class TestRadicalSqrt:
             s, q = radical_sqrt(k)
             assert s * s * q == k
             assert is_squarefree(q)
+
+    # 4.0, Fraction(4) and Decimal(4) equal 4 and hash like it, as True does
+    # 1, so a table keyed on the value alone would answer them from 4's or
+    # 1's entry once that was split.
+    @pytest.mark.parametrize("k", [4.0, Fraction(4), Decimal(4), True, "4"])
+    def test_non_int_rejected_after_its_equal_int(self, k):
+        assert radical_sqrt(4) == (2, 1)
+        assert radical_sqrt(1) == (1, 1)
+        for _ in range(2):  # a failed call leaves nothing in the table
+            with pytest.raises(TypeError):
+                radical_sqrt(k)
+
+    def test_every_split_up_to_20000(self):
+        limit = 20_000
+        squarefree = [True] * (limit + 1)
+        for d in range(2, isqrt(limit) + 1):
+            for multiple in range(d * d, limit + 1, d * d):
+                squarefree[multiple] = False
+        for k in range(1, limit + 1):
+            split = radical_sqrt(k)
+            s, q = split
+            assert type(s) is int and type(q) is int
+            assert s * s * q == k and squarefree[q], k
+            assert radical_sqrt(k) is split  # the second call reads the table
 
 
 rationals = st.fractions(
@@ -651,6 +677,39 @@ sum_terms = st.lists(
     ),
     max_size=8,
 )
+
+
+class TestRootTable:
+    def test_kept_enclosures_match_plain_isqrt(self):
+        values = [
+            side.exact
+            for n in range(1, 7)
+            for g in enumerate_connected(n)
+            for report in run_checks(g)
+            for side in (report.lhs, report.rhs)
+            if side.exact is not None
+        ]
+        kept = [v for v in values if v._bounds is not None]
+        assert kept and radicals._start_root.cache_info().hits
+        for value in kept:
+            plain = FractionRadical._raw(dict(value.terms))._interval(radicals._START_BITS)
+            assert value._bounds == plain, str(value)
+
+    def test_refinement_rounds_take_their_own_roots(self):
+        # q*sqrt(2) - p for p/q a convergent of sqrt(2) lies within 1/(2q)
+        # of 0.  At q near 2^200 its enclosure straddles 0, and the sign
+        # needs the 552-bit round: rounds that read the 69-bit root would
+        # never resolve it.
+        p, q = 1, 1
+        while q.bit_length() < 200:
+            p, q = p + 2 * q, p + q
+        for p, q in ((p, q), (p + 2 * q, p + q)):  # one below sqrt(2), one above
+            value = RadicalNumber({2: q, 1: -p})
+            lo, hi, _ = value._enclosure()
+            assert lo < 0 < hi
+            looked_up = radicals._start_root.cache_info()
+            assert value.sign() == (1 if 2 * q * q > p * p else -1)
+            assert radicals._start_root.cache_info() == looked_up
 
 
 class TestRadicalSum:
